@@ -73,6 +73,16 @@ def _records(path: str, fh: TextIO) -> Iterator[tuple[int, dict]]:
         yield lineno, record
 
 
+def header_int(path: str, lineno: int, body: str) -> int:
+    """Value of a ``# key: <int>`` comment header in the line-oriented text
+    files (exclusion lists, vulnerability assignments); `body` is the text
+    after the ``#``.  A non-integer value is a positioned ValueError."""
+    try:
+        return int(body.split(":", 1)[1].strip())
+    except ValueError:
+        raise ValueError(f"{path}:{lineno}: header {body!r} needs an integer value") from None
+
+
 def _check_header(path: str, lineno: int, record: dict, content: str) -> None:
     if record.get("kind") != "header":
         raise RecordFormatError(path, lineno, "first record must be the header")
@@ -185,11 +195,23 @@ def load_call_graph(path: str, h: TypeHierarchy) -> CallGraph:
     """Read a call graph file and validate it against its hierarchy.
 
     Edge endpoints become nodes even without an explicit node record;
-    explicit node records exist to carry isolated methods.
+    explicit node records exist to carry isolated methods.  Node records
+    and edge endpoints share one MethodNode per method, so the graph's
+    dicts and sets find keys by identity; each uid text is parsed once.
     """
-    nodes: list[MethodNode] = []
+    nodes: dict[MethodNode, MethodNode] = {}
+    by_uid: dict[str, MethodNode] = {}
     edges: list[CallEdge] = []
     saw_header = False
+
+    def node(uid: str) -> MethodNode:
+        found = by_uid.get(uid)
+        if found is None:
+            # non-canonical spellings such as ``f(,int)`` parse to one node
+            parsed = MethodNode.from_uid(uid)
+            found = by_uid[uid] = nodes.setdefault(parsed, parsed)
+        return found
+
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, record in _records(path, fh):
             if not saw_header:
@@ -198,11 +220,11 @@ def load_call_graph(path: str, h: TypeHierarchy) -> CallGraph:
                 continue
             try:
                 if record["kind"] == "node":
-                    nodes.append(MethodNode.from_uid(record["id"]))
+                    node(record["id"])
                 elif record["kind"] == "edge":
                     edges.append(CallEdge(
-                        source=MethodNode.from_uid(record["src"]),
-                        target=MethodNode.from_uid(record["dst"]),
+                        source=node(record["src"]),
+                        target=node(record["dst"]),
                         receiver_type=record["recv"],
                     ))
                 else:
@@ -217,7 +239,7 @@ def load_call_graph(path: str, h: TypeHierarchy) -> CallGraph:
                 raise RecordFormatError(path, lineno, str(exc)) from None
     if not saw_header:
         raise RecordFormatError(path, 1, "empty file: missing header record")
-    cg = build_call_graph(nodes, edges)
+    cg = build_call_graph(nodes.values(), edges)
     violations = validate_call_graph(cg, h)
     if violations:
         raise HierarchyValidationError(violations)

@@ -63,6 +63,19 @@ class MethodSignature:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("signature name must be non-empty")
+        # Hashed once per object: signatures key the dicts and sets of every
+        # analysis.  The cache is not a field, so equality, ordering and
+        # `dataclasses.replace` ignore it, and `__reduce__` leaves it out of
+        # pickles (string hashes differ between processes).
+        object.__setattr__(
+            self, "_hash", hash((self.name, self.param_types, self.return_type))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (type(self), (self.name, self.param_types, self.return_type))
 
     def to_text(self) -> str:
         """Canonical one-token form, e.g. ``next():java.lang.Object``."""
@@ -129,6 +142,16 @@ class MethodNode:
     defining_type: str
     signature: MethodSignature
 
+    def __post_init__(self) -> None:
+        # cached like MethodSignature's hash, for the same reasons
+        object.__setattr__(self, "_hash", hash((self.defining_type, self.signature)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (type(self), (self.defining_type, self.signature))
+
     @property
     def uid(self) -> str:
         """Stable textual id, e.g. ``T2::next():java.lang.Object``."""
@@ -145,13 +168,15 @@ class MethodNode:
         return self.uid
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class CallEdge:
     """One call edge: source method, resolved target method, receiver type.
 
     `receiver_type` is the static type written at the call site; the target
     is one concrete resolution of that call.  Edge identity is the full
-    (source, target, receiver) triple.
+    (source, target, receiver) triple.  Edges are by far the most numerous
+    objects, so they carry slots instead of a per-object dict: every edge
+    scan then touches one object per edge, not two.
     """
 
     source: MethodNode

@@ -17,6 +17,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Mapping, Protocol
 
+from .io import header_int
 from .model import (
     CallEdge,
     CallGraph,
@@ -255,7 +256,7 @@ def load_exclusion_list(path: str, h: TypeHierarchy) -> ExclusionList:
             if line.startswith("#"):
                 body = line.lstrip("#").strip()
                 if body.startswith("declared-size:"):
-                    declared_size = int(body.split(":", 1)[1].strip())
+                    declared_size = header_int(path, lineno, body)
                 continue
             parts = line.split("\t")
             if len(parts) != 2:
@@ -263,7 +264,10 @@ def load_exclusion_list(path: str, h: TypeHierarchy) -> ExclusionList:
                     f"{path}:{lineno}: expected 'signature<TAB>type name', got {line!r}"
                 )
             sig_text, fq = parts
-            sig = MethodSignature.from_text(sig_text)
+            try:
+                sig = MethodSignature.from_text(sig_text)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
             if fq not in by_fq:
                 raise ValueError(f"{path}:{lineno}: unknown type name {fq!r}")
             tid = by_fq[fq]

@@ -1,12 +1,14 @@
 """Vulnerability reachability: who in the application can reach a flawed method.
 
 Vulnerable methods are planted in dependency code (uniformly at random with a
-fixed seed), then a breadth-first search over reversed edges finds every
-caller that transitively reaches each one.  The headline numbers are the
-count of (application method, vulnerable method) pairs and the fraction of
-vulnerable methods reached by at least one application method; comparing the
-numbers before and after pruning shows how much reachability the pruning
-destroyed.
+fixed seed), then one bit-parallel pass over reversed edges finds, for every
+caller, the set of vulnerable methods it transitively reaches.  The headline
+numbers are the count of (application method, vulnerable method) pairs and
+the fraction of vulnerable methods reached by at least one application
+method; comparing the numbers before and after pruning shows how much
+reachability the pruning destroyed.  A breadth-first search from one
+vulnerable method at a time rebuilds witness call paths when they are asked
+for, and serves the tests as the reference for the pass.
 
 Sampling uses Python's Mersenne Twister (`random.Random`), so assignments are
 reproducible for a given seed on any platform.  The assignment file, not the
@@ -21,7 +23,16 @@ import time
 from dataclasses import dataclass
 from typing import Mapping
 
-from .model import CallGraph, GraphError, MethodNode, TypeHierarchy, reverse_adjacency
+from .io import header_int
+from .model import (
+    CallGraph,
+    GraphError,
+    MethodNode,
+    TypeHierarchy,
+    TypeNode,
+    UnknownTypeError,
+    reverse_adjacency,
+)
 
 
 class NoEligibleNodesError(GraphError):
@@ -38,15 +49,23 @@ class ProjectRoleMap:
 
     application_project_id: str
 
-    def is_application(self, h: TypeHierarchy, node: MethodNode) -> bool:
-        t = h.node(node.defining_type)
+    def _is_application_type(self, t: TypeNode) -> bool:
         return t.project_id == self.application_project_id and not t.is_core_lib
+
+    def application_types(self, h: TypeHierarchy) -> frozenset[str]:
+        """Ids of the types whose methods are application nodes."""
+        return frozenset(
+            tid for tid, t in h.types.items() if self._is_application_type(t)
+        )
+
+    def is_application(self, h: TypeHierarchy, node: MethodNode) -> bool:
+        return self._is_application_type(h.node(node.defining_type))
 
     def is_dependency(
         self, h: TypeHierarchy, node: MethodNode, include_core: bool = False
     ) -> bool:
         t = h.node(node.defining_type)
-        if t.project_id == self.application_project_id and not t.is_core_lib:
+        if self._is_application_type(t):
             return False
         return include_core or not t.is_core_lib
 
@@ -119,6 +138,8 @@ def _reach_one(
 
     Returns every node that reaches it, plus per-node successor links
     pointing one hop towards the vulnerable node (for path reconstruction).
+    It builds witness paths, and the tests use it as the reference for the
+    bit-parallel pass.
     """
     next_hop: dict[MethodNode, MethodNode] = {}
     visited = {vuln}
@@ -135,6 +156,34 @@ def _reach_one(
     return visited, next_hop
 
 
+def _reached_bits(callers: list[list[int]], seeds: list[int]) -> list[int]:
+    """Bit-parallel reverse reachability over a dense int index.
+
+    `callers[n]` lists the predecessors of node n and `seeds[i]` is the node
+    that owns bit i.  Returns each node's mask: bit i is set iff the node is
+    `seeds[i]` or reaches it.  The pass is level-synchronous: every round
+    pushes only the bits a node gained in the previous round to its callers,
+    so bit i reaches a node at that node's BFS distance from `seeds[i]`.  No
+    (node, bit) pair is expanded twice, which bounds the work by the per-seed
+    BFS it replaces and makes cycles need no special handling.
+    """
+    mask = [0] * len(callers)
+    gained: dict[int, int] = {}
+    for i, seed in enumerate(seeds):
+        mask[seed] |= 1 << i
+        gained[seed] = mask[seed]
+    while gained:
+        next_gained: dict[int, int] = {}
+        for node, bits in gained.items():
+            for caller in callers[node]:
+                new = bits & ~mask[caller]
+                if new:
+                    mask[caller] |= new
+                    next_gained[caller] = next_gained.get(caller, 0) | new
+        gained = next_gained
+    return mask
+
+
 def propagate(
     cg: CallGraph,
     assignment: VulnerabilityAssignment,
@@ -146,12 +195,18 @@ def propagate(
 ) -> ReachabilityResult:
     """Measure application-to-vulnerable reachability over `cg`.
 
-    The traversal runs `warmup` unmeasured times, then `repetitions` measured
-    times; `elapsed` is the mean of the measured runs.  Counts are identical
-    across runs (the traversal is deterministic), so only time is averaged.
-    A self-call on a vulnerable application method would count as reaching
-    itself only via a real edge; by construction vulnerable nodes are
-    dependency nodes, so every counted pair crosses at least one edge.
+    Nodes get dense int ids and each vulnerable node one bit of a Python
+    int; a single reverse pass (`_reached_bits`) then gives every node the
+    set of vulnerable nodes it reaches.  A pair is an application node plus
+    a vulnerable node in its set, other than itself: a node never pairs with
+    itself, even when it lies on a cycle or calls itself.  That matters for
+    assignments loaded from a file, which may name application nodes.
+
+    The pass runs `warmup` unmeasured times, then `repetitions` measured
+    times; `elapsed` is the mean time of one measured pass, pair counting
+    included.  Counts are identical across runs (the pass is
+    deterministic), so only time is averaged.  Witness paths, when asked
+    for, come from one breadth-first search per reached vulnerable node.
     """
     if repetitions <= 0:
         raise ValueError(f"repetitions must be positive, got {repetitions}")
@@ -163,38 +218,48 @@ def propagate(
             "assignment references nodes absent from the graph: "
             + ", ".join(n.uid for n in missing)
         )
+    unknown = {n.defining_type for n in cg.nodes} - h.types.keys()
+    if unknown:
+        raise UnknownTypeError(min(unknown))
     preds = reverse_adjacency(cg)
+    nodes = list(cg.nodes)
+    index = {n: i for i, n in enumerate(nodes)}
+    callers: list[list[int]] = [[] for _ in nodes]
+    for target, sources in preds.items():
+        callers[index[target]] = [index[s] for s in sources]
+    app_types = roles.application_types(h)
+    apps = [i for i, n in enumerate(nodes) if n.defining_type in app_types]
     vulnerable = sorted(assignment.vulnerable)
-    app_nodes = frozenset(n for n in cg.nodes if roles.is_application(h, n))
+    seeds = [index[v] for v in vulnerable]
 
-    def run() -> tuple[int, set[MethodNode], dict[MethodNode, dict[MethodNode, MethodNode]]]:
+    def run() -> tuple[int, int]:
+        mask = _reached_bits(callers, seeds)
+        for i, seed in enumerate(seeds):
+            mask[seed] ^= 1 << i  # the self-pair rule
         pairs = 0
-        reached: set[MethodNode] = set()
-        hops: dict[MethodNode, dict[MethodNode, MethodNode]] = {}
-        for vuln in vulnerable:
-            visited, next_hop = _reach_one(preds, vuln)
-            reachers = (app_nodes & visited) - {vuln}
-            if reachers:
-                pairs += len(reachers)
-                reached.add(vuln)
-                if collect_witnesses:
-                    hops[vuln] = next_hop
-        return pairs, reached, hops
+        reached = 0
+        for a in apps:
+            pairs += mask[a].bit_count()
+            reached |= mask[a]
+        return pairs, reached
 
     for _ in range(warmup):
         run()
     times = []
     for _ in range(repetitions):
         t0 = time.perf_counter()
-        pairs, reached, hops = run()
+        pairs, reached_bits = run()
         times.append(time.perf_counter() - t0)
     elapsed = sum(times) / len(times)
+    reached = [v for i, v in enumerate(vulnerable) if reached_bits >> i & 1]
 
     witnesses = None
     if collect_witnesses:
         witnesses = {}
-        for vuln, next_hop in hops.items():
-            for app in sorted(app_nodes & set(next_hop)):
+        app_nodes = {nodes[a] for a in apps}
+        for vuln in reached:
+            _, next_hop = _reach_one(preds, vuln)
+            for app in sorted(app_nodes & next_hop.keys()):
                 path = [app]
                 while path[-1] != vuln:
                     path.append(next_hop[path[-1]])
@@ -264,9 +329,9 @@ def load_assignment(path: str) -> VulnerabilityAssignment:
             if line.startswith("#"):
                 body = line.lstrip("#").strip()
                 if body.startswith("seed:"):
-                    seed = int(body.split(":", 1)[1].strip())
+                    seed = header_int(path, lineno, body)
                 elif body.startswith("requested:"):
-                    requested = int(body.split(":", 1)[1].strip())
+                    requested = header_int(path, lineno, body)
                 continue
             try:
                 nodes.append(MethodNode.from_uid(line))

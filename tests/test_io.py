@@ -57,6 +57,33 @@ class TestCallGraphRoundTrip:
         assert m("T1", "hasNext") in load_call_graph(str(path), f1.h).nodes
 
 
+class TestNodeSharing:
+    def test_edge_endpoints_are_the_node_objects(self, f1, tmp_path):
+        path = tmp_path / "cg.jsonl"
+        save_call_graph(f1.cg, str(path))
+        loaded = load_call_graph(str(path), f1.h)
+        canonical = {n: n for n in loaded.nodes}
+        for e in loaded.edges:
+            assert e.source is canonical[e.source]
+            assert e.target is canonical[e.target]
+
+    def test_spellings_of_one_method_share_one_node(self, f1, tmp_path):
+        # an empty parameter list may be spelled "()" or "(,)"
+        path = tmp_path / "cg.jsonl"
+        path.write_text("\n".join([
+            '{"kind":"header","schema":1,"content":"callgraph"}',
+            '{"kind":"node","id":"T4::run():void"}',
+            '{"kind":"edge","src":"T4::run(,):void","dst":"T4::use():void",'
+            '"recv":"T4"}',
+        ]) + "\n")
+        loaded = load_call_graph(str(path), f1.h)
+        canonical = {n: n for n in loaded.nodes}
+        assert len(canonical) == 2
+        (edge,) = loaded.edges
+        assert edge.source is canonical[edge.source]
+        assert edge.target is canonical[edge.target]
+
+
 class TestSchemaAndFormatErrors:
     def _write(self, tmp_path, lines):
         path = tmp_path / "bad.jsonl"

@@ -1,5 +1,11 @@
 """Domain model: hierarchy validation, ancestor walks, graph construction."""
 
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 
 from conftest import f1_edges, m, make_f1_hierarchy, sig
@@ -61,6 +67,48 @@ class TestMethodNode:
     def test_from_uid_rejects_missing_separator(self):
         with pytest.raises(ValueError):
             MethodNode.from_uid("T2/next():void")
+
+
+class TestIdentity:
+    """Signatures and nodes cache their hash; it must follow their value."""
+
+    def test_separately_built_equal_objects_hash_equal(self):
+        one = MethodNode("T2", MethodSignature("get", ("int",), "V"))
+        two = MethodNode.from_uid("T2::get(int):V")
+        assert one is not two and one.signature is not two.signature
+        assert one.signature == two.signature
+        assert hash(one.signature) == hash(two.signature)
+        assert one == two
+        assert hash(one) == hash(two)
+        assert {one: 1}[two] == 1
+
+    def test_replace_rehashes(self):
+        node = MethodNode("T2", MethodSignature("get", ("int",), "V"))
+        moved = dataclasses.replace(node, defining_type="T3")
+        renamed = dataclasses.replace(node.signature, name="put")
+        assert moved == MethodNode("T3", node.signature)
+        assert hash(moved) == hash(MethodNode("T3", node.signature))
+        assert renamed == MethodSignature("put", ("int",), "V")
+        assert hash(renamed) == hash(MethodSignature("put", ("int",), "V"))
+        assert moved not in {node}
+
+    def test_unpickled_in_another_process_rehashes(self):
+        # string hashes are salted per process, so a pickled cache would be
+        # stale in a process with another salt
+        code = (
+            "import pickle, sys; from cgprune import MethodNode; "
+            "sys.stdout.buffer.write(pickle.dumps(MethodNode.from_uid('T2::get(int):V')))"
+        )
+        env = dict(os.environ, PYTHONHASHSEED="1")
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
+        payload = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, check=True
+        ).stdout
+        loaded = pickle.loads(payload)
+        original = MethodNode.from_uid("T2::get(int):V")
+        assert hash(loaded) == hash(original)
+        assert loaded in {original}
+        assert loaded.signature in {original.signature}
 
 
 class TestValidateHierarchy:

@@ -231,6 +231,18 @@ class TestExclusionListFile:
         with pytest.raises(ValueError, match="excl.txt:1"):
             load_exclusion_list(str(path), f1.h)
 
+    def test_malformed_signature_positioned(self, f1, tmp_path):
+        path = tmp_path / "excl.txt"
+        path.write_text("# declared-size: 1\nnext\tjava.util.Iterator\n")
+        with pytest.raises(ValueError, match="excl.txt:2: malformed signature"):
+            load_exclusion_list(str(path), f1.h)
+
+    def test_non_integer_size_header_positioned(self, f1, tmp_path):
+        path = tmp_path / "excl.txt"
+        path.write_text("# declared-size: ten\nnext():void\tjava.util.Iterator\n")
+        with pytest.raises(ValueError, match="excl.txt:1: header 'declared-size: ten'"):
+            load_exclusion_list(str(path), f1.h)
+
     def test_missing_size_header_defaults_to_entry_count(self, f1, tmp_path):
         path = tmp_path / "excl.txt"
         path.write_text("next():void\tjava.util.Iterator\n")

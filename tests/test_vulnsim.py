@@ -1,14 +1,21 @@
-"""CVE injection and inverse-BFS reachability, base versus pruned."""
+"""CVE injection and bit-parallel reachability, base versus pruned."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import m
 
 from cgprune import (
     CallEdge,
+    MethodNode,
+    MethodSignature,
     NoEligibleNodesError,
     ProjectRoleMap,
     ReachabilityResult,
+    TypeHierarchy,
+    TypeNode,
+    UnknownTypeError,
     VulnerabilityAssignment,
     build_call_graph,
     compare,
@@ -16,8 +23,10 @@ from cgprune import (
     load_assignment,
     propagate,
     prune_exhaustive,
+    reverse_adjacency,
     save_assignment,
 )
+from cgprune.vulnsim import _reach_one
 from test_pruning import excl_of
 
 ROLES = ProjectRoleMap(application_project_id="app")
@@ -110,6 +119,13 @@ class TestPropagate:
         assert result.reachable_pairs == 0
         assert result.reachable_vuln_fraction == 0.0
 
+    def test_empty_assignment_reaches_nothing(self, f1):
+        empty = VulnerabilityAssignment(frozenset(), seed=0, requested=0)
+        result = propagate(f1.cg, empty, ROLES, f1.h, collect_witnesses=True)
+        assert (result.reachable_pairs, result.reachable_vuln_fraction) == (0, 0.0)
+        assert result.reached_vulnerable == set()
+        assert result.witnesses == {}
+
     def test_witness_paths_walk_real_edges(self, f1):
         result = propagate(
             f1.cg, f1_assignment(), ROLES, f1.h, collect_witnesses=True
@@ -141,6 +157,36 @@ class TestPropagate:
         assert (one.reachable_pairs, one.reachable_vuln_fraction) == (
             two.reachable_pairs, two.reachable_vuln_fraction
         )
+
+    def test_vulnerable_application_node_never_pairs_with_itself(self, f1, tmp_path):
+        # run -> use -> run is a cycle and run also calls itself, so a BFS
+        # from run visits run; the pair (run, run) must still not count
+        run, use, helper = m("T4", "run"), m("T4", "use"), m("T2", "helper")
+        cg = build_call_graph([], [
+            CallEdge(run, use, "T4"),
+            CallEdge(use, run, "T4"),
+            CallEdge(run, run, "T4"),
+            CallEdge(helper, run, "T4"),
+        ])
+        path = tmp_path / "vuln.txt"
+        save_assignment(
+            VulnerabilityAssignment(frozenset({run}), seed=0, requested=1), str(path)
+        )
+        assignment = load_assignment(str(path))
+        assert assignment.vulnerable == {run}
+        assert ROLES.is_application(f1.h, run)
+        result = propagate(cg, assignment, ROLES, f1.h, collect_witnesses=True)
+        assert result.reachable_pairs == 2
+        assert result.reached_vulnerable == {run}
+        assert result.witnesses == {
+            (use, run): (use, run),
+            (helper, run): (helper, run),
+        }
+
+    def test_node_of_unknown_type_rejected(self, f1):
+        cg = build_call_graph([m("T3", "next"), m("T9", "next")], [])
+        with pytest.raises(UnknownTypeError, match="T9"):
+            propagate(cg, f1_assignment(), ROLES, f1.h)
 
     def test_parameter_validation(self, f1):
         with pytest.raises(ValueError):
@@ -214,3 +260,81 @@ class TestAssignmentFile:
         path.write_text("not-a-node-id\n")
         with pytest.raises(ValueError, match="vuln.txt:1"):
             load_assignment(str(path))
+
+    def test_non_integer_seed_header_positioned(self, tmp_path):
+        path = tmp_path / "vuln.txt"
+        path.write_text("# seed: eleven\nT3::next():void\n")
+        with pytest.raises(ValueError, match="vuln.txt:1: header 'seed: eleven'"):
+            load_assignment(str(path))
+
+    def test_non_integer_requested_header_positioned(self, tmp_path):
+        path = tmp_path / "vuln.txt"
+        path.write_text("# seed: 3\n# requested: 2.5\nT3::next():void\n")
+        with pytest.raises(ValueError, match="vuln.txt:2: header 'requested: 2.5'"):
+            load_assignment(str(path))
+
+
+# Differential test of the bit-parallel pass against one reverse BFS per
+# vulnerable node.  Types: two application, two library, one core; any node,
+# application nodes included, may be vulnerable.
+DIFF_H = TypeHierarchy({
+    tid: TypeNode(tid, f"x.{tid}", (), frozenset(), project, is_core_lib=core)
+    for tid, project, core in [
+        ("A0", "app", False), ("A1", "app", False),
+        ("L0", "lib", False), ("L1", "lib", False), ("C0", "core", True),
+    ]
+})
+
+
+@st.composite
+def graphs_with_vulnerable_sets(draw):
+    type_ids = st.sampled_from(sorted(DIFF_H.types))
+    linked = draw(st.integers(2, 12))
+    # the last two nodes get no edges
+    types = draw(st.lists(type_ids, min_size=linked + 2, max_size=linked + 2))
+    nodes = [MethodNode(t, MethodSignature(f"m{i}")) for i, t in enumerate(types)]
+    endpoint = st.integers(0, linked - 1)
+    # equal (source, target) pairs with other receivers are parallel edges;
+    # source == target gives self-loops, and cycles arise freely
+    edges = draw(st.lists(
+        st.tuples(endpoint, endpoint, st.sampled_from(["A0", "L0"])),
+        min_size=linked, max_size=3 * linked,
+    ))
+    vulnerable = draw(st.sets(st.integers(0, len(nodes) - 1), min_size=1))
+    cg = build_call_graph(nodes, [CallEdge(nodes[s], nodes[t], r) for s, t, r in edges])
+    return cg, frozenset(nodes[i] for i in vulnerable)
+
+
+def per_vulnerable_bfs(cg, vulnerable):
+    """Reference: one reverse BFS per vulnerable node, as `_reach_one` runs it."""
+    preds = reverse_adjacency(cg)
+    apps = {n for n in cg.nodes if ROLES.is_application(DIFF_H, n)}
+    witnesses = {}
+    for vuln in sorted(vulnerable):
+        visited, next_hop = _reach_one(preds, vuln)
+        for app in (apps & visited) - {vuln}:
+            path = [app]
+            while path[-1] != vuln:
+                path.append(next_hop[path[-1]])
+            witnesses[(app, vuln)] = tuple(path)
+    return witnesses
+
+
+class TestBitParallelPassMatchesPerVulnerableBfs:
+    @settings(
+        max_examples=300, derandomize=True, database=None, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(graphs_with_vulnerable_sets())
+    def test_same_pairs_fraction_reached_set_and_witnesses(self, case):
+        cg, vulnerable = case
+        expected = per_vulnerable_bfs(cg, vulnerable)
+        reached = {vuln for _, vuln in expected}
+        result = propagate(
+            cg, VulnerabilityAssignment(vulnerable, seed=0, requested=len(vulnerable)),
+            ROLES, DIFF_H, warmup=1, repetitions=2, collect_witnesses=True,
+        )
+        assert result.reachable_pairs == len(expected)
+        assert result.reached_vulnerable == reached
+        assert result.reachable_vuln_fraction == len(reached) / len(vulnerable)
+        assert result.witnesses == expected
