@@ -32,6 +32,7 @@ from .localness import LocalnessOptions, label_all, localness_distribution
 from .model import CallGraph, GraphError, HierarchyValidationError, TypeHierarchy
 from .origins import build_exclusion_list, find_origins, origin_edge_frequencies, unique_derivative_counts
 from .pipeline import (
+    MODES,
     ConfigError,
     PipelineConfig,
     run_pipeline,
@@ -40,8 +41,7 @@ from .pipeline import (
     write_report_json,
 )
 from .pruning import (
-    KeepAllOracle,
-    PruneAllOracle,
+    ORACLES,
     load_exclusion_list,
     prune_exhaustive,
     prune_selective,
@@ -72,9 +72,7 @@ def _add_input_args(p: argparse.ArgumentParser) -> None:
 
 
 def _load_inputs(args: argparse.Namespace) -> tuple[TypeHierarchy, CallGraph]:
-    h = load_hierarchy(args.hierarchy)
-    if args.core_prefix:
-        h = apply_core_prefixes(h, args.core_prefix)
+    h = apply_core_prefixes(load_hierarchy(args.hierarchy), args.core_prefix)
     cg = load_call_graph(args.callgraph, h)
     return h, cg
 
@@ -189,8 +187,7 @@ def cmd_prune(args: argparse.Namespace) -> int:
     if args.mode == "exhaustive":
         result = prune_exhaustive(cg, excl, h)
     else:
-        oracle = KeepAllOracle() if args.oracle == "keep-all" else PruneAllOracle()
-        result = prune_selective(cg, excl, h, oracle, args.threshold)
+        result = prune_selective(cg, excl, h, ORACLES[args.oracle](), args.threshold)
     save_call_graph(result.pruned_graph, args.out)
     if args.save_exclusion:
         save_exclusion_list(excl, args.save_exclusion, h)
@@ -324,9 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="load a saved exclusion list instead")
     p.add_argument("--out", required=True, metavar="PATH",
                    help="where to write the pruned call graph")
-    p.add_argument("--mode", choices=["exhaustive", "selective"],
-                   default="exhaustive")
-    p.add_argument("--oracle", choices=["keep-all", "prune-all"],
+    p.add_argument("--mode", choices=MODES, default="exhaustive")
+    p.add_argument("--oracle", choices=list(ORACLES),
                    default="keep-all", help="decision oracle for selective mode")
     p.add_argument("--threshold", type=float, default=0.95,
                    help="selective mode prunes only above this confidence")

@@ -15,6 +15,7 @@ HierarchyValidationError listing each offence.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from typing import Iterator, TextIO
 
 from .model import (
@@ -46,8 +47,9 @@ class SchemaVersionError(GraphError):
         )
 
 
-class RecordFormatError(GraphError):
-    """A record line could not be parsed; carries file and line position."""
+class RecordFormatError(GraphError, ValueError):
+    """A line of an input file could not be parsed; carries file and line
+    position.  Also a ValueError, since the line holds a bad value."""
 
     def __init__(self, path: str, line: int, problem: str):
         self.path = path
@@ -76,11 +78,13 @@ def _records(path: str, fh: TextIO) -> Iterator[tuple[int, dict]]:
 def header_int(path: str, lineno: int, body: str) -> int:
     """Value of a ``# key: <int>`` comment header in the line-oriented text
     files (exclusion lists, vulnerability assignments); `body` is the text
-    after the ``#``.  A non-integer value is a positioned ValueError."""
+    after the ``#``.  A non-integer value is a RecordFormatError."""
     try:
         return int(body.split(":", 1)[1].strip())
     except ValueError:
-        raise ValueError(f"{path}:{lineno}: header {body!r} needs an integer value") from None
+        raise RecordFormatError(
+            path, lineno, f"header {body!r} needs an integer value"
+        ) from None
 
 
 def _check_header(path: str, lineno: int, record: dict, content: str) -> None:
@@ -218,19 +222,19 @@ def load_call_graph(path: str, h: TypeHierarchy) -> CallGraph:
                 _check_header(path, lineno, record, "callgraph")
                 saw_header = True
                 continue
+            if record["kind"] not in ("node", "edge"):
+                raise RecordFormatError(
+                    path, lineno, f"unexpected record kind {record['kind']!r}"
+                )
             try:
                 if record["kind"] == "node":
                     node(record["id"])
-                elif record["kind"] == "edge":
+                else:
                     edges.append(CallEdge(
                         source=node(record["src"]),
                         target=node(record["dst"]),
                         receiver_type=record["recv"],
                     ))
-                else:
-                    raise RecordFormatError(
-                        path, lineno, f"unexpected record kind {record['kind']!r}"
-                    )
             except KeyError as exc:
                 raise RecordFormatError(
                     path, lineno, f"record missing field {exc.args[0]!r}"
@@ -262,13 +266,5 @@ def apply_core_prefixes(h: TypeHierarchy, prefixes: list[str]) -> TypeHierarchy:
             for p in prefixes
         )
         if hit and not t.is_core_lib:
-            types[tid] = TypeNode(
-                type_id=t.type_id,
-                fq_name=t.fq_name,
-                parents=t.parents,
-                declared=t.declared,
-                project_id=h.core_project_id,
-                package_name=t.package_name,
-                is_core_lib=True,
-            )
+            types[tid] = replace(t, project_id=h.core_project_id, is_core_lib=True)
     return TypeHierarchy(types=types, core_project_id=h.core_project_id)

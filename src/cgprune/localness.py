@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .model import CallGraph, MethodNode, TypeHierarchy, ancestor_depths
+from .model import CallGraph, MethodNode, TypeHierarchy
 from .origins import OriginMap, OriginRef
 
 LEVELS = (0, 1, 2, 3)
@@ -41,22 +41,11 @@ class LocalnessOptions:
 DEFAULT_OPTIONS = LocalnessOptions()
 
 
-def _reflexive_ancestors(
-    h: TypeHierarchy, type_id: str, cache: dict[str, frozenset[str]]
-) -> frozenset[str]:
-    cached = cache.get(type_id)
-    if cached is None:
-        cached = frozenset(ancestor_depths(h, type_id))
-        cache[type_id] = cached
-    return cached
-
-
 def same_hierarchy(
     h: TypeHierarchy,
     type_a: str,
     type_b: str,
     options: LocalnessOptions = DEFAULT_OPTIONS,
-    _cache: dict[str, frozenset[str]] | None = None,
 ) -> bool:
     """True when the two types belong to one class hierarchy.
 
@@ -65,12 +54,11 @@ def same_hierarchy(
     ancestor.  Common core ancestors (java.lang.Object in spirit) never
     connect hierarchies.
     """
-    cache = _cache if _cache is not None else {}
     if type_a == type_b:
         h.node(type_a)
         return True
-    anc_a = _reflexive_ancestors(h, type_a, cache)
-    anc_b = _reflexive_ancestors(h, type_b, cache)
+    anc_a = h.reflexive_ancestors(type_a)
+    anc_b = h.reflexive_ancestors(type_b)
     if type_b in anc_a or type_a in anc_b:
         return True
     if options.extended_hierarchy:
@@ -87,13 +75,13 @@ def _same_scope(
     return a.project_id == b.project_id
 
 
-def _categorize(
+def categorize(
     method: MethodNode,
     cg: CallGraph,
     h: TypeHierarchy,
-    options: LocalnessOptions,
-    cache: dict[str, frozenset[str]],
+    options: LocalnessOptions = DEFAULT_OPTIONS,
 ) -> int:
+    """Localness level of one method, from its outgoing edges only."""
     if h.node(method.defining_type).is_core_lib:
         return 0
     label = 0
@@ -101,9 +89,7 @@ def _categorize(
         target_type = edge.target.defining_type
         if h.node(target_type).is_core_lib:
             continue
-        if label < 2 and same_hierarchy(
-            h, method.defining_type, target_type, options, _cache=cache
-        ):
+        if label < 2 and same_hierarchy(h, method.defining_type, target_type, options):
             label = 1
         elif _same_scope(h, method.defining_type, target_type, options):
             label = 2
@@ -113,27 +99,13 @@ def _categorize(
     return label
 
 
-def categorize(
-    method: MethodNode,
-    cg: CallGraph,
-    h: TypeHierarchy,
-    options: LocalnessOptions = DEFAULT_OPTIONS,
-) -> int:
-    """Localness level of one method, from its outgoing edges only."""
-    return _categorize(method, cg, h, options, {})
-
-
 def label_all(
     cg: CallGraph,
     h: TypeHierarchy,
     options: LocalnessOptions = DEFAULT_OPTIONS,
 ) -> dict[MethodNode, int]:
     """Localness level for every node of the graph."""
-    cache: dict[str, frozenset[str]] = {}
-    return {
-        node: _categorize(node, cg, h, options, cache)
-        for node in cg.sorted_nodes()
-    }
+    return {node: categorize(node, cg, h, options) for node in cg.sorted_nodes()}
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,8 @@ the receiver type that was written at the call site in addition to the
 resolved target.
 
 Everything here is immutable after construction and safe to share across
-threads.  Analyses elsewhere in the package are pure functions over these
+threads; the only state added later is the ancestor memo of a TypeHierarchy,
+whose entries are fixed by the hierarchy itself.  Analyses elsewhere in the package are pure functions over these
 values.  Construction is permissive; `validate_hierarchy` reports rule
 violations instead of raising, so callers (e.g. file loaders) decide how
 strict to be.
@@ -133,6 +134,21 @@ class TypeHierarchy:
 
     def sorted_ids(self) -> list[str]:
         return sorted(self.types)
+
+    def reflexive_ancestors(self, type_id: str) -> frozenset[str]:
+        """`type_id` plus every type it transitively extends.
+
+        Memoised per type on first request; origin finding and localness
+        both ask for the same sets many times over.
+        """
+        found = self._ancestors.get(type_id)
+        if found is None:
+            found = self._ancestors[type_id] = frozenset(ancestor_depths(self, type_id))
+        return found
+
+    @cached_property
+    def _ancestors(self) -> dict[str, frozenset[str]]:
+        return {}
 
 
 @dataclass(frozen=True, order=True)
@@ -385,12 +401,23 @@ def children_index(h: TypeHierarchy) -> dict[str, list[str]]:
     return children
 
 
-def reflexive_descendants(h: TypeHierarchy, type_id: str) -> set[str]:
-    """`type_id` plus every type that transitively extends it."""
-    children = children_index(h)
-    h.node(type_id)
-    seen = {type_id}
-    frontier = [type_id]
+def reflexive_descendants(
+    h: TypeHierarchy,
+    *type_ids: str,
+    children: Mapping[str, list[str]] | None = None,
+) -> set[str]:
+    """Every root plus every type that transitively extends one of them.
+
+    This is the descendant cone that CHA dispatch and pruning both use.
+    Callers that walk many cones of one hierarchy pass one `children_index`
+    as `children` instead of rebuilding it per call.
+    """
+    if children is None:
+        children = children_index(h)
+    for tid in type_ids:
+        h.node(tid)
+    seen = set(type_ids)
+    frontier = list(seen)
     while frontier:
         nxt = []
         for tid in frontier:

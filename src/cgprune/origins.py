@@ -101,31 +101,21 @@ class ExclusionList:
 
 
 def _first_declarers(
-    h: TypeHierarchy,
-    type_id: str,
-    sig: MethodSignature,
-    ancestor_cache: dict[str, frozenset[str]],
+    h: TypeHierarchy, type_id: str, sig: MethodSignature
 ) -> list[OriginRef]:
     """Minimal first declarations of `sig` above (or at) `type_id`.
 
     Ordered by (depth from the type, type id); the head of the list is the
     canonical origin.
     """
-
-    def strict_ancestors(tid: str) -> frozenset[str]:
-        cached = ancestor_cache.get(tid)
-        if cached is None:
-            depths = ancestor_depths(h, tid)
-            cached = frozenset(t for t in depths if t != tid)
-            ancestor_cache[tid] = cached
-        return cached
-
     depths = ancestor_depths(h, type_id)
     declarers = [tid for tid in depths if h.types[tid].declares(sig)]
     minimal = [
         tid
         for tid in declarers
-        if not any(h.types[a].declares(sig) for a in strict_ancestors(tid))
+        if not any(
+            a != tid and h.types[a].declares(sig) for a in h.reflexive_ancestors(tid)
+        )
     ]
     if not minimal:
         # target type does not declare its own signature (invalid graphs
@@ -147,14 +137,11 @@ def find_origins(cg: CallGraph, h: TypeHierarchy) -> OriginMap:
     entries: dict[MethodNode, OriginRef] = {}
     ambiguous: dict[MethodNode, tuple[OriginRef, ...]] = {}
     memo: dict[tuple[str, MethodSignature], list[OriginRef]] = {}
-    ancestor_cache: dict[str, frozenset[str]] = {}
     for node in targets:
         key = (node.defining_type, node.signature)
         candidates = memo.get(key)
         if candidates is None:
-            candidates = _first_declarers(
-                h, node.defining_type, node.signature, ancestor_cache
-            )
+            candidates = _first_declarers(h, node.defining_type, node.signature)
             memo[key] = candidates
         entries[node] = candidates[0]
         if len(candidates) > 1:

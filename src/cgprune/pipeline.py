@@ -3,8 +3,9 @@
 One run walks every graph in the corpus through the same stages: origin
 analysis, frequency ranking, localness labelling, then for each Top-N in the
 sweep: build the exclusion list, prune, re-run vulnerability propagation, and
-diff against the unpruned baseline.  A stage failure drops that graph from
-the report with a logged reason and the run continues.
+diff against the unpruned baseline.  A stage that fails on bad input drops
+that graph from the report with a logged reason and the run continues; a
+bug in the analysis itself is raised, not recorded.
 
 Reports carry one record per (graph, N) plus per-N aggregates (mean and
 population standard deviation, recomputable from the records).  Everything
@@ -20,20 +21,15 @@ import logging
 import os
 import statistics
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Mapping
 
 from .io import apply_core_prefixes, load_call_graph, load_hierarchy
 from .localness import LocalnessOptions, label_all, localness_distribution
-from .model import CallGraph, TypeHierarchy
+from .model import CallGraph, GraphError, TypeHierarchy
 from .origins import build_exclusion_list, find_origins, origin_edge_frequencies
-from .pruning import (
-    KeepAllOracle,
-    PruneAllOracle,
-    PruneDecisionOracle,
-    prune_exhaustive,
-    prune_selective,
-)
+from .pruning import ORACLES, prune_exhaustive, prune_selective
 from .synth import GenParams, generate_call_graph_cha, generate_hierarchy
 from .vulnsim import ProjectRoleMap, compare, inject_artificial_cves, propagate
 
@@ -42,7 +38,6 @@ log = logging.getLogger(__name__)
 DEFAULT_SWEEP = (1, 2, 3, 5, 10, 25, 50, 100, 1000)
 
 MODES = ("exhaustive", "selective")
-ORACLES = ("keep-all", "prune-all")
 
 
 class ConfigError(ValueError):
@@ -91,7 +86,9 @@ class PipelineConfig:
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.oracle not in ORACLES:
-            raise ConfigError(f"oracle must be one of {ORACLES}, got {self.oracle!r}")
+            raise ConfigError(
+                f"oracle must be one of {tuple(ORACLES)}, got {self.oracle!r}"
+            )
         if not self.inputs and self.synthetic is None:
             raise ConfigError("config names no input graphs and no synthetic spec")
         if any(n < 0 for n in self.sweep):
@@ -238,7 +235,15 @@ class AnalysisReport:
     errors: tuple[PipelineError, ...]
 
     def aggregates(self) -> dict[int, dict[str, tuple[float, float]]]:
-        """Per Top-N mean and population standard deviation of each column."""
+        """Per Top-N mean and population standard deviation of each column.
+
+        Computed once per report and shared by every caller, so treat the
+        result as read-only.
+        """
+        return self._aggregates
+
+    @cached_property
+    def _aggregates(self) -> dict[int, dict[str, tuple[float, float]]]:
         by_n: dict[int, list[SweepRecord]] = {}
         for r in self.records:
             by_n.setdefault(r.top_n, []).append(r)
@@ -266,16 +271,7 @@ def _sources(
     if config.synthetic is not None:
         base = config.synthetic.params
         for i in range(config.synthetic.count):
-            params = GenParams(
-                type_count=base.type_count,
-                max_parents_per_type=base.max_parents_per_type,
-                signature_pool_size=base.signature_pool_size,
-                override_probability=base.override_probability,
-                call_sites_per_method=base.call_sites_per_method,
-                project_count=base.project_count,
-                core_type_fraction=base.core_type_fraction,
-                seed=base.seed + i,
-            )
+            params = replace(base, seed=base.seed + i)
             def gen(params: GenParams = params) -> tuple[TypeHierarchy, CallGraph]:
                 h = generate_hierarchy(params)
                 return h, generate_call_graph_cha(h, params)
@@ -283,16 +279,14 @@ def _sources(
     return sources
 
 
-def _make_oracle(config: PipelineConfig) -> PruneDecisionOracle:
-    return KeepAllOracle() if config.oracle == "keep-all" else PruneAllOracle()
-
-
 def run_pipeline(config: PipelineConfig) -> AnalysisReport:
     """Run every configured graph through the full analysis.
 
     Deterministic given the config (and input files), except for elapsed
-    times.  A failing graph is reported under `errors` and skipped whole, so
-    aggregates never mix complete and partial sweeps.
+    times.  A graph that fails with a domain error (`GraphError`,
+    `ValueError` or `OSError`) is reported under `errors` and skipped whole,
+    so aggregates never mix complete and partial sweeps; any other exception
+    is a bug and propagates.
     """
     graphs: list[GraphSummary] = []
     records: list[SweepRecord] = []
@@ -347,7 +341,7 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
                     pr = prune_exhaustive(cg, excl, h)
                 else:
                     pr = prune_selective(
-                        cg, excl, h, _make_oracle(config), config.threshold
+                        cg, excl, h, ORACLES[config.oracle](), config.threshold
                     )
                 stage = f"propagate-top{n}"
                 prop = propagate(
@@ -368,7 +362,7 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
                     analysis_elapsed_s=prop.elapsed,
                     prune_elapsed_s=pr.elapsed,
                 ))
-        except Exception as exc:
+        except (GraphError, ValueError, OSError) as exc:
             log.warning("graph %s failed at stage %s: %s", graph_id, stage, exc)
             errors.append(PipelineError(graph_id, stage, str(exc)))
             continue

@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Mapping, Protocol
 
-from .io import header_int
+from .io import RecordFormatError, header_int
 from .model import (
     CallEdge,
     CallGraph,
@@ -25,6 +25,7 @@ from .model import (
     TypeHierarchy,
     children_index,
     is_reflexive_descendant,
+    reflexive_descendants,
 )
 from .origins import ExclusionList
 
@@ -63,6 +64,13 @@ class PruneAllOracle:
 
     def decide(self, edge: CallEdge, context: object = None) -> PruneDecision:
         return PruneDecision(prune=True, confidence=1.0)
+
+
+# the built-in oracles by the names that configs and the CLI use
+ORACLES: dict[str, Callable[[], PruneDecisionOracle]] = {
+    "keep-all": KeepAllOracle,
+    "prune-all": PruneAllOracle,
+}
 
 
 class FixedTableOracle:
@@ -118,27 +126,17 @@ def not_excluded(
 
 def _excluded_cones(
     excl: ExclusionList, h: TypeHierarchy
-) -> dict[MethodSignature, frozenset[str]]:
+) -> dict[MethodSignature, set[str]]:
     """Per signature, every type that descends from a listed origin.
 
     Precomputing the descendant cones keeps the edge scan itself a flat
     membership test.
     """
     children = children_index(h)
-    cones: dict[MethodSignature, frozenset[str]] = {}
-    for sig, origin_types in excl.by_signature.items():
-        reached: set[str] = set()
-        for origin in origin_types:
-            h.node(origin)
-            queue = [origin]
-            while queue:
-                tid = queue.pop()
-                if tid in reached:
-                    continue
-                reached.add(tid)
-                queue.extend(children.get(tid, ()))
-        cones[sig] = frozenset(reached)
-    return cones
+    return {
+        sig: reflexive_descendants(h, *origin_types, children=children)
+        for sig, origin_types in excl.by_signature.items()
+    }
 
 
 def prune_exhaustive(
@@ -146,35 +144,18 @@ def prune_exhaustive(
 ) -> PruneResult:
     """Drop every edge targeting a derivative of a listed origin.
 
-    One linear scan over the edges after the descendant cones are
-    precomputed.  Idempotent: the surviving edges contain no candidates.
+    The oracle-free case of `prune_selective`: one linear scan over the
+    edges after the descendant cones are precomputed.  Idempotent: the
+    surviving edges contain no candidates.
     """
-    start = time.perf_counter()
-    cones = _excluded_cones(excl, h)
-    kept = []
-    pruned = 0
-    for e in cg.edges:
-        cone = cones.get(e.target.signature)
-        if cone is not None and e.target.defining_type in cone:
-            pruned += 1
-        else:
-            kept.append(e)
-    elapsed = time.perf_counter() - start
-    ratio = pruned / cg.edge_count if cg.edge_count else 0.0
-    return PruneResult(
-        pruned_graph=CallGraph(nodes=cg.nodes, edges=tuple(kept)),
-        candidate_edges=pruned,
-        pruned_edges=pruned,
-        reduction_ratio=ratio,
-        elapsed=elapsed,
-    )
+    return prune_selective(cg, excl, h, None)
 
 
 def prune_selective(
     cg: CallGraph,
     excl: ExclusionList,
     h: TypeHierarchy,
-    oracle: PruneDecisionOracle,
+    oracle: PruneDecisionOracle | None,
     threshold: float = 0.95,
     context_provider: Callable[[CallEdge], object] | None = None,
 ) -> PruneResult:
@@ -182,7 +163,7 @@ def prune_selective(
 
     The comparison is strict, so a threshold of 1.0 keeps everything.  An
     oracle failure keeps the edge (conservative) and is counted, never
-    raised.
+    raised.  Without an oracle (`None`) every candidate is dropped.
     """
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
@@ -198,6 +179,9 @@ def prune_selective(
             kept.append(e)
             continue
         candidates += 1
+        if oracle is None:
+            pruned += 1
+            continue
         context = context_provider(e) if context_provider is not None else None
         try:
             decision = oracle.decide(e, context)
@@ -260,20 +244,20 @@ def load_exclusion_list(path: str, h: TypeHierarchy) -> ExclusionList:
                 continue
             parts = line.split("\t")
             if len(parts) != 2:
-                raise ValueError(
-                    f"{path}:{lineno}: expected 'signature<TAB>type name', got {line!r}"
+                raise RecordFormatError(
+                    path, lineno, f"expected 'signature<TAB>type name', got {line!r}"
                 )
             sig_text, fq = parts
             try:
                 sig = MethodSignature.from_text(sig_text)
             except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
+                raise RecordFormatError(path, lineno, str(exc)) from None
             if fq not in by_fq:
-                raise ValueError(f"{path}:{lineno}: unknown type name {fq!r}")
+                raise RecordFormatError(path, lineno, f"unknown type name {fq!r}")
             tid = by_fq[fq]
             if tid is None:
-                raise ValueError(
-                    f"{path}:{lineno}: type name {fq!r} is ambiguous in this hierarchy"
+                raise RecordFormatError(
+                    path, lineno, f"type name {fq!r} is ambiguous in this hierarchy"
                 )
             grouped.setdefault(sig, set()).add(tid)
             pair_count += 1

@@ -31,6 +31,7 @@ from .model import (
     TypeNode,
     build_call_graph,
     children_index,
+    reflexive_descendants,
 )
 from .origins import OriginMap, OriginRef
 
@@ -155,19 +156,8 @@ def cha_targets(
     One node per reflexive descendant of the receiver that declares the
     signature, in canonical order.
     """
-    children = children_index(h)
-    reached: set[str] = set()
-    queue = [receiver_type]
-    h.node(receiver_type)
-    while queue:
-        tid = queue.pop()
-        if tid in reached:
-            continue
-        reached.add(tid)
-        queue.extend(children.get(tid, ()))
-    return [
-        MethodNode(tid, sig) for tid in sorted(reached) if h.types[tid].declares(sig)
-    ]
+    cone = reflexive_descendants(h, receiver_type)
+    return [MethodNode(tid, sig) for tid in sorted(cone) if h.types[tid].declares(sig)]
 
 
 def generate_call_graph_cha(h: TypeHierarchy, p: GenParams) -> CallGraph:
@@ -185,22 +175,15 @@ def generate_call_graph_cha(h: TypeHierarchy, p: GenParams) -> CallGraph:
         for sig in sorted(h.types[tid].declared)
     ]
     children = children_index(h)
-    cone_cache: dict[str, list[str]] = {}
+    cones: dict[str, list[str]] = {}
 
     def cone(receiver: str) -> list[str]:
-        cached = cone_cache.get(receiver)
-        if cached is None:
-            reached: set[str] = set()
-            queue = [receiver]
-            while queue:
-                tid = queue.pop()
-                if tid in reached:
-                    continue
-                reached.add(tid)
-                queue.extend(children.get(tid, ()))
-            cached = sorted(reached)
-            cone_cache[receiver] = cached
-        return cached
+        found = cones.get(receiver)
+        if found is None:
+            found = cones[receiver] = sorted(
+                reflexive_descendants(h, receiver, children=children)
+            )
+        return found
 
     low, high = p.call_sites_per_method
     edges = []

@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass
 from typing import Mapping
 
-from .io import header_int
+from .io import RecordFormatError, header_int
 from .model import (
     CallGraph,
     GraphError,
@@ -336,7 +336,7 @@ def load_assignment(path: str) -> VulnerabilityAssignment:
             try:
                 nodes.append(MethodNode.from_uid(line))
             except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
+                raise RecordFormatError(path, lineno, str(exc)) from None
     vulnerable = frozenset(nodes)
     return VulnerabilityAssignment(
         vulnerable=vulnerable,

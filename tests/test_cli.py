@@ -286,6 +286,51 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "bad.jsonl:1" in err
 
+    def test_malformed_exclusion_header_is_validation_error(
+        self, f1_paths, tmp_path, capsys
+    ):
+        excl = tmp_path / "excl.tsv"
+        excl.write_text("# declared-size: ten\n")
+        assert main(["prune", *f1_paths, "--exclusion-file", str(excl),
+                     "--out", str(tmp_path / "out.jsonl")]) == 3
+        assert "excl.tsv:1: header" in capsys.readouterr().err
+
+    def test_malformed_exclusion_line_is_validation_error(
+        self, f1_paths, tmp_path, capsys
+    ):
+        excl = tmp_path / "excl.tsv"
+        excl.write_text("# declared-size: 1\nnext():void\n")
+        assert main(["prune", *f1_paths, "--exclusion-file", str(excl),
+                     "--out", str(tmp_path / "out.jsonl")]) == 3
+        assert "excl.tsv:2: expected" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, line", [
+        ("# seed: x\n", 1),
+        ("# seed: 0\nnonsense\n", 2),
+    ])
+    def test_malformed_assignment_is_validation_error(
+        self, f1_paths, tmp_path, capsys, text, line
+    ):
+        assignment = tmp_path / "cves.txt"
+        assignment.write_text(text)
+        assert main(["vuln-sim", *f1_paths, "--app-project", "app",
+                     "--assignment-in", str(assignment)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {assignment}:{line}: ")
+        # one position prefix, not one per re-raise
+        assert err.count("cves.txt:") == 1
+
+    def test_unexpected_call_graph_record_is_positioned_once(
+        self, f1_paths, tmp_path, capsys
+    ):
+        cp = tmp_path / "odd.jsonl"
+        cp.write_text(
+            '{"content":"callgraph","kind":"header","schema":1}\n{"kind":"blob"}\n'
+        )
+        assert main(["origins", f1_paths[0], str(cp)]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: {cp}:2: unexpected record kind 'blob'\n"
+
     def test_no_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main([])

@@ -7,6 +7,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import f1_edges, m, make_f1_hierarchy, sig
 
@@ -26,6 +28,7 @@ from cgprune import (
     validate_call_graph,
     validate_hierarchy,
 )
+from cgprune.model import ancestor_depths
 
 
 def _type(tid, parents=(), declared=(), project="p", core=False, core_project="core"):
@@ -191,6 +194,22 @@ class TestIsReflexiveDescendant:
             is_reflexive_descendant(h, "T1", "T9")
 
 
+@st.composite
+def hierarchies_with_roots(draw):
+    """Random hierarchies with multiple parents, hence diamonds, plus a few
+    roots; `cyclic` also allows parent links to later types and to self."""
+    n = draw(st.integers(1, 12))
+    cyclic = draw(st.booleans())
+    types = {}
+    for i in range(n):
+        pool = [f"T{j}" for j in (range(n) if cyclic else range(i))]
+        parents = draw(st.lists(st.sampled_from(pool), max_size=3, unique=True)) if pool else []
+        types[f"T{i}"] = _type(f"T{i}", parents)
+    h = TypeHierarchy(types)
+    roots = draw(st.lists(st.sampled_from(sorted(types)), min_size=1, max_size=3))
+    return h, roots
+
+
 class TestDescendants:
     def test_children_index_inverts_parents(self):
         h = make_f1_hierarchy()
@@ -203,6 +222,58 @@ class TestDescendants:
         h = make_f1_hierarchy()
         assert reflexive_descendants(h, "T1") == {"T1", "T2", "T3"}
         assert reflexive_descendants(h, "T5") == {"T5"}
+
+    def test_several_roots_union_their_cones(self):
+        h = make_f1_hierarchy()
+        assert reflexive_descendants(h, "T1", "T5") == {"T1", "T2", "T3", "T5"}
+        assert reflexive_descendants(h) == set()
+
+    def test_diamond(self):
+        h = TypeHierarchy({
+            "A": _type("A"), "B": _type("B", ["A"]), "C": _type("C", ["A"]),
+            "D": _type("D", ["B", "C"]),
+        })
+        assert reflexive_descendants(h, "A") == {"A", "B", "C", "D"}
+        assert reflexive_descendants(h, "B", "C") == {"B", "C", "D"}
+        assert h.reflexive_ancestors("D") == {"A", "B", "C", "D"}
+
+    def test_unknown_root_raises(self):
+        h = make_f1_hierarchy()
+        with pytest.raises(UnknownTypeError, match="T9"):
+            reflexive_descendants(h, "T1", "T9")
+        with pytest.raises(UnknownTypeError, match="T9"):
+            reflexive_descendants(h, "T9", children=children_index(h))
+        with pytest.raises(UnknownTypeError, match="T9"):
+            h.reflexive_ancestors("T9")
+
+    def test_reflexive_ancestors_memoised(self):
+        h = make_f1_hierarchy()
+        assert h.reflexive_ancestors("T3") == {"T3", "T1", "T0"}
+        assert h.reflexive_ancestors("T3") is h.reflexive_ancestors("T3")
+        # filled lazily: only the types asked for are held
+        assert set(h._ancestors) == {"T3"}
+
+    @settings(max_examples=300, deadline=None)
+    @given(hierarchies_with_roots())
+    def test_cone_matches_pairwise_reference(self, case):
+        h, roots = case
+        expected = {
+            u for u in h.types
+            if any(is_reflexive_descendant(h, r, u) for r in roots)
+        }
+        assert reflexive_descendants(h, *roots) == expected
+        assert reflexive_descendants(h, *roots, children=children_index(h)) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(hierarchies_with_roots())
+    def test_ancestors_match_reference(self, case):
+        h, _ = case
+        for t in h.sorted_ids():
+            expected = set(ancestor_depths(h, t))
+            assert h.reflexive_ancestors(t) == expected
+            assert expected == {a for a in h.types if is_reflexive_descendant(h, a, t)}
+            # a second request answers from the memo with the same set
+            assert h.reflexive_ancestors(t) == expected
 
 
 class TestCallGraphConstruction:

@@ -163,7 +163,7 @@ class TestErrorContinuation:
         def flaky(base, prop):
             calls.append(None)
             if len(calls) == 2:
-                raise RuntimeError("boom")
+                raise ValueError("boom")
             return real(base, prop)
 
         monkeypatch.setattr(pl, "compare", flaky)
@@ -171,6 +171,18 @@ class TestErrorContinuation:
         assert report.records == ()
         assert report.graphs == ()
         assert [e.stage for e in report.errors] == ["propagate-top1"]
+
+    def test_bug_propagates_instead_of_error_row(self, f1, tmp_path, monkeypatch):
+        # only domain errors (GraphError, ValueError, OSError) become error
+        # rows; anything else is a defect in the analysis and must surface
+        from cgprune import pipeline as pl
+
+        def broken(base, prop):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(pl, "compare", broken)
+        with pytest.raises(RuntimeError, match="boom"):
+            run_pipeline(f1_config(f1, tmp_path))
 
 
 class TestAggregates:
