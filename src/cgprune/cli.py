@@ -17,7 +17,7 @@ import csv
 import logging
 import os
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .io import (
     RecordFormatError,
@@ -58,6 +58,25 @@ from .vulnsim import (
 )
 
 
+def _checked(
+    convert: Callable[[str], float], ok: Callable[[float], bool], rule: str
+) -> Callable[[str], float]:
+    """An argparse `type=` that converts the text, then insists on `rule`,
+    so an out-of-range flag is a usage error (exit 2) like a malformed one."""
+    def check(text: str) -> float:
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+    check.__name__ = convert.__name__  # argparse says "invalid int value: ..."
+    return check
+
+
+_non_negative_int = _checked(int, lambda v: v >= 0, "non-negative")
+_positive_int = _checked(int, lambda v: v > 0, "positive")
+_unit_float = _checked(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+
+
 def _add_input_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("hierarchy", help="hierarchy interchange file")
     p.add_argument("callgraph", help="call graph interchange file")
@@ -95,16 +114,21 @@ def _write_rows(path: str | None, header: list[str], rows: list[list[object]]) -
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    params = GenParams(
-        type_count=args.types,
-        max_parents_per_type=args.max_parents,
-        signature_pool_size=args.sig_pool,
-        override_probability=args.override_prob,
-        call_sites_per_method=(args.call_sites[0], args.call_sites[1]),
-        project_count=args.projects,
-        core_type_fraction=args.core_fraction,
-        seed=args.seed,
-    )
+    try:
+        params = GenParams(
+            type_count=args.types,
+            max_parents_per_type=args.max_parents,
+            signature_pool_size=args.sig_pool,
+            override_probability=args.override_prob,
+            call_sites_per_method=(args.call_sites[0], args.call_sites[1]),
+            project_count=args.projects,
+            core_type_fraction=args.core_fraction,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        # GenParams checks the flags' ranges, so this is a usage error
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     h = generate_hierarchy(params)
     cg = generate_call_graph_cha(h, params)
     save_hierarchy(h, args.out_hierarchy)
@@ -292,19 +316,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("origins", help="rank origins by caused-edge frequency")
     _add_input_args(p)
-    p.add_argument("--top", type=int, default=10, help="rows to emit (0 = all)")
+    p.add_argument("--top", type=_non_negative_int, default=10,
+                   help="rows to emit (0 = all)")
     p.add_argument("--out", metavar="CSV", help="output file (default stdout)")
     p.set_defaults(func=cmd_origins)
 
     p = sub.add_parser("derivatives", help="rank origins by unique derivative count")
     _add_input_args(p)
-    p.add_argument("--top", type=int, default=10, help="rows to emit (0 = all)")
+    p.add_argument("--top", type=_non_negative_int, default=10,
+                   help="rows to emit (0 = all)")
     p.add_argument("--out", metavar="CSV", help="output file (default stdout)")
     p.set_defaults(func=cmd_derivatives)
 
     p = sub.add_parser("localness", help="per-origin localness level distribution")
     _add_input_args(p)
-    p.add_argument("--top", type=int, default=10, help="origins to report")
+    p.add_argument("--top", type=_non_negative_int, default=10,
+                   help="origins to report")
     p.add_argument("--strict-hierarchy", action="store_true",
                    help="count only ancestor/descendant pairs as same hierarchy")
     p.add_argument("--package-boundary", action="store_true",
@@ -315,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prune", help="prune edges targeting excluded derivatives")
     _add_input_args(p)
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--top-n", type=int, metavar="N",
+    group.add_argument("--top-n", type=_non_negative_int, metavar="N",
                        help="build the exclusion list from the Top-N origins")
     group.add_argument("--exclusion-file", metavar="PATH",
                        help="load a saved exclusion list instead")
@@ -324,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=MODES, default="exhaustive")
     p.add_argument("--oracle", choices=list(ORACLES),
                    default="keep-all", help="decision oracle for selective mode")
-    p.add_argument("--threshold", type=float, default=0.95,
+    p.add_argument("--threshold", type=_unit_float, default=0.95,
                    help="selective mode prunes only above this confidence")
     p.add_argument("--save-exclusion", metavar="PATH",
                    help="also save the exclusion list that was applied")
@@ -335,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_args(p)
     p.add_argument("--app-project", required=True,
                    help="project id whose methods count as application code")
-    p.add_argument("--cves", type=int, default=100,
+    p.add_argument("--cves", type=_positive_int, default=100,
                    help="how many dependency methods to mark vulnerable")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--include-core", action="store_true",
@@ -346,8 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="save the vulnerability assignment")
     p.add_argument("--compare-to", metavar="PATH",
                    help="pruned call graph to diff against")
-    p.add_argument("--warmup", type=int, default=1)
-    p.add_argument("--repetitions", type=int, default=3)
+    p.add_argument("--warmup", type=_non_negative_int, default=1)
+    p.add_argument("--repetitions", type=_positive_int, default=3)
     p.set_defaults(func=cmd_vuln_sim)
 
     p = sub.add_parser("pipeline", help="run the batch pipeline from a config file")

@@ -7,11 +7,12 @@ the receiver type that was written at the call site in addition to the
 resolved target.
 
 Everything here is immutable after construction and safe to share across
-threads; the only state added later is the ancestor memo of a TypeHierarchy,
-whose entries are fixed by the hierarchy itself.  Analyses elsewhere in the package are pure functions over these
-values.  Construction is permissive; `validate_hierarchy` reports rule
-violations instead of raising, so callers (e.g. file loaders) decide how
-strict to be.
+threads; the only state added later is lazily built lookup tables (the
+ancestor memo of a TypeHierarchy, the adjacency and target indexes of a
+CallGraph), whose entries are fixed by the values themselves.  Analyses
+elsewhere in the package are pure functions over these values.
+Construction is permissive; `validate_hierarchy` reports rule violations
+instead of raising, so callers (e.g. file loaders) decide how strict to be.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import AbstractSet, Iterable, KeysView, Mapping
 
 
 class GraphError(Exception):
@@ -135,19 +136,25 @@ class TypeHierarchy:
     def sorted_ids(self) -> list[str]:
         return sorted(self.types)
 
-    def reflexive_ancestors(self, type_id: str) -> frozenset[str]:
+    def reflexive_ancestors(self, type_id: str) -> AbstractSet[str]:
         """`type_id` plus every type it transitively extends.
 
-        Memoised per type on first request; origin finding and localness
-        both ask for the same sets many times over.
+        Memoised per type on first request; origin finding, localness and
+        pruning all ask for the same sets many times over.  The set is the
+        key view of the type's `reflexive_ancestor_depths`.
         """
         found = self._ancestors.get(type_id)
         if found is None:
-            found = self._ancestors[type_id] = frozenset(ancestor_depths(self, type_id))
+            found = self._ancestors[type_id] = ancestor_depths(self, type_id).keys()
         return found
 
+    def reflexive_ancestor_depths(self, type_id: str) -> Mapping[str, int]:
+        """`ancestor_depths(self, type_id)` from the same memo, read-only."""
+        return self.reflexive_ancestors(type_id).mapping
+
     @cached_property
-    def _ancestors(self) -> dict[str, frozenset[str]]:
+    def _ancestors(self) -> dict[str, KeysView[str]]:
+        # one ancestor walk per type; each view keeps its depth dict alive
         return {}
 
 
@@ -246,6 +253,25 @@ class CallGraph:
 
     def outgoing_edges(self, node: MethodNode) -> tuple[CallEdge, ...]:
         return self.outgoing.get(node, ())
+
+    @cached_property
+    def target_positions(self) -> Mapping[MethodSignature, Mapping[str, tuple[int, ...]]]:
+        """Target signature -> target defining type -> positions in `edges`.
+
+        Every edge sits in exactly one group, and each group lists its
+        positions in ascending order.  Pruning looks up only the listed
+        signatures here instead of scanning every edge.
+        """
+        index: dict[MethodSignature, dict[str, list[int]]] = {}
+        for i, e in enumerate(self.edges):
+            target = e.target
+            index.setdefault(target.signature, {}).setdefault(
+                target.defining_type, []
+            ).append(i)
+        return {
+            sig: {tid: tuple(ps) for tid, ps in by_type.items()}
+            for sig, by_type in index.items()
+        }
 
 
 def build_call_graph(

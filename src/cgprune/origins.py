@@ -22,7 +22,6 @@ from .model import (
     MethodNode,
     MethodSignature,
     TypeHierarchy,
-    ancestor_depths,
 )
 
 
@@ -106,9 +105,10 @@ def _first_declarers(
     """Minimal first declarations of `sig` above (or at) `type_id`.
 
     Ordered by (depth from the type, type id); the head of the list is the
-    canonical origin.
+    canonical origin.  Depths and ancestor sets come from the hierarchy's
+    memo, so each type is walked once however many signatures it carries.
     """
-    depths = ancestor_depths(h, type_id)
+    depths = h.reflexive_ancestor_depths(type_id)
     declarers = [tid for tid in depths if h.types[tid].declares(sig)]
     minimal = [
         tid

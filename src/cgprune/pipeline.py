@@ -44,6 +44,11 @@ class ConfigError(ValueError):
     """The pipeline config file is malformed or inconsistent."""
 
 
+def _is_number(value: object, integer: bool = False) -> bool:
+    kinds = int if integer else (int, float)
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class GraphInput:
     """One on-disk graph: an id plus its hierarchy and call-graph files."""
@@ -93,6 +98,19 @@ class PipelineConfig:
             raise ConfigError("config names no input graphs and no synthetic spec")
         if any(n < 0 for n in self.sweep):
             raise ConfigError(f"sweep values must be non-negative, got {self.sweep}")
+        # The stages reject these values too, but only per graph: checked
+        # here, they fail the config once instead of every graph.
+        if not _is_number(self.threshold) or not 0.0 <= self.threshold <= 1.0:
+            raise ConfigError(f"threshold must be in [0, 1], got {self.threshold!r}")
+        for name, low in (
+            ("cve_count", 1), ("warmup", 0), ("repetitions", 1), ("localness_top", 0),
+        ):
+            value = getattr(self, name)
+            if not _is_number(value, integer=True):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                rule = "positive" if low else "non-negative"
+                raise ConfigError(f"{name} must be {rule}, got {value!r}")
 
     @classmethod
     def from_mapping(cls, data: Mapping, base_dir: str = ".") -> "PipelineConfig":
@@ -131,7 +149,7 @@ class PipelineConfig:
                 )
             try:
                 params = GenParams(**params_data)
-            except TypeError as exc:
+            except (TypeError, ValueError) as exc:
                 raise ConfigError(f"synthetic.params: {exc}") from None
             count = spec.get("count", 1)
             if count < 1:

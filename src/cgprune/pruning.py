@@ -23,9 +23,7 @@ from .model import (
     CallGraph,
     MethodSignature,
     TypeHierarchy,
-    children_index,
     is_reflexive_descendant,
-    reflexive_descendants,
 )
 from .origins import ExclusionList
 
@@ -124,31 +122,38 @@ def not_excluded(
     )
 
 
-def _excluded_cones(
-    excl: ExclusionList, h: TypeHierarchy
-) -> dict[MethodSignature, set[str]]:
-    """Per signature, every type that descends from a listed origin.
-
-    Precomputing the descendant cones keeps the edge scan itself a flat
-    membership test.
-    """
-    children = children_index(h)
-    return {
-        sig: reflexive_descendants(h, *origin_types, children=children)
-        for sig, origin_types in excl.by_signature.items()
-    }
-
-
 def prune_exhaustive(
     cg: CallGraph, excl: ExclusionList, h: TypeHierarchy
 ) -> PruneResult:
     """Drop every edge targeting a derivative of a listed origin.
 
-    The oracle-free case of `prune_selective`: one linear scan over the
-    edges after the descendant cones are precomputed.  Idempotent: the
-    surviving edges contain no candidates.
+    The oracle-free case of `prune_selective`.  Idempotent: the surviving
+    edges contain no candidates.
     """
     return prune_selective(cg, excl, h, None)
+
+
+def _candidate_positions(
+    cg: CallGraph, excl: ExclusionList, h: TypeHierarchy
+) -> list[int]:
+    """Positions in `cg.edges` of every edge the exclusion list matches.
+
+    Only the listed signatures are looked up in the graph's target index,
+    and each (signature, target type) group is tested once, against the
+    hierarchy's ancestor memo.  A target type the hierarchy lacks descends
+    from nothing, so its edges are never candidates.
+    """
+    index = cg.target_positions
+    positions: list[int] = []
+    for sig, origin_types in excl.by_signature.items():
+        for tid in origin_types:
+            h.node(tid)
+        for target_type, group in index.get(sig, {}).items():
+            if target_type in h.types and not origin_types.isdisjoint(
+                h.reflexive_ancestors(target_type)
+            ):
+                positions.extend(group)
+    return positions
 
 
 def prune_selective(
@@ -163,41 +168,40 @@ def prune_selective(
 
     The comparison is strict, so a threshold of 1.0 keeps everything.  An
     oracle failure keeps the edge (conservative) and is counted, never
-    raised.  Without an oracle (`None`) every candidate is dropped.
+    raised.  The oracle sees the candidates one at a time, in edge order.
+    Without an oracle (`None`) every candidate is dropped.
     """
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
     start = time.perf_counter()
-    cones = _excluded_cones(excl, h)
-    kept = []
-    candidates = 0
+    edges = cg.edges
+    candidates = _candidate_positions(cg, excl, h)
+    keep = [True] * len(edges)
     pruned = 0
     failures = 0
-    for e in cg.edges:
-        cone = cones.get(e.target.signature)
-        if cone is None or e.target.defining_type not in cone:
-            kept.append(e)
-            continue
-        candidates += 1
-        if oracle is None:
-            pruned += 1
-            continue
-        context = context_provider(e) if context_provider is not None else None
-        try:
-            decision = oracle.decide(e, context)
-        except Exception:
-            failures += 1
-            kept.append(e)
-            continue
-        if decision.prune and decision.confidence > threshold:
-            pruned += 1
-        else:
-            kept.append(e)
+    if oracle is None:
+        for i in candidates:
+            keep[i] = False
+        pruned = len(candidates)
+    else:
+        candidates.sort()
+        for i in candidates:
+            e = edges[i]
+            context = context_provider(e) if context_provider is not None else None
+            try:
+                decision = oracle.decide(e, context)
+            except Exception:
+                failures += 1
+                continue
+            if decision.prune and decision.confidence > threshold:
+                keep[i] = False
+                pruned += 1
+    kept = tuple([e for e, k in zip(edges, keep) if k])
     elapsed = time.perf_counter() - start
     ratio = pruned / cg.edge_count if cg.edge_count else 0.0
     return PruneResult(
-        pruned_graph=CallGraph(nodes=cg.nodes, edges=tuple(kept)),
-        candidate_edges=candidates,
+        pruned_graph=CallGraph(nodes=cg.nodes, edges=kept),
+        candidate_edges=len(candidates),
         pruned_edges=pruned,
         reduction_ratio=ratio,
         elapsed=elapsed,

@@ -195,12 +195,15 @@ def propagate(
 ) -> ReachabilityResult:
     """Measure application-to-vulnerable reachability over `cg`.
 
-    Nodes get dense int ids and each vulnerable node one bit of a Python
-    int; a single reverse pass (`_reached_bits`) then gives every node the
-    set of vulnerable nodes it reaches.  A pair is an application node plus
-    a vulnerable node in its set, other than itself: a node never pairs with
-    itself, even when it lies on a cycle or calls itself.  That matters for
-    assignments loaded from a file, which may name application nodes.
+    The nodes that reach a vulnerable node get dense int ids, and each
+    vulnerable node one bit of a Python int; a single reverse pass
+    (`_reached_bits`) then gives every such node the set of vulnerable
+    nodes it reaches.  The rest of the graph is never indexed, so the cost
+    follows the reverse-reachable part, not the graph's size.  A pair is an
+    application node plus a vulnerable node in its set, other than itself:
+    a node never pairs with itself, even when it lies on a cycle or calls
+    itself.  That matters for assignments loaded from a file, which may
+    name application nodes.
 
     The pass runs `warmup` unmeasured times, then `repetitions` measured
     times; `elapsed` is the mean time of one measured pass, pair counting
@@ -222,15 +225,25 @@ def propagate(
     if unknown:
         raise UnknownTypeError(min(unknown))
     preds = reverse_adjacency(cg)
-    nodes = list(cg.nodes)
+    # Only nodes that reach a vulnerable node get an id: the vulnerable ones
+    # first (node i owns bit i), then each caller as the walk over `preds`
+    # first meets it.  `nodes` grows while the loop reads it.
+    vulnerable = sorted(assignment.vulnerable)
+    nodes = list(vulnerable)
     index = {n: i for i, n in enumerate(nodes)}
-    callers: list[list[int]] = [[] for _ in nodes]
-    for target, sources in preds.items():
-        callers[index[target]] = [index[s] for s in sources]
+    callers: list[list[int]] = []
+    for node in nodes:
+        ids = []
+        for s in preds.get(node, ()):
+            i = index.get(s)
+            if i is None:
+                i = index[s] = len(nodes)
+                nodes.append(s)
+            ids.append(i)
+        callers.append(ids)
     app_types = roles.application_types(h)
     apps = [i for i, n in enumerate(nodes) if n.defining_type in app_types]
-    vulnerable = sorted(assignment.vulnerable)
-    seeds = [index[v] for v in vulnerable]
+    seeds = list(range(len(vulnerable)))
 
     def run() -> tuple[int, int]:
         mask = _reached_bits(callers, seeds)

@@ -272,6 +272,19 @@ class TestPipeline:
                      "--out-dir", str(tmp_path / "r")]) == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_out_of_range_config_value_exits_3(self, f1_paths, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "inputs": [{"hierarchy": f1_paths[0], "callgraph": f1_paths[1]}],
+            "application_project": "app", "repetitions": 0,
+        }))
+        assert main(["pipeline", "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "r")]) == 3
+        assert capsys.readouterr().err == (
+            "error: repetitions must be positive, got 0\n"
+        )
+        assert not (tmp_path / "r").exists()
+
 
 class TestExitCodes:
     def test_missing_file_is_runtime_error(self, tmp_path, capsys):
@@ -330,6 +343,41 @@ class TestExitCodes:
         assert main(["origins", f1_paths[0], str(cp)]) == 3
         err = capsys.readouterr().err
         assert err == f"error: {cp}:2: unexpected record kind 'blob'\n"
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("prune", ["--top-n", "-1", "--out", "out.jsonl"], "--top-n: must be non-negative"),
+        ("prune", ["--top-n", "1", "--mode", "selective", "--threshold", "1.5",
+                   "--out", "out.jsonl"], "--threshold: must be in [0, 1]"),
+        ("vuln-sim", ["--app-project", "app", "--warmup", "-1"], "--warmup: must be"),
+        ("vuln-sim", ["--app-project", "app", "--cves", "0"], "--cves: must be positive"),
+        ("vuln-sim", ["--app-project", "app", "--repetitions", "0"],
+         "--repetitions: must be positive"),
+        ("origins", ["--top", "-2"], "--top: must be non-negative"),
+        ("derivatives", ["--top", "-2"], "--top: must be non-negative"),
+        ("localness", ["--top", "-2"], "--top: must be non-negative"),
+        ("prune", ["--top-n", "x", "--out", "out.jsonl"], "invalid int value: 'x'"),
+    ])
+    def test_out_of_range_flag_is_usage_error(
+        self, f1_paths, tmp_path, capsys, monkeypatch, command, flags, message
+    ):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([command, *f1_paths, *flags])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out.jsonl").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--types", "0"], "type_count must be positive, got 0"),
+        (["--core-fraction", "2"], "core_type_fraction must be in [0, 1]"),
+        (["--call-sites", "3", "1"], "call_sites_per_method must satisfy"),
+    ])
+    def test_out_of_range_gen_flag_is_usage_error(self, tmp_path, capsys, flags, message):
+        hp, cp = tmp_path / "h.jsonl", tmp_path / "cg.jsonl"
+        assert main(["gen", "--out-hierarchy", str(hp), "--out-callgraph", str(cp),
+                     *flags]) == 2
+        assert message in capsys.readouterr().err
+        assert not hp.exists() and not cp.exists()
 
     def test_no_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -264,16 +264,28 @@ class TestDescendants:
         assert reflexive_descendants(h, *roots) == expected
         assert reflexive_descendants(h, *roots, children=children_index(h)) == expected
 
+    def test_ancestor_depths_share_the_memo(self):
+        h = make_f1_hierarchy()
+        assert h.reflexive_ancestor_depths("T3") == {"T3": 0, "T1": 1, "T0": 2}
+        assert set(h._ancestors) == {"T3"}
+        assert h.reflexive_ancestors("T3") == {"T3", "T1", "T0"}
+        with pytest.raises(TypeError):
+            h.reflexive_ancestor_depths("T3")["T3"] = 5  # the memo is read-only
+        with pytest.raises(UnknownTypeError, match="T9"):
+            h.reflexive_ancestor_depths("T9")
+
     @settings(max_examples=300, deadline=None)
     @given(hierarchies_with_roots())
     def test_ancestors_match_reference(self, case):
         h, _ = case
         for t in h.sorted_ids():
-            expected = set(ancestor_depths(h, t))
+            depths = ancestor_depths(h, t)
+            expected = set(depths)
             assert h.reflexive_ancestors(t) == expected
             assert expected == {a for a in h.types if is_reflexive_descendant(h, a, t)}
             # a second request answers from the memo with the same set
             assert h.reflexive_ancestors(t) == expected
+            assert h.reflexive_ancestor_depths(t) == depths
 
 
 class TestCallGraphConstruction:
@@ -295,6 +307,23 @@ class TestCallGraphConstruction:
         outgoing = f1.cg.outgoing_edges(m("T4", "use"))
         assert {e.target for e in outgoing} == {m("T4", "run"), m("T5", "fmt")}
         assert f1.cg.outgoing_edges(m("T5", "fmt")) == ()
+
+    def test_target_positions_group_every_edge_once(self, f1):
+        index = f1.cg.target_positions
+        seen = []
+        for target_sig, by_type in index.items():
+            for tid, positions in by_type.items():
+                assert list(positions) == sorted(positions)
+                for i in positions:
+                    target = f1.cg.edges[i].target
+                    assert (target.signature, target.defining_type) == (target_sig, tid)
+                seen.extend(positions)
+        assert sorted(seen) == list(range(f1.cg.edge_count))
+        assert index[sig("next")] == {
+            "T2": (f1.cg.edges.index(f1.edges["cs1a"]),),
+            "T3": (f1.cg.edges.index(f1.edges["cs1b"]),),
+        }
+        assert f1.cg.target_positions is index
 
 
 class TestReverseAdjacency:

@@ -1,11 +1,14 @@
 """Origin analysis: first declarations, frequency ranking, exclusion lists."""
 
+from collections import Counter
+
 import pytest
 
 from conftest import m, sig
 
 from cgprune import (
     CallEdge,
+    GenParams,
     OriginRef,
     TypeHierarchy,
     TypeNode,
@@ -13,9 +16,13 @@ from cgprune import (
     build_call_graph,
     build_exclusion_list,
     find_origins,
+    generate_call_graph_cha,
+    generate_hierarchy,
     origin_edge_frequencies,
     unique_derivative_counts,
 )
+import cgprune.origins as origins_module
+from cgprune import model
 
 
 def _type(tid, parents=(), declares=()):
@@ -120,6 +127,29 @@ class TestFindOrigins:
         assert pruned_origins.entries == {
             t: origins.entries[t] for t in targets
         }
+
+    def test_one_ancestor_walk_per_type(self, monkeypatch):
+        params = GenParams(type_count=120, seed=4)
+        h = generate_hierarchy(params)
+        cg = generate_call_graph_cha(h, params)
+        expected = find_origins(cg, h)
+        walked = Counter()
+        real = model.ancestor_depths
+
+        def counting(h, type_id):
+            walked[type_id] += 1
+            return real(h, type_id)
+
+        monkeypatch.setattr(model, "ancestor_depths", counting)
+        # a walk imported into `origins` past the memo would be counted too
+        monkeypatch.setattr(origins_module, "ancestor_depths", counting, raising=False)
+        fresh = generate_hierarchy(params)  # a new, empty ancestor memo
+        assert find_origins(cg, fresh) == expected
+        targets = {e.target for e in cg.edges}
+        # several signatures share most target types, yet each is walked once
+        assert len(targets) > len({t.defining_type for t in targets})
+        assert set(walked.values()) == {1}
+        assert {t.defining_type for t in targets} <= walked.keys()
 
 
 class TestOriginEdgeFrequencies:

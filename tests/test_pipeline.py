@@ -72,11 +72,49 @@ class TestConfig:
         config = PipelineConfig.from_file(str(cfg_path))
         assert config.inputs[0].hierarchy_path == str(tmp_path / "h.jsonl")
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("threshold", 3, "threshold must be in [0, 1], got 3"),
+        ("threshold", -0.5, "threshold must be in [0, 1], got -0.5"),
+        ("threshold", "high", "threshold must be in [0, 1], got 'high'"),
+        ("cve_count", 0, "cve_count must be positive, got 0"),
+        ("warmup", -1, "warmup must be non-negative, got -1"),
+        ("warmup", 1.5, "warmup must be an integer, got 1.5"),
+        ("repetitions", 0, "repetitions must be positive, got 0"),
+        ("localness_top", -1, "localness_top must be non-negative, got -1"),
+    ])
+    def test_out_of_range_values_rejected(self, key, value, message):
+        with pytest.raises(ConfigError) as exc:
+            PipelineConfig.from_mapping(
+                {"synthetic": {"count": 1, "params": {}}, key: value}
+            )
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("key, value", [
+        ("threshold", 0), ("threshold", 1), ("cve_count", 1), ("warmup", 0),
+        ("repetitions", 1), ("localness_top", 0),
+    ])
+    def test_boundary_values_accepted(self, key, value):
+        config = PipelineConfig.from_mapping(
+            {"synthetic": {"count": 1, "params": {}}, key: value}
+        )
+        assert getattr(config, key) == value
+
     def test_bad_synthetic_param_rejected(self):
         with pytest.raises(ConfigError, match="synthetic.params"):
             PipelineConfig.from_mapping(
                 {"synthetic": {"count": 1, "params": {"bogus": 3}}}
             )
+
+    @pytest.mark.parametrize("params, message", [
+        ({"type_count": 0}, "type_count must be positive, got 0"),
+        ({"core_type_fraction": 2}, "core_type_fraction must be in [0, 1]"),
+    ])
+    def test_out_of_range_synthetic_param_rejected(self, params, message):
+        with pytest.raises(ConfigError, match="synthetic.params") as exc:
+            PipelineConfig.from_mapping(
+                {"synthetic": {"count": 1, "params": params}}
+            )
+        assert message in str(exc.value)
 
 
 class TestRunPipelineOnF1:
@@ -144,13 +182,16 @@ class TestErrorContinuation:
             corpus="f1",
             inputs=config.inputs,
             sweep=(0, 1),
-            cve_count=0,  # inject rejects this, so the graph fails whole
+            # with the library reclassified as core, no dependency method is
+            # left to mark vulnerable: inject fails, so the graph fails whole
+            core_prefixes=("org.lib",),
             application_project="app",
             warmup=0,
             repetitions=1,
         ))
         assert report.records == ()
         assert [e.stage for e in report.errors] == ["inject"]
+        assert "no dependency nodes" in report.errors[0].message
 
     def test_partial_sweep_never_reported(self, f1, tmp_path, monkeypatch):
         # fail the comparison on the second sweep entry: records from the

@@ -1,16 +1,23 @@
 """Pruning: exclusion-list matching, exhaustive and oracle-gated modes."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import m, sig
 
 from cgprune import (
+    CallEdge,
     ExclusionList,
     FixedTableOracle,
     KeepAllOracle,
+    MethodNode,
     PruneAllOracle,
     PruneDecision,
+    TypeHierarchy,
+    TypeNode,
     UnknownTypeError,
+    build_call_graph,
     build_exclusion_list,
     find_origins,
     load_exclusion_list,
@@ -113,6 +120,16 @@ class TestPruneExhaustive:
     def test_unknown_origin_type_raises(self, f1):
         with pytest.raises(UnknownTypeError):
             prune_exhaustive(f1.cg, excl_of(("next", "T9")), f1.h)
+        # also when no edge targets the listed signature
+        with pytest.raises(UnknownTypeError, match="T9"):
+            prune_exhaustive(f1.cg, excl_of(("ghost", "T9")), f1.h)
+
+    def test_target_of_unknown_type_is_no_candidate(self, f1):
+        e = CallEdge(m("T4", "run"), m("T9", "next"), "T1")
+        cg = build_call_graph([], [e])
+        result = prune_exhaustive(cg, excl_of(("next", "T1")), f1.h)
+        assert result.pruned_graph.edges == (e,)
+        assert result.candidate_edges == 0
 
 
 class TestPruneSelective:
@@ -248,3 +265,75 @@ class TestExclusionListFile:
         path.write_text("next():void\tjava.util.Iterator\n")
         loaded = load_exclusion_list(str(path), f1.h)
         assert loaded.declared_size == 1
+
+
+# Differential test of the indexed prune against `not_excluded`, one edge at
+# a time.  Hierarchies are random DAGs with multiple parents (so diamonds);
+# exclusion lists may name several origin types per signature, origin types
+# that declare nothing, and a signature that no edge targets.
+PRUNE_SIGS = ("f", "g", "h")
+
+
+@st.composite
+def graphs_with_exclusion_lists(draw):
+    n = draw(st.integers(1, 10))
+    type_ids = [f"T{i}" for i in range(n)]
+    types = {}
+    for i, tid in enumerate(type_ids):
+        parents = draw(st.lists(st.sampled_from(type_ids[:i]), max_size=3, unique=True)) if i else []
+        declared = draw(st.sets(st.sampled_from(PRUNE_SIGS)))
+        types[tid] = TypeNode(tid, f"x.{tid}", tuple(parents),
+                              frozenset(sig(s) for s in declared), "p")
+    h = TypeHierarchy(types)
+    methods = st.builds(MethodNode, st.sampled_from(type_ids), st.sampled_from(PRUNE_SIGS).map(sig))
+    edges = draw(st.lists(
+        st.builds(CallEdge, methods, methods, st.sampled_from(type_ids)), max_size=40,
+    ))
+    cg = build_call_graph([], edges)
+    by_signature = {}
+    for name in (*PRUNE_SIGS, "ghost"):
+        origins = draw(st.frozensets(st.sampled_from(type_ids), max_size=3))
+        if origins:
+            by_signature[sig(name)] = origins
+    excl = ExclusionList(by_signature=by_signature, declared_size=len(by_signature))
+    condemned = draw(st.frozensets(st.sampled_from(type_ids)))
+    return cg, h, excl, condemned
+
+
+class TestIndexedPruneMatchesPerEdgeReference:
+    @settings(
+        max_examples=200, derandomize=True, database=None, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(graphs_with_exclusion_lists())
+    def test_kept_edges_counts_and_oracle_calls(self, case):
+        cg, h, excl, condemned = case
+        candidates = [
+            e for e in cg.edges
+            if not not_excluded(excl, e.target.signature, e.target.defining_type, h)
+        ]
+        is_candidate = set(candidates)
+
+        result = prune_exhaustive(cg, excl, h)
+        assert result.pruned_graph.edges == tuple(
+            e for e in cg.edges if e not in is_candidate
+        )
+        assert result.candidate_edges == result.pruned_edges == len(candidates)
+        assert result.pruned_graph.nodes is cg.nodes
+
+        calls = []
+
+        class Recording:
+            def decide(self, edge, context=None):
+                calls.append(edge)
+                return PruneDecision(edge.receiver_type in condemned, 1.0)
+
+        result = prune_selective(cg, excl, h, Recording(), 0.5)
+        assert calls == candidates  # once per candidate, in edge order
+        dropped = {e for e in candidates if e.receiver_type in condemned}
+        assert result.pruned_graph.edges == tuple(
+            e for e in cg.edges if e not in dropped
+        )
+        assert result.candidate_edges == len(candidates)
+        assert result.pruned_edges == len(dropped)
+        assert result.pruned_graph.nodes is cg.nodes

@@ -13,7 +13,16 @@ from pathlib import Path
 
 import pytest
 
-from cgprune import PipelineConfig, run_pipeline
+import cgprune.pipeline as pipeline
+from cgprune import (
+    GenParams,
+    PipelineConfig,
+    ProjectRoleMap,
+    generate_call_graph_cha,
+    generate_hierarchy,
+    inject_artificial_cves,
+    run_pipeline,
+)
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -69,3 +78,21 @@ def test_pipeline_calls_reach_the_wrapped_names(spans):
     names = {s.name for s in tracer.take()}
     assert {"model.build_call_graph", "origins.find_origins",
             "pruning.prune_exhaustive", "vulnsim.propagate"} <= names
+
+
+def test_traced_propagate_opens_one_reverse_adjacency_child(spans):
+    params = GenParams(type_count=30, seed=3)
+    h = generate_hierarchy(params)
+    cg = generate_call_graph_cha(h, params)
+    roles = ProjectRoleMap("p1")
+    assignment = inject_artificial_cves(cg, h, roles, 5, 0)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        pipeline.propagate(cg, assignment, roles, h, warmup=1, repetitions=2)
+    finally:
+        tracer.uninstall()
+    recorded = tracer.take()
+    assert [s.name for s in recorded] == ["vulnsim.propagate", "model.reverse_adjacency"]
+    assert recorded[0].parent is None
+    assert recorded[1].parent == 0

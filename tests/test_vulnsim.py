@@ -301,6 +301,12 @@ def graphs_with_vulnerable_sets(draw):
         min_size=linked, max_size=3 * linked,
     ))
     vulnerable = draw(st.sets(st.integers(0, len(nodes) - 1), min_size=1))
+    # one vulnerable node calling another: the pass meets a caller that
+    # already owns a bit
+    linked_vulnerable = sorted(v for v in vulnerable if v < linked)
+    if len(linked_vulnerable) >= 2 and draw(st.booleans()):
+        caller, callee = draw(st.permutations(linked_vulnerable))[:2]
+        edges.append((caller, callee, "L0"))
     cg = build_call_graph(nodes, [CallEdge(nodes[s], nodes[t], r) for s, t, r in edges])
     return cg, frozenset(nodes[i] for i in vulnerable)
 
