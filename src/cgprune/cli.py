@@ -85,8 +85,8 @@ def _add_input_args(p: argparse.ArgumentParser) -> None:
         action="append",
         default=[],
         metavar="PREFIX",
-        help="treat types whose name or package starts with PREFIX as core "
-             "library (repeatable)",
+        help="treat types whose name or package is PREFIX or lies inside it "
+             "(PREFIX.*) as core library (repeatable)",
     )
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import replace
-from typing import Iterator, TextIO
+from typing import Callable, Iterator, TextIO
 
 from .model import (
     CallEdge,
@@ -61,18 +61,47 @@ def _dump(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
+_decode = json.JSONDecoder().raw_decode
+
+
 def _records(path: str, fh: TextIO) -> Iterator[tuple[int, dict]]:
+    # One decoder call per line; the checks `json.loads` would add around it
+    # (leading BOM, trailing data) are made here, on stripped lines.
     for lineno, raw in enumerate(fh, start=1):
         line = raw.strip()
         if not line:
             continue
         try:
-            record = json.loads(line)
+            record, end = _decode(line)
         except json.JSONDecodeError as exc:
-            raise RecordFormatError(path, lineno, f"invalid JSON: {exc.msg}") from None
+            problem = exc.msg
+            if line.startswith("\ufeff"):
+                problem = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
+            raise RecordFormatError(path, lineno, f"invalid JSON: {problem}") from None
+        if end != len(line):
+            raise RecordFormatError(path, lineno, "invalid JSON: Extra data")
         if not isinstance(record, dict) or "kind" not in record:
             raise RecordFormatError(path, lineno, "record must be an object with a 'kind'")
         yield lineno, record
+
+
+def _signature_lookup(
+    known: dict[str, MethodSignature],
+) -> Callable[[str], MethodSignature]:
+    """Text -> MethodSignature, parsing each distinct text once.
+
+    `known` maps canonical texts to the objects to share, and gains every
+    text looked up; all spellings of one signature, such as ``f(,int):V``
+    and ``f(int):V``, resolve to one object.
+    """
+    def signature(text: str) -> MethodSignature:
+        found = known.get(text)
+        if found is None:
+            parsed = MethodSignature.from_text(text)
+            found = known[text] = known.setdefault(parsed.to_text(), parsed)
+        return found
+
+    return signature
 
 
 def header_int(path: str, lineno: int, body: str) -> int:
@@ -134,6 +163,7 @@ def load_hierarchy(path: str) -> TypeHierarchy:
     types: dict[str, TypeNode] = {}
     core_project = "core"
     saw_header = False
+    signature = _signature_lookup({})
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, record in _records(path, fh):
             if not saw_header:
@@ -151,9 +181,7 @@ def load_hierarchy(path: str) -> TypeHierarchy:
                     type_id=tid,
                     fq_name=record["fq"],
                     parents=tuple(record["parents"]),
-                    declared=frozenset(
-                        MethodSignature.from_text(s) for s in record["declares"]
-                    ),
+                    declared=frozenset(map(signature, record["declares"])),
                     project_id=record["project"],
                     package_name=record.get("package", ""),
                     is_core_lib=bool(record.get("core", False)),
@@ -200,19 +228,22 @@ def load_call_graph(path: str, h: TypeHierarchy) -> CallGraph:
 
     Edge endpoints become nodes even without an explicit node record;
     explicit node records exist to carry isolated methods.  Node records
-    and edge endpoints share one MethodNode per method, so the graph's
-    dicts and sets find keys by identity; each uid text is parsed once.
+    and edge endpoints share one MethodNode per method, and nodes share the
+    hierarchy's MethodSignature objects, so the graph's dicts and sets and
+    `TypeNode.declares` find keys by identity; each uid text is parsed once.
     """
     nodes: dict[MethodNode, MethodNode] = {}
     by_uid: dict[str, MethodNode] = {}
     edges: list[CallEdge] = []
     saw_header = False
+    declared = set().union(*(t.declared for t in h.types.values()))
+    signature = _signature_lookup({s.to_text(): s for s in declared})
 
     def node(uid: str) -> MethodNode:
         found = by_uid.get(uid)
         if found is None:
             # non-canonical spellings such as ``f(,int)`` parse to one node
-            parsed = MethodNode.from_uid(uid)
+            parsed = MethodNode.from_uid(uid, signature)
             found = by_uid[uid] = nodes.setdefault(parsed, parsed)
         return found
 
@@ -230,11 +261,8 @@ def load_call_graph(path: str, h: TypeHierarchy) -> CallGraph:
                 if record["kind"] == "node":
                     node(record["id"])
                 else:
-                    edges.append(CallEdge(
-                        source=node(record["src"]),
-                        target=node(record["dst"]),
-                        receiver_type=record["recv"],
-                    ))
+                    source, target = node(record["src"]), node(record["dst"])
+                    edges.append(CallEdge(source, target, record["recv"]))
             except KeyError as exc:
                 raise RecordFormatError(
                     path, lineno, f"record missing field {exc.args[0]!r}"
@@ -251,19 +279,23 @@ def load_call_graph(path: str, h: TypeHierarchy) -> CallGraph:
 
 
 def apply_core_prefixes(h: TypeHierarchy, prefixes: list[str]) -> TypeHierarchy:
-    """Re-flag types under any of the given name prefixes as core library.
+    """Re-flag types under any of the given dotted name prefixes as core library.
 
-    A type matches when its fully-qualified name or package starts with a
-    prefix; matched types move into the hierarchy's core project so the
-    core-project validation rule keeps holding.
+    A type matches when its fully-qualified name or package is a prefix or
+    lies inside it: ``com.foo`` matches ``com.foo`` and ``com.foo.Bar`` but
+    not ``com.foobar``; a trailing dot on a prefix is ignored.  Matched types
+    move into the hierarchy's core project so the core-project validation
+    rule keeps holding.
     """
     if not prefixes:
         return h
+    exact = {p.rstrip(".") for p in prefixes}
+    inside = tuple(p + "." for p in exact)
     types = dict(h.types)
     for tid, t in types.items():
         hit = any(
-            t.fq_name.startswith(p) or (t.package_name and t.package_name.startswith(p))
-            for p in prefixes
+            name and (name in exact or name.startswith(inside))
+            for name in (t.fq_name, t.package_name)
         )
         if hit and not t.is_core_lib:
             types[tid] = replace(t, project_id=h.core_project_id, is_core_lib=True)

@@ -20,7 +20,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import AbstractSet, Iterable, KeysView, Mapping
+from operator import attrgetter
+from typing import AbstractSet, Callable, Iterable, KeysView, Mapping
 
 
 class GraphError(Exception):
@@ -65,13 +66,14 @@ class MethodSignature:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("signature name must be non-empty")
-        # Hashed once per object: signatures key the dicts and sets of every
-        # analysis.  The cache is not a field, so equality, ordering and
-        # `dataclasses.replace` ignore it, and `__reduce__` leaves it out of
-        # pickles (string hashes differ between processes).
-        object.__setattr__(
-            self, "_hash", hash((self.name, self.param_types, self.return_type))
-        )
+        # The field tuple and its hash are kept once per object: signatures
+        # key the dicts and sets of every analysis, and `sort_key` sorts by
+        # the tuple.  Neither is a field, so equality, ordering and
+        # `dataclasses.replace` ignore them, and `__reduce__` leaves them out
+        # of pickles (string hashes differ between processes).
+        key = (self.name, self.param_types, self.return_type)
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
 
     def __hash__(self) -> int:
         return self._hash
@@ -166,8 +168,11 @@ class MethodNode:
     signature: MethodSignature
 
     def __post_init__(self) -> None:
-        # cached like MethodSignature's hash, for the same reasons
-        object.__setattr__(self, "_hash", hash((self.defining_type, self.signature)))
+        # kept like MethodSignature's, for the same reasons; the hash equals
+        # hash((defining_type, signature)), since a signature hashes as its key
+        key = (self.defining_type, self.signature._key)
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
 
     def __hash__(self) -> int:
         return self._hash
@@ -181,11 +186,17 @@ class MethodNode:
         return f"{self.defining_type}::{self.signature.to_text()}"
 
     @classmethod
-    def from_uid(cls, uid: str) -> "MethodNode":
+    def from_uid(
+        cls,
+        uid: str,
+        signature: Callable[[str], MethodSignature] = MethodSignature.from_text,
+    ) -> "MethodNode":
+        """Parse a uid; `signature` turns its signature text into an object
+        (loaders pass a lookup that shares objects instead of parsing)."""
         type_id, sep, sig_text = uid.partition("::")
         if not sep or not type_id:
             raise ValueError(f"malformed method node id: {uid!r}")
-        return cls(type_id, MethodSignature.from_text(sig_text))
+        return cls(type_id, signature(sig_text))
 
     def __str__(self) -> str:
         return self.uid
@@ -205,6 +216,15 @@ class CallEdge:
     source: MethodNode
     target: MethodNode
     receiver_type: str
+
+
+# Sort keys in exactly the generated dataclass order, compared as plain
+# tuples instead of through the generated `__lt__`/`__eq__` methods; the
+# generated order stays the reference the tests compare against.
+# `sort_key` serves MethodSignature (its field tuple) and MethodNode (its
+# defining type plus its signature's key).
+sort_key = attrgetter("_key")
+edge_sort_key = attrgetter("source._key", "target._key", "receiver_type")
 
 
 @dataclass(frozen=True)
@@ -241,7 +261,7 @@ class CallGraph:
         return len(self.nodes)
 
     def sorted_nodes(self) -> list[MethodNode]:
-        return sorted(self.nodes)
+        return sorted(self.nodes, key=sort_key)
 
     @cached_property
     def outgoing(self) -> Mapping[MethodNode, tuple[CallEdge, ...]]:
@@ -282,17 +302,18 @@ def build_call_graph(
 
     Duplicate (source, target, receiver) triples are collapsed and counted.
     Edge endpoints are added to the node set if missing, so the endpoint
-    invariant holds by construction.
+    invariant holds by construction.  The dedup keeps input order, so edges
+    read from a canonical file reach the sort as one presorted run.
     """
     edge_list = list(edges)
-    unique = set(edge_list)
+    unique = list(dict.fromkeys(edge_list))
+    unique.sort(key=edge_sort_key)
     node_set = set(nodes)
-    for e in unique:
-        node_set.add(e.source)
-        node_set.add(e.target)
+    node_set.update([e.source for e in unique])
+    node_set.update([e.target for e in unique])
     return CallGraph(
         nodes=frozenset(node_set),
-        edges=tuple(sorted(unique)),
+        edges=tuple(unique),
         duplicate_count=len(edge_list) - len(unique),
     )
 
@@ -474,12 +495,14 @@ def validate_call_graph(cg: CallGraph, h: TypeHierarchy) -> list[Violation]:
     every edge's receiver type must exist.
     """
     violations: list[Violation] = []
+    types = h.types
     for n in cg.sorted_nodes():
-        if n.defining_type not in h:
+        t = types.get(n.defining_type)
+        if t is None:
             violations.append(
                 Violation(n.defining_type, "unknown-type", f"node {n.uid} has no type")
             )
-        elif not h.types[n.defining_type].declares(n.signature):
+        elif not t.declares(n.signature):
             violations.append(
                 Violation(
                     n.defining_type,
@@ -488,7 +511,7 @@ def validate_call_graph(cg: CallGraph, h: TypeHierarchy) -> list[Violation]:
                 )
             )
     for e in cg.edges:
-        if e.receiver_type not in h:
+        if e.receiver_type not in types:
             violations.append(
                 Violation(
                     e.receiver_type,

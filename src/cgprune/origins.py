@@ -22,6 +22,7 @@ from .model import (
     MethodNode,
     MethodSignature,
     TypeHierarchy,
+    sort_key,
 )
 
 
@@ -58,7 +59,7 @@ class OriginMap:
     def derivatives(self) -> dict[OriginRef, list[MethodNode]]:
         """Nodes grouped by their origin, each group in canonical order."""
         groups: dict[OriginRef, list[MethodNode]] = {}
-        for node in sorted(self.entries):
+        for node in sorted(self.entries, key=sort_key):
             groups.setdefault(self.entries[node], []).append(node)
         return groups
 
@@ -133,7 +134,7 @@ def find_origins(cg: CallGraph, h: TypeHierarchy) -> OriginMap:
     declarations resolve by (depth, type id) and the losing candidates are
     exposed through `OriginMap.ambiguous`.
     """
-    targets = sorted({e.target for e in cg.edges})
+    targets = sorted({e.target for e in cg.edges}, key=sort_key)
     entries: dict[MethodNode, OriginRef] = {}
     ambiguous: dict[MethodNode, tuple[OriginRef, ...]] = {}
     memo: dict[tuple[str, MethodSignature], list[OriginRef]] = {}
@@ -154,7 +155,9 @@ def _ranked(counts: Counter) -> tuple[tuple[OriginRef, int], ...]:
     return tuple(
         sorted(
             counts.items(),
-            key=lambda item: (-item[1], item[0].origin_type, item[0].signature),
+            key=lambda item: (
+                -item[1], item[0].origin_type, sort_key(item[0].signature)
+            ),
         )
     )
 

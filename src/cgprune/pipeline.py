@@ -49,6 +49,16 @@ def _is_number(value: object, integer: bool = False) -> bool:
     return isinstance(value, kinds) and not isinstance(value, bool)
 
 
+def _json_list(name: str, value: object, kind: type, what: str) -> tuple:
+    """`value` as a tuple, if it is a JSON array of `kind` items (booleans
+    never count as integers)."""
+    if not isinstance(value, (list, tuple)) or not all(
+        isinstance(v, kind) and not isinstance(v, bool) for v in value
+    ):
+        raise ConfigError(f"{name} must be a list of {what}, got {value!r}")
+    return tuple(value)
+
+
 @dataclass(frozen=True)
 class GraphInput:
     """One on-disk graph: an id plus its hierarchy and call-graph files."""
@@ -90,7 +100,7 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.oracle not in ORACLES:
+        if not isinstance(self.oracle, str) or self.oracle not in ORACLES:
             raise ConfigError(
                 f"oracle must be one of {tuple(ORACLES)}, got {self.oracle!r}"
             )
@@ -103,12 +113,13 @@ class PipelineConfig:
         if not _is_number(self.threshold) or not 0.0 <= self.threshold <= 1.0:
             raise ConfigError(f"threshold must be in [0, 1], got {self.threshold!r}")
         for name, low in (
-            ("cve_count", 1), ("warmup", 0), ("repetitions", 1), ("localness_top", 0),
+            ("cve_count", 1), ("cve_seed", None), ("warmup", 0), ("repetitions", 1),
+            ("localness_top", 0),
         ):
             value = getattr(self, name)
             if not _is_number(value, integer=True):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
-            if value < low:
+            if low is not None and value < low:
                 rule = "positive" if low else "non-negative"
                 raise ConfigError(f"{name} must be {rule}, got {value!r}")
 
@@ -128,30 +139,45 @@ class PipelineConfig:
             return p if os.path.isabs(p) else os.path.join(base_dir, p)
 
         inputs = []
-        for i, item in enumerate(data.get("inputs", ())):
+        items = _json_list("inputs", data.get("inputs", []), dict, "objects")
+        for i, item in enumerate(items):
+            fields = {"id": item.get("id", f"g{i:03d}")}
             try:
-                inputs.append(GraphInput(
-                    graph_id=item.get("id", f"g{i:03d}"),
-                    hierarchy_path=resolve(item["hierarchy"]),
-                    callgraph_path=resolve(item["callgraph"]),
-                ))
+                fields.update((k, item[k]) for k in ("hierarchy", "callgraph"))
             except KeyError as exc:
                 raise ConfigError(
                     f"inputs[{i}] missing field {exc.args[0]!r}"
                 ) from None
+            for key, value in fields.items():
+                if not isinstance(value, str):
+                    raise ConfigError(
+                        f"inputs[{i}].{key} must be a string, got {value!r}"
+                    )
+            inputs.append(GraphInput(
+                graph_id=fields["id"],
+                hierarchy_path=resolve(fields["hierarchy"]),
+                callgraph_path=resolve(fields["callgraph"]),
+            ))
         synthetic = None
         if "synthetic" in data:
             spec = data["synthetic"]
-            params_data = dict(spec.get("params", {}))
-            if "call_sites_per_method" in params_data:
-                params_data["call_sites_per_method"] = tuple(
-                    params_data["call_sites_per_method"]
+            params_data = spec.get("params", {}) if isinstance(spec, dict) else None
+            if not isinstance(params_data, dict):
+                raise ConfigError(
+                    f"synthetic must be an object with an object 'params', got {spec!r}"
                 )
+            params_data = dict(params_data)
             try:
+                if "call_sites_per_method" in params_data:
+                    params_data["call_sites_per_method"] = tuple(
+                        params_data["call_sites_per_method"]
+                    )
                 params = GenParams(**params_data)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"synthetic.params: {exc}") from None
             count = spec.get("count", 1)
+            if not _is_number(count, integer=True):
+                raise ConfigError(f"synthetic.count must be an integer, got {count!r}")
             if count < 1:
                 raise ConfigError(f"synthetic.count must be positive, got {count}")
             synthetic = SyntheticSpec(count=count, params=params)
@@ -165,9 +191,11 @@ class PipelineConfig:
             if k in data
         }
         if "sweep" in data:
-            kwargs["sweep"] = tuple(data["sweep"])
+            kwargs["sweep"] = _json_list("sweep", data["sweep"], int, "integers")
         if "core_prefixes" in data:
-            kwargs["core_prefixes"] = tuple(data["core_prefixes"])
+            kwargs["core_prefixes"] = _json_list(
+                "core_prefixes", data["core_prefixes"], str, "strings"
+            )
         localness = LocalnessOptions(
             extended_hierarchy=data.get("extended_hierarchy", True),
             package_boundary=data.get("package_boundary", False),

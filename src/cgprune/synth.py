@@ -32,6 +32,7 @@ from .model import (
     build_call_graph,
     children_index,
     reflexive_descendants,
+    sort_key,
 )
 from .origins import OriginMap, OriginRef
 
@@ -172,7 +173,7 @@ def generate_call_graph_cha(h: TypeHierarchy, p: GenParams) -> CallGraph:
     methods = [
         MethodNode(tid, sig)
         for tid in h.sorted_ids()
-        for sig in sorted(h.types[tid].declared)
+        for sig in sorted(h.types[tid].declared, key=sort_key)
     ]
     children = children_index(h)
     cones: dict[str, list[str]] = {}
@@ -185,21 +186,29 @@ def generate_call_graph_cha(h: TypeHierarchy, p: GenParams) -> CallGraph:
             )
         return found
 
+    # Every CHA target is a declared method, so edges point at the objects
+    # in `methods`: one node object per method, not one per edge.
+    shared = {m: m for m in methods}
+    site_targets: dict[MethodNode, list[MethodNode]] = {}
+
+    def targets(site: MethodNode) -> list[MethodNode]:
+        found = site_targets.get(site)
+        if found is None:
+            sig = site.signature
+            found = site_targets[site] = [
+                shared[MethodNode(tid, sig)]
+                for tid in cone(site.defining_type)
+                if h.types[tid].declares(sig)
+            ]
+        return found
+
     low, high = p.call_sites_per_method
     edges = []
     for source in methods:
         for _ in range(rng.randint(low, high)):
             site = rng.choice(methods)
-            receiver, sig = site.defining_type, site.signature
-            for tid in cone(receiver):
-                if h.types[tid].declares(sig):
-                    edges.append(
-                        CallEdge(
-                            source=source,
-                            target=MethodNode(tid, sig),
-                            receiver_type=receiver,
-                        )
-                    )
+            receiver = site.defining_type
+            edges.extend(CallEdge(source, t, receiver) for t in targets(site))
     return build_call_graph(methods, edges)
 
 

@@ -32,6 +32,7 @@ from .model import (
     TypeNode,
     UnknownTypeError,
     reverse_adjacency,
+    sort_key,
 )
 
 
@@ -100,7 +101,8 @@ def inject_artificial_cves(
     if count <= 0:
         raise ValueError(f"count must be positive, got {count}")
     eligible = sorted(
-        n for n in cg.nodes if roles.is_dependency(h, n, include_core=include_core)
+        (n for n in cg.nodes if roles.is_dependency(h, n, include_core=include_core)),
+        key=sort_key,
     )
     if not eligible:
         raise NoEligibleNodesError(
@@ -215,7 +217,7 @@ def propagate(
         raise ValueError(f"repetitions must be positive, got {repetitions}")
     if warmup < 0:
         raise ValueError(f"warmup must be non-negative, got {warmup}")
-    missing = sorted(assignment.vulnerable - cg.nodes)
+    missing = sorted(assignment.vulnerable - cg.nodes, key=sort_key)
     if missing:
         raise ValueError(
             "assignment references nodes absent from the graph: "
@@ -228,7 +230,7 @@ def propagate(
     # Only nodes that reach a vulnerable node get an id: the vulnerable ones
     # first (node i owns bit i), then each caller as the walk over `preds`
     # first meets it.  `nodes` grows while the loop reads it.
-    vulnerable = sorted(assignment.vulnerable)
+    vulnerable = sorted(assignment.vulnerable, key=sort_key)
     nodes = list(vulnerable)
     index = {n: i for i, n in enumerate(nodes)}
     callers: list[list[int]] = []
@@ -272,7 +274,7 @@ def propagate(
         app_nodes = {nodes[a] for a in apps}
         for vuln in reached:
             _, next_hop = _reach_one(preds, vuln)
-            for app in sorted(app_nodes & next_hop.keys()):
+            for app in sorted(app_nodes & next_hop.keys(), key=sort_key):
                 path = [app]
                 while path[-1] != vuln:
                     path.append(next_hop[path[-1]])
@@ -324,7 +326,7 @@ def compare(base: ReachabilityResult, pruned: ReachabilityResult) -> DeltaReport
 def save_assignment(assignment: VulnerabilityAssignment, path: str) -> None:
     """Persist an assignment as one method uid per line plus seed headers."""
     lines = [f"# seed: {assignment.seed}", f"# requested: {assignment.requested}"]
-    lines.extend(n.uid for n in sorted(assignment.vulnerable))
+    lines.extend(n.uid for n in sorted(assignment.vulnerable, key=sort_key))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -286,6 +286,20 @@ class TestPipeline:
         assert not (tmp_path / "r").exists()
 
 
+    def test_ill_typed_config_value_exits_3(self, f1_paths, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "inputs": [{"hierarchy": f1_paths[0], "callgraph": f1_paths[1]}],
+            "application_project": "app", "sweep": 5,
+        }))
+        assert main(["pipeline", "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "r")]) == 3
+        assert capsys.readouterr().err == (
+            "error: sweep must be a list of integers, got 5\n"
+        )
+        assert not (tmp_path / "r").exists()
+
+
 class TestExitCodes:
     def test_missing_file_is_runtime_error(self, tmp_path, capsys):
         assert main(["origins", str(tmp_path / "no.jsonl"),

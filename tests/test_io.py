@@ -8,6 +8,8 @@ from cgprune import (
     HierarchyValidationError,
     RecordFormatError,
     SchemaVersionError,
+    TypeHierarchy,
+    TypeNode,
     apply_core_prefixes,
     load_call_graph,
     load_hierarchy,
@@ -15,7 +17,10 @@ from cgprune import (
     save_hierarchy,
     validate_hierarchy,
 )
+from cgprune.cli import main
 from cgprune.io import SCHEMA_VERSION
+
+from conftest import sig
 
 
 class TestHierarchyRoundTrip:
@@ -84,6 +89,49 @@ class TestNodeSharing:
         assert edge.target is canonical[edge.target]
 
 
+_CG_HEADER = '{"kind":"header","schema":1,"content":"callgraph"}'
+
+
+class TestSignatureSharing:
+    """Each signature text is parsed once per load, and call-graph nodes
+    carry the hierarchy's signature objects."""
+
+    def _declared(self, h):
+        return [s for t in h.types.values() for s in t.declared]
+
+    def test_hierarchy_types_share_one_object_per_signature(self, f1, tmp_path):
+        path = tmp_path / "h.jsonl"
+        save_hierarchy(f1.h, str(path))
+        declared = self._declared(load_hierarchy(str(path)))
+        assert len(set(declared)) < len(declared)  # f1 overrides signatures
+        assert len({id(s) for s in declared}) == len(set(declared))
+
+    def test_node_signatures_are_the_hierarchy_objects(self, f1, tmp_path):
+        hp, cp = tmp_path / "h.jsonl", tmp_path / "cg.jsonl"
+        save_hierarchy(f1.h, str(hp))
+        save_call_graph(f1.cg, str(cp))
+        h = load_hierarchy(str(hp))
+        loaded = load_call_graph(str(cp), h)
+        for n in loaded.nodes:
+            declared = {s: s for s in h.types[n.defining_type].declared}
+            assert n.signature is declared[n.signature]
+
+    def test_non_canonical_spelling_gets_the_hierarchy_object(self, f1, tmp_path):
+        path = tmp_path / "cg.jsonl"
+        path.write_text("\n".join([
+            '{"kind":"header","schema":1,"content":"callgraph"}',
+            '{"kind":"edge","src":"T4::run(,):void","dst":"T4::use():void",'
+            '"recv":"T4"}',
+        ]) + "\n")
+        hp = tmp_path / "h.jsonl"
+        save_hierarchy(f1.h, str(hp))
+        h = load_hierarchy(str(hp))
+        (edge,) = load_call_graph(str(path), h).edges
+        declared = {s: s for s in h.types["T4"].declared}
+        assert edge.source.signature is declared[sig("run")]
+        assert edge.target.signature is declared[sig("use")]
+
+
 class TestSchemaAndFormatErrors:
     def _write(self, tmp_path, lines):
         path = tmp_path / "bad.jsonl"
@@ -106,6 +154,24 @@ class TestSchemaAndFormatErrors:
         ])
         with pytest.raises(RecordFormatError, match="bad.jsonl:2"):
             load_hierarchy(path)
+
+    @pytest.mark.parametrize("lines, position, problem", [
+        ([_CG_HEADER, '{"kind":"node","id":"T4::run():void"} x'], 2, "Extra data"),
+        ([_CG_HEADER, '{"kind":"node","id":"T4::run():void"}'
+                      '{"kind":"node","id":"T4::use():void"}'], 2, "Extra data"),
+        (["\ufeff" + _CG_HEADER], 1, "Unexpected UTF-8 BOM"),
+    ], ids=["trailing-data", "two-objects", "leading-bom"])
+    def test_undecodable_line_is_positioned(
+        self, f1, tmp_path, capsys, lines, position, problem
+    ):
+        path = self._write(tmp_path, lines)
+        prefix = f"bad.jsonl:{position}: invalid JSON: {problem}"
+        with pytest.raises(RecordFormatError, match=prefix):
+            load_call_graph(path, f1.h)
+        hp = tmp_path / "h.jsonl"
+        save_hierarchy(f1.h, str(hp))
+        assert main(["origins", str(hp), path]) == 3
+        assert prefix in capsys.readouterr().err
 
     def test_missing_field_is_positioned(self, f1, tmp_path):
         path = self._write(tmp_path, [
@@ -182,3 +248,21 @@ class TestApplyCorePrefixes:
 
     def test_no_prefixes_is_identity(self, f1):
         assert apply_core_prefixes(f1.h, []) is f1.h
+
+    @pytest.mark.parametrize("prefix", ["com.foo", "com.foo."])
+    def test_prefix_matches_at_a_dot_boundary(self, prefix):
+        def t(tid, fq, package):
+            return TypeNode(tid, fq, (), frozenset(), "app", package)
+
+        h = TypeHierarchy({
+            "A": t("A", "com.foo", "com"),
+            "B": t("B", "com.foo.Bar", "com.foo"),
+            "C": t("C", "com.foo.sub.Baz", "com.foo.sub"),
+            "D": t("D", "com.foobar.Qux", "com.foobar"),
+            "E": t("E", "org.x.com.foo", "org.x"),
+            "F": t("F", "Nameless", ""),
+        }, core_project_id="jre")
+        marked = apply_core_prefixes(h, [prefix])
+        assert sorted(tid for tid, t in marked.types.items() if t.is_core_lib) == \
+            ["A", "B", "C"]
+        assert validate_hierarchy(marked) == []

@@ -1,6 +1,7 @@
 """Domain model: hierarchy validation, ancestor walks, graph construction."""
 
 import dataclasses
+import itertools
 import os
 import pickle
 import subprocess
@@ -28,7 +29,7 @@ from cgprune import (
     validate_call_graph,
     validate_hierarchy,
 )
-from cgprune.model import ancestor_depths
+from cgprune.model import ancestor_depths, edge_sort_key, sort_key
 
 
 def _type(tid, parents=(), declared=(), project="p", core=False, core_project="core"):
@@ -324,6 +325,81 @@ class TestCallGraphConstruction:
             "T3": (f1.cg.edges.index(f1.edges["cs1b"]),),
         }
         assert f1.cg.target_positions is index
+
+
+# Small alphabets with shared prefixes ("T1" < "T10" < "T2", "get" < "getX"),
+# so keys tie on leading fields and compare on later ones.
+_IDS = st.sampled_from(["T", "T1", "T10", "T2"])
+_NAMES = st.sampled_from(["get", "getX", "g"])
+_PARAMS = st.lists(st.sampled_from(["int", "in", "java.lang.String"]), max_size=3)
+
+
+@st.composite
+def method_uids(draw):
+    """`type::name(params):ret` texts, sometimes non-canonical: empty
+    parameter slots such as ``f(,int)`` parse away."""
+    slots = []
+    for p in draw(_PARAMS):
+        if draw(st.booleans()):
+            slots.append("")
+        slots.append(p)
+    if not slots and draw(st.booleans()):
+        slots = ["", ""]
+    ret = draw(st.sampled_from(["V", "int", "Vx"]))
+    return f"{draw(_IDS)}::{draw(_NAMES)}({','.join(slots)}):{ret}"
+
+
+@st.composite
+def nodes_and_edges(draw):
+    """Nodes and edges parsed afresh from uids, so equal values are often
+    distinct objects; some edges repeat, by object or by value."""
+    uids = draw(st.lists(method_uids(), min_size=1, max_size=8))
+    nodes = [MethodNode.from_uid(u) for u in uids]
+    triples = draw(st.lists(
+        st.tuples(st.sampled_from(uids), st.sampled_from(uids), _IDS), max_size=25
+    ))
+    edges = [CallEdge(MethodNode.from_uid(a), MethodNode.from_uid(b), r)
+             for a, b, r in triples]
+    edges += draw(st.lists(st.sampled_from(edges), max_size=5)) if edges else []
+    return nodes, edges
+
+
+class TestCanonicalOrder:
+    """The key functions against the generated dataclass order, the oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(nodes_and_edges())
+    def test_build_matches_generated_order(self, case):
+        nodes, edges = case
+        cg = build_call_graph(nodes, edges)
+        assert cg.edges == tuple(sorted(set(edges)))
+        assert cg.duplicate_count == len(edges) - len(set(edges))
+        endpoints = {n for e in edges for n in (e.source, e.target)}
+        assert cg.nodes == set(nodes) | endpoints
+        assert cg.sorted_nodes() == sorted(cg.nodes)
+
+    @settings(max_examples=300, deadline=None)
+    @given(nodes_and_edges())
+    def test_keys_compare_like_the_dataclasses(self, case):
+        nodes, edges = case
+        pairs = list(itertools.product(nodes, repeat=2))
+        pairs += [(a.signature, b.signature) for a, b in pairs]
+        for a, b in pairs:
+            assert (sort_key(a) < sort_key(b)) == (a < b)
+            assert (sort_key(a) == sort_key(b)) == (a == b)
+        for a, b in itertools.product(edges, repeat=2):
+            assert (edge_sort_key(a) < edge_sort_key(b)) == (a < b)
+            assert (edge_sort_key(a) == edge_sort_key(b)) == (a == b)
+
+    def test_empty_graph(self):
+        cg = build_call_graph([], [])
+        assert cg.edges == () and cg.sorted_nodes() == []
+
+    def test_non_canonical_spelling_is_one_value(self):
+        one = MethodNode.from_uid("T::f(,int):V")
+        two = MethodNode.from_uid("T::f(int):V")
+        assert one == two and sort_key(one) == sort_key(two)
+        assert build_call_graph([one, two], []).node_count == 1
 
 
 class TestReverseAdjacency:

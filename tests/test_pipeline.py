@@ -99,6 +99,38 @@ class TestConfig:
         )
         assert getattr(config, key) == value
 
+    @pytest.mark.parametrize("data, message", [
+        ({"sweep": 5}, "sweep must be a list of integers, got 5"),
+        ({"sweep": ["a"]}, "sweep must be a list of integers, got ['a']"),
+        ({"sweep": [1, True]}, "sweep must be a list of integers, got [1, True]"),
+        ({"synthetic": {"count": "2"}}, "synthetic.count must be an integer, got '2'"),
+        ({"synthetic": 5}, "synthetic must be an object with an object 'params'"),
+        ({"synthetic": {"params": [1]}},
+         "synthetic must be an object with an object 'params'"),
+        ({"synthetic": {"params": {"call_sites_per_method": 5}}}, "synthetic.params:"),
+        ({"inputs": [{"hierarchy": 5, "callgraph": "cg.jsonl"}]},
+         "inputs[0].hierarchy must be a string, got 5"),
+        ({"inputs": [{"id": 7, "hierarchy": "h.jsonl", "callgraph": "cg.jsonl"}]},
+         "inputs[0].id must be a string, got 7"),
+        ({"inputs": "h.jsonl"}, "inputs must be a list of objects, got 'h.jsonl'"),
+        ({"inputs": ["h.jsonl"]}, "inputs must be a list of objects, got ['h.jsonl']"),
+        ({"core_prefixes": "org.lib"},
+         "core_prefixes must be a list of strings, got 'org.lib'"),
+        ({"oracle": ["keep-all"]}, "oracle must be one of"),
+        ({"cve_seed": "7"}, "cve_seed must be an integer, got '7'"),
+    ], ids=[
+        "sweep-number", "sweep-strings", "sweep-bool", "count-string",
+        "synthetic-number", "params-list", "call-sites-number", "path-number",
+        "id-number",
+        "inputs-string", "input-string", "prefixes-string", "oracle-list",
+        "seed-string",
+    ])
+    def test_ill_typed_values_rejected(self, data, message):
+        data = {"synthetic": {"count": 1, "params": {}}, **data}
+        with pytest.raises(ConfigError) as exc:
+            PipelineConfig.from_mapping(data)
+        assert str(exc.value).startswith(message)
+
     def test_bad_synthetic_param_rejected(self):
         with pytest.raises(ConfigError, match="synthetic.params"):
             PipelineConfig.from_mapping(
