@@ -232,7 +232,7 @@ def cmd_vuln_sim(args: argparse.Namespace) -> int:
     h, cg = _load_inputs(args)
     roles = ProjectRoleMap(application_project_id=args.app_project)
     if args.assignment_in:
-        assignment = load_assignment(args.assignment_in)
+        assignment = load_assignment(args.assignment_in, cg)
     else:
         assignment = inject_artificial_cves(
             cg, h, roles, args.cves, args.seed, include_core=args.include_core

@@ -1,22 +1,29 @@
-"""Interchange files: line-delimited JSON for hierarchies and call graphs.
+"""Interchange files: every input format is read, checked and positioned here.
 
-Each file is a stream of one-line JSON records: a header first (schema
-version plus, for hierarchies, the project table), then the payload records.
-Readers process one line at a time, so graph size never dictates parser
-memory.  Writers emit canonical ordering and key-sorted records, making the
-files byte-stable for a given value.
+Two file families, each with one reader and one per-record error boundary:
 
-Loading validates: malformed lines raise RecordFormatError with file and
-line position, wrong versions raise SchemaVersionError naming both versions,
-and semantic violations (dangling parents, unknown types) surface as
-HierarchyValidationError listing each offence.
+- Line-delimited JSON (hierarchies, call graphs): one object per line,
+  decoded by one `raw_decode` call.  A header record comes first (``kind``,
+  ``schema``, ``content``; hierarchies add ``core_project`` and
+  ``projects``); a file without one is an "empty file" error.
+- Commented text (exclusion lists, vulnerability assignments): ``# key:
+  <int>`` lines whose key the file kind knows are headers, other ``#``
+  lines are comments, and every other line is one record.
+
+Blank lines are skipped.  Any fault on a line (bad JSON, a byte-order mark,
+trailing data, a missing field, a field of the wrong JSON type, a bad value)
+raises RecordFormatError prefixed ``path:line:``, and the CLI exits 3, as it
+does on a wrong schema version (SchemaVersionError) and on a loaded whole
+that breaks its rules (HierarchyValidationError).  Readers hold one line at
+a time; writers emit canonical, key-sorted records, so files are byte-stable.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import replace
-from typing import Callable, Iterator, TextIO
+from itertools import chain
+from typing import Callable, Iterable, Mapping, TypeVar
 
 from .model import (
     CallEdge,
@@ -33,6 +40,8 @@ from .model import (
 )
 
 SCHEMA_VERSION = 1
+
+T = TypeVar("T")
 
 
 class SchemaVersionError(GraphError):
@@ -64,25 +73,76 @@ def _dump(record: dict) -> str:
 _decode = json.JSONDecoder().raw_decode
 
 
-def _records(path: str, fh: TextIO) -> Iterator[tuple[int, dict]]:
-    # One decoder call per line; the checks `json.loads` would add around it
-    # (leading BOM, trailing data) are made here, on stripped lines.
-    for lineno, raw in enumerate(fh, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            record, end = _decode(line)
-        except json.JSONDecodeError as exc:
-            problem = exc.msg
-            if line.startswith("\ufeff"):
-                problem = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
-            raise RecordFormatError(path, lineno, f"invalid JSON: {problem}") from None
-        if end != len(line):
-            raise RecordFormatError(path, lineno, "invalid JSON: Extra data")
-        if not isinstance(record, dict) or "kind" not in record:
-            raise RecordFormatError(path, lineno, "record must be an object with a 'kind'")
-        yield lineno, record
+def _read_jsonl(
+    path: str, content: str, handlers: Mapping[str, Callable[[dict], None]]
+) -> None:
+    """Hand each record of a line-delimited JSON file to its kind's handler.
+
+    The first record must be a header of this schema and `content`; it goes
+    to ``handlers["header"]``.  A handler's KeyError is a missing field, and
+    its ValueError, TypeError or AttributeError a bad value.
+    """
+    saw_header = False
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            # one decoder call per line; the checks `json.loads` would add
+            # around it (leading BOM, trailing data) are made here
+            try:
+                record, end = _decode(line)
+            except json.JSONDecodeError as exc:
+                problem = exc.msg
+                if line.startswith("\ufeff"):
+                    problem = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
+                raise RecordFormatError(path, lineno, f"invalid JSON: {problem}") from None
+            if end != len(line):
+                raise RecordFormatError(path, lineno, "invalid JSON: Extra data")
+            kind = record.get("kind") if type(record) is dict else None
+            if type(kind) is not str:
+                raise RecordFormatError(path, lineno, "record must be an object with a 'kind'")
+            if saw_header:
+                if kind == "header" or kind not in handlers:
+                    raise RecordFormatError(path, lineno, f"unexpected record kind {kind!r}")
+            elif kind != "header":
+                raise RecordFormatError(path, lineno, "first record must be the header")
+            elif record.get("schema") != SCHEMA_VERSION:
+                raise SchemaVersionError(path, record.get("schema"), SCHEMA_VERSION)
+            elif record.get("content") != content:
+                raise RecordFormatError(path, lineno, f"expected a {content} file, "
+                                        f"found content {record.get('content')!r}")
+            saw_header = True
+            try:
+                handlers[kind](record)
+            except KeyError as exc:
+                raise RecordFormatError(
+                    path, lineno, f"{kind} record missing field {exc.args[0]!r}"
+                ) from None
+            except (ValueError, TypeError, AttributeError) as exc:
+                raise RecordFormatError(path, lineno, str(exc)) from None
+    if not saw_header:
+        raise RecordFormatError(path, 1, "empty file: missing header record")
+
+
+def _write_jsonl(path: str, content: str, header: dict, records: Iterable[dict]) -> None:
+    """Write the header record with `header`'s extra fields, then the records."""
+    header = {"kind": "header", "schema": SCHEMA_VERSION, "content": content, **header}
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(_dump(header) + "\n")
+        fh.writelines(_dump(record) + "\n" for record in records)
+
+
+_TYPE_NAMES = {str: "a string", bool: "a boolean", list: "a list of strings"}
+
+
+def _typed(record: dict, key: str, kind: type, default: object = ...) -> object:
+    """`record[key]`, or `default` (if given) when the key is absent; a value
+    that is not exactly a `kind` (a list: of strings) is a TypeError."""
+    value = record[key] if default is ... else record.get(key, default)
+    if type(value) is not kind or kind is list and any(type(v) is not str for v in value):
+        raise TypeError(f"{key!r} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    return value
 
 
 def _signature_lookup(
@@ -104,54 +164,23 @@ def _signature_lookup(
     return signature
 
 
-def header_int(path: str, lineno: int, body: str) -> int:
-    """Value of a ``# key: <int>`` comment header in the line-oriented text
-    files (exclusion lists, vulnerability assignments); `body` is the text
-    after the ``#``.  A non-integer value is a RecordFormatError."""
-    try:
-        return int(body.split(":", 1)[1].strip())
-    except ValueError:
-        raise RecordFormatError(
-            path, lineno, f"header {body!r} needs an integer value"
-        ) from None
-
-
-def _check_header(path: str, lineno: int, record: dict, content: str) -> None:
-    if record.get("kind") != "header":
-        raise RecordFormatError(path, lineno, "first record must be the header")
-    if record.get("schema") != SCHEMA_VERSION:
-        raise SchemaVersionError(path, record.get("schema"), SCHEMA_VERSION)
-    if record.get("content") != content:
-        raise RecordFormatError(
-            path,
-            lineno,
-            f"expected a {content} file, found content {record.get('content')!r}",
-        )
-
-
 def save_hierarchy(h: TypeHierarchy, path: str) -> None:
     """Write a hierarchy as header plus one type record per line."""
     projects = sorted({t.project_id for t in h.types.values()})
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_dump({
-            "kind": "header",
-            "schema": SCHEMA_VERSION,
-            "content": "hierarchy",
-            "core_project": h.core_project_id,
-            "projects": projects,
-        }) + "\n")
-        for tid in h.sorted_ids():
-            t = h.types[tid]
-            fh.write(_dump({
-                "kind": "type",
-                "id": t.type_id,
-                "fq": t.fq_name,
-                "parents": list(t.parents),
-                "declares": sorted(sig.to_text() for sig in t.declared),
-                "project": t.project_id,
-                "package": t.package_name,
-                "core": t.is_core_lib,
-            }) + "\n")
+    header = {"core_project": h.core_project_id, "projects": projects}
+    _write_jsonl(path, "hierarchy", header, (
+        {
+            "kind": "type",
+            "id": t.type_id,
+            "fq": t.fq_name,
+            "parents": list(t.parents),
+            "declares": sorted(sig.to_text() for sig in t.declared),
+            "project": t.project_id,
+            "package": t.package_name,
+            "core": t.is_core_lib,
+        }
+        for t in map(h.types.__getitem__, h.sorted_ids())
+    ))
 
 
 def load_hierarchy(path: str) -> TypeHierarchy:
@@ -162,41 +191,28 @@ def load_hierarchy(path: str) -> TypeHierarchy:
     """
     types: dict[str, TypeNode] = {}
     core_project = "core"
-    saw_header = False
     signature = _signature_lookup({})
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, record in _records(path, fh):
-            if not saw_header:
-                _check_header(path, lineno, record, "hierarchy")
-                core_project = record.get("core_project", "core")
-                saw_header = True
-                continue
-            if record["kind"] != "type":
-                raise RecordFormatError(
-                    path, lineno, f"unexpected record kind {record['kind']!r}"
-                )
-            try:
-                tid = record["id"]
-                node = TypeNode(
-                    type_id=tid,
-                    fq_name=record["fq"],
-                    parents=tuple(record["parents"]),
-                    declared=frozenset(map(signature, record["declares"])),
-                    project_id=record["project"],
-                    package_name=record.get("package", ""),
-                    is_core_lib=bool(record.get("core", False)),
-                )
-            except KeyError as exc:
-                raise RecordFormatError(
-                    path, lineno, f"type record missing field {exc.args[0]!r}"
-                ) from None
-            except ValueError as exc:
-                raise RecordFormatError(path, lineno, str(exc)) from None
-            if tid in types:
-                raise RecordFormatError(path, lineno, f"duplicate type id {tid!r}")
-            types[tid] = node
-    if not saw_header:
-        raise RecordFormatError(path, 1, "empty file: missing header record")
+
+    def header(record: dict) -> None:
+        nonlocal core_project
+        core_project = _typed(record, "core_project", str, "core")
+
+    def type_record(record: dict) -> None:
+        tid = _typed(record, "id", str)
+        node = TypeNode(
+            type_id=tid,
+            fq_name=_typed(record, "fq", str),
+            parents=tuple(_typed(record, "parents", list)),
+            declared=frozenset(map(signature, _typed(record, "declares", list))),
+            project_id=_typed(record, "project", str),
+            package_name=_typed(record, "package", str, ""),
+            is_core_lib=_typed(record, "core", bool, False),
+        )
+        if tid in types:
+            raise ValueError(f"duplicate type id {tid!r}")
+        types[tid] = node
+
+    _read_jsonl(path, "hierarchy", {"header": header, "type": type_record})
     h = TypeHierarchy(types=types, core_project_id=core_project)
     violations = validate_hierarchy(h)
     if violations:
@@ -206,21 +222,12 @@ def load_hierarchy(path: str) -> TypeHierarchy:
 
 def save_call_graph(cg: CallGraph, path: str) -> None:
     """Write a call graph as header, node records, then edge records."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_dump({
-            "kind": "header",
-            "schema": SCHEMA_VERSION,
-            "content": "callgraph",
-        }) + "\n")
-        for node in cg.sorted_nodes():
-            fh.write(_dump({"kind": "node", "id": node.uid}) + "\n")
-        for e in cg.edges:
-            fh.write(_dump({
-                "kind": "edge",
-                "src": e.source.uid,
-                "dst": e.target.uid,
-                "recv": e.receiver_type,
-            }) + "\n")
+    nodes = ({"kind": "node", "id": node.uid} for node in cg.sorted_nodes())
+    edges = (
+        {"kind": "edge", "src": e.source.uid, "dst": e.target.uid, "recv": e.receiver_type}
+        for e in cg.edges
+    )
+    _write_jsonl(path, "callgraph", {}, chain(nodes, edges))
 
 
 def load_call_graph(path: str, h: TypeHierarchy) -> CallGraph:
@@ -235,47 +242,66 @@ def load_call_graph(path: str, h: TypeHierarchy) -> CallGraph:
     nodes: dict[MethodNode, MethodNode] = {}
     by_uid: dict[str, MethodNode] = {}
     edges: list[CallEdge] = []
-    saw_header = False
     declared = set().union(*(t.declared for t in h.types.values()))
     signature = _signature_lookup({s.to_text(): s for s in declared})
 
     def node(uid: str) -> MethodNode:
         found = by_uid.get(uid)
         if found is None:
+            if type(uid) is not str:
+                raise TypeError(f"method node id must be a string, got {uid!r}")
             # non-canonical spellings such as ``f(,int)`` parse to one node
             parsed = MethodNode.from_uid(uid, signature)
             found = by_uid[uid] = nodes.setdefault(parsed, parsed)
         return found
 
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, record in _records(path, fh):
-            if not saw_header:
-                _check_header(path, lineno, record, "callgraph")
-                saw_header = True
-                continue
-            if record["kind"] not in ("node", "edge"):
-                raise RecordFormatError(
-                    path, lineno, f"unexpected record kind {record['kind']!r}"
-                )
-            try:
-                if record["kind"] == "node":
-                    node(record["id"])
-                else:
-                    source, target = node(record["src"]), node(record["dst"])
-                    edges.append(CallEdge(source, target, record["recv"]))
-            except KeyError as exc:
-                raise RecordFormatError(
-                    path, lineno, f"record missing field {exc.args[0]!r}"
-                ) from None
-            except ValueError as exc:
-                raise RecordFormatError(path, lineno, str(exc)) from None
-    if not saw_header:
-        raise RecordFormatError(path, 1, "empty file: missing header record")
+    _read_jsonl(path, "callgraph", {
+        "header": lambda record: None,
+        "node": lambda record: node(record["id"]),
+        "edge": lambda record: edges.append(CallEdge(
+            node(record["src"]), node(record["dst"]), _typed(record, "recv", str)
+        )),
+    })
     cg = build_call_graph(nodes.values(), edges)
     violations = validate_call_graph(cg, h)
     if violations:
         raise HierarchyValidationError(violations)
     return cg
+
+
+def read_text_records(
+    path: str, header_keys: tuple[str, ...], parse: Callable[[str], T]
+) -> tuple[dict[str, int], list[T]]:
+    """The ``# key: <int>`` headers with a key in `header_keys` (the last
+    one wins) and the lines of a commented text file, each stripped and
+    mapped through `parse`, whose ValueError names the line's problem."""
+    headers: dict[str, int] = {}
+    records: list[T] = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            try:
+                if line.startswith("#"):
+                    body = line.lstrip("#").strip()
+                    key, sep, value = body.partition(":")
+                    if sep and key in header_keys:
+                        headers[key] = int(value)
+                else:
+                    records.append(parse(line))
+            except ValueError as exc:
+                is_header = line[0] == "#"
+                problem = f"header {body!r} needs an integer value" if is_header else str(exc)
+                raise RecordFormatError(path, lineno, problem) from None
+    return headers, records
+
+
+def write_text_records(path: str, headers: Mapping[str, int], lines: Iterable[str]) -> None:
+    """Write ``# key: value`` headers, then one line per record."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(f"# {key}: {value}\n" for key, value in headers.items())
+        fh.writelines(line + "\n" for line in lines)
 
 
 def apply_core_prefixes(h: TypeHierarchy, prefixes: list[str]) -> TypeHierarchy:

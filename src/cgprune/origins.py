@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Mapping
+from operator import attrgetter
+from typing import Iterable, Mapping
 
 from .model import (
     CallGraph,
@@ -92,6 +93,16 @@ class ExclusionList:
     def pair_count(self) -> int:
         return sum(len(types) for types in self.by_signature.values())
 
+    @classmethod
+    def from_pairs(
+        cls, pairs: Iterable[tuple[MethodSignature, str]], declared_size: int
+    ) -> "ExclusionList":
+        """Group (signature, origin type) pairs by signature."""
+        grouped: dict[MethodSignature, set[str]] = {}
+        for sig, tid in pairs:
+            grouped.setdefault(sig, set()).add(tid)
+        return cls({sig: frozenset(types) for sig, types in grouped.items()}, declared_size)
+
     def sorted_pairs(self) -> list[tuple[MethodSignature, str]]:
         return sorted(
             (sig, tid)
@@ -137,13 +148,8 @@ def find_origins(cg: CallGraph, h: TypeHierarchy) -> OriginMap:
     targets = sorted({e.target for e in cg.edges}, key=sort_key)
     entries: dict[MethodNode, OriginRef] = {}
     ambiguous: dict[MethodNode, tuple[OriginRef, ...]] = {}
-    memo: dict[tuple[str, MethodSignature], list[OriginRef]] = {}
     for node in targets:
-        key = (node.defining_type, node.signature)
-        candidates = memo.get(key)
-        if candidates is None:
-            candidates = _first_declarers(h, node.defining_type, node.signature)
-            memo[key] = candidates
+        candidates = _first_declarers(h, node.defining_type, node.signature)
         entries[node] = candidates[0]
         if len(candidates) > 1:
             ambiguous[node] = tuple(candidates)
@@ -168,13 +174,15 @@ def origin_edge_frequencies(cg: CallGraph, origins: OriginMap) -> OriginFrequenc
     The counts sum to the edge count of the graph; the origin map must be
     total over the graph's edge targets.
     """
+    # count per target first: an OriginRef's hash is not cached, so it is
+    # taken once per target, not once per edge
     counts: Counter = Counter()
-    for e in cg.edges:
+    for target, n in Counter(map(attrgetter("target"), cg.edges)).items():
         try:
-            counts[origins.entries[e.target]] += 1
+            counts[origins.entries[target]] += n
         except KeyError:
             raise KeyError(
-                f"origin map is not total: missing target {e.target.uid}"
+                f"origin map is not total: missing target {target.uid}"
             ) from None
     return OriginFrequencyTable(rows=_ranked(counts))
 
@@ -194,10 +202,6 @@ def build_exclusion_list(table: OriginFrequencyTable, n: int) -> ExclusionList:
     """Group the first min(n, len(rows)) frequency rows by signature."""
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    grouped: dict[MethodSignature, set[str]] = {}
-    for origin, _count in table.rows[:n]:
-        grouped.setdefault(origin.signature, set()).add(origin.origin_type)
-    return ExclusionList(
-        by_signature={sig: frozenset(types) for sig, types in grouped.items()},
-        declared_size=n,
+    return ExclusionList.from_pairs(
+        ((origin.signature, origin.origin_type) for origin, _count in table.rows[:n]), n
     )

@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Mapping, Protocol
 
-from .io import RecordFormatError, header_int
+from .io import read_text_records, write_text_records
 from .model import (
     CallEdge,
     CallGraph,
@@ -212,14 +212,11 @@ def prune_selective(
 def save_exclusion_list(excl: ExclusionList, path: str, h: TypeHierarchy) -> None:
     """Write `signature<TAB>origin fully-qualified name`, sorted, one per line.
 
-    The declared Top-N size rides along as a comment so a reloaded list
+    The declared Top-N size rides along as a header so a reloaded list
     reports the same size it was built with.
     """
-    lines = [f"# declared-size: {excl.declared_size}"]
-    for sig, tid in excl.sorted_pairs():
-        lines.append(f"{sig.to_text()}\t{h.node(tid).fq_name}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    lines = (f"{sig.to_text()}\t{h.node(tid).fq_name}" for sig, tid in excl.sorted_pairs())
+    write_text_records(path, {"declared-size": excl.declared_size}, lines)
 
 
 def load_exclusion_list(path: str, h: TypeHierarchy) -> ExclusionList:
@@ -233,39 +230,19 @@ def load_exclusion_list(path: str, h: TypeHierarchy) -> ExclusionList:
         fq = h.types[tid].fq_name
         # None marks a duplicate name; only an error if it is referenced
         by_fq[fq] = None if fq in by_fq else tid
-    grouped: dict[MethodSignature, set[str]] = {}
-    declared_size: int | None = None
-    pair_count = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                if body.startswith("declared-size:"):
-                    declared_size = header_int(path, lineno, body)
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise RecordFormatError(
-                    path, lineno, f"expected 'signature<TAB>type name', got {line!r}"
-                )
-            sig_text, fq = parts
-            try:
-                sig = MethodSignature.from_text(sig_text)
-            except ValueError as exc:
-                raise RecordFormatError(path, lineno, str(exc)) from None
-            if fq not in by_fq:
-                raise RecordFormatError(path, lineno, f"unknown type name {fq!r}")
-            tid = by_fq[fq]
-            if tid is None:
-                raise RecordFormatError(
-                    path, lineno, f"type name {fq!r} is ambiguous in this hierarchy"
-                )
-            grouped.setdefault(sig, set()).add(tid)
-            pair_count += 1
-    return ExclusionList(
-        by_signature={sig: frozenset(types) for sig, types in grouped.items()},
-        declared_size=declared_size if declared_size is not None else pair_count,
-    )
+
+    def parse(line: str) -> tuple[MethodSignature, str]:
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ValueError(f"expected 'signature<TAB>type name', got {line!r}")
+        sig_text, fq = parts
+        sig = MethodSignature.from_text(sig_text)
+        if fq not in by_fq:
+            raise ValueError(f"unknown type name {fq!r}")
+        tid = by_fq[fq]
+        if tid is None:
+            raise ValueError(f"type name {fq!r} is ambiguous in this hierarchy")
+        return sig, tid
+
+    headers, pairs = read_text_records(path, ("declared-size",), parse)
+    return ExclusionList.from_pairs(pairs, headers.get("declared-size", len(pairs)))

@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass
 from typing import Mapping
 
-from .io import RecordFormatError, header_int
+from .io import read_text_records, write_text_records
 from .model import (
     CallGraph,
     GraphError,
@@ -325,36 +325,24 @@ def compare(base: ReachabilityResult, pruned: ReachabilityResult) -> DeltaReport
 
 def save_assignment(assignment: VulnerabilityAssignment, path: str) -> None:
     """Persist an assignment as one method uid per line plus seed headers."""
-    lines = [f"# seed: {assignment.seed}", f"# requested: {assignment.requested}"]
-    lines.extend(n.uid for n in sorted(assignment.vulnerable, key=sort_key))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    headers = {"seed": assignment.seed, "requested": assignment.requested}
+    uids = (n.uid for n in sorted(assignment.vulnerable, key=sort_key))
+    write_text_records(path, headers, uids)
 
 
-def load_assignment(path: str) -> VulnerabilityAssignment:
-    """Read an assignment file back; headers are optional and default to 0."""
-    seed = 0
-    requested = 0
-    nodes = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                if body.startswith("seed:"):
-                    seed = header_int(path, lineno, body)
-                elif body.startswith("requested:"):
-                    requested = header_int(path, lineno, body)
-                continue
-            try:
-                nodes.append(MethodNode.from_uid(line))
-            except ValueError as exc:
-                raise RecordFormatError(path, lineno, str(exc)) from None
+def load_assignment(path: str, cg: CallGraph | None = None) -> VulnerabilityAssignment:
+    """Read an assignment file back; headers are optional and default to 0.
+    With `cg`, a line naming a method absent from it is a RecordFormatError."""
+    def parse(line: str) -> MethodNode:
+        node = MethodNode.from_uid(line)
+        if cg is not None and node not in cg.nodes:
+            raise ValueError(f"method {line!r} is not in the call graph")
+        return node
+
+    headers, nodes = read_text_records(path, ("seed", "requested"), parse)
     vulnerable = frozenset(nodes)
     return VulnerabilityAssignment(
         vulnerable=vulnerable,
-        seed=seed,
-        requested=requested if requested else len(vulnerable),
+        seed=headers.get("seed", 0),
+        requested=headers.get("requested") or len(vulnerable),
     )

@@ -347,6 +347,30 @@ class TestExitCodes:
         # one position prefix, not one per re-raise
         assert err.count("cves.txt:") == 1
 
+    def test_ill_typed_hierarchy_field_is_validation_error(
+        self, f1_paths, tmp_path, capsys
+    ):
+        hp = tmp_path / "typed.jsonl"
+        with open(f1_paths[0], encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        lines[1] = lines[1].replace('"core":true', '"core":"no"')
+        hp.write_text("\n".join(lines) + "\n")
+        assert main(["origins", str(hp), f1_paths[1]]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {hp}:2: 'core' must be a boolean, got 'no'\n"
+        )
+
+    def test_assignment_naming_an_absent_method_is_validation_error(
+        self, f1_paths, tmp_path, capsys
+    ):
+        assignment = tmp_path / "cves.txt"
+        assignment.write_text("# seed: 0\nT3::next():void\nT3::gone():void\n")
+        assert main(["vuln-sim", *f1_paths, "--app-project", "app",
+                     "--assignment-in", str(assignment)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {assignment}:3: method 'T3::gone():void' is not in the call graph\n"
+        )
+
     def test_unexpected_call_graph_record_is_positioned_once(
         self, f1_paths, tmp_path, capsys
     ):

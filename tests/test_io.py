@@ -1,26 +1,40 @@
 """Interchange files: round trips, version checks, positioned diagnostics."""
 
+import contextlib
+import io
 import json
+import os
+import re
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cgprune import (
     HierarchyValidationError,
+    MethodNode,
     RecordFormatError,
     SchemaVersionError,
     TypeHierarchy,
     TypeNode,
+    VulnerabilityAssignment,
     apply_core_prefixes,
+    build_exclusion_list,
+    find_origins,
     load_call_graph,
     load_hierarchy,
+    origin_edge_frequencies,
+    save_assignment,
     save_call_graph,
+    save_exclusion_list,
     save_hierarchy,
     validate_hierarchy,
 )
 from cgprune.cli import main
 from cgprune.io import SCHEMA_VERSION
 
-from conftest import sig
+from conftest import make_f1_callgraph, make_f1_hierarchy, sig
 
 
 class TestHierarchyRoundTrip:
@@ -214,6 +228,42 @@ class TestSchemaAndFormatErrors:
             load_call_graph(path, f1.h)
 
 
+class TestIllTypedFields:
+    """A field of the wrong JSON type is a bad value on its line, never a
+    crash or a silently coerced value."""
+
+    @pytest.mark.parametrize("kind, key, value", [
+        ("type", "id", 7),
+        ("type", "parents", 5),
+        ("type", "declares", [1]),
+        ("type", "core", "no"),
+        ("type", "parents", "T000"),
+        ("type", "fq", None),
+        ("type", "project", None),
+        ("type", "package", 3),
+        ("header", "core_project", 5),
+        ("edge", "src", 3),
+        ("edge", "dst", ["x"]),
+        ("edge", "recv", 3),
+        ("node", "id", None),
+        ("node", "id", [1]),
+    ])
+    def test_ill_typed_field_is_positioned(self, f1, tmp_path, kind, key, value):
+        hp, cp = tmp_path / "h.jsonl", tmp_path / "cg.jsonl"
+        save_hierarchy(f1.h, str(hp))
+        save_call_graph(f1.cg, str(cp))
+        path = hp if kind in ("type", "header") else cp
+        lines = path.read_text().splitlines()
+        records = [json.loads(line) for line in lines]
+        index = next(i for i, r in enumerate(records) if r["kind"] == kind)
+        records[index][key] = value
+        lines[index] = json.dumps(records[index])
+        path.write_text("\n".join(lines) + "\n")
+        prefix = re.escape(f"{path}:{index + 1}: ")
+        with pytest.raises(RecordFormatError, match=prefix):
+            load_call_graph(str(cp), load_hierarchy(str(hp)))
+
+
 class TestLoadValidation:
     def test_dangling_parent_rejected_by_name(self, tmp_path):
         path = tmp_path / "h.jsonl"
@@ -266,3 +316,111 @@ class TestApplyCorePrefixes:
         assert sorted(tid for tid, t in marked.types.items() if t.is_core_lib) == \
             ["A", "B", "C"]
         assert validate_hierarchy(marked) == []
+
+
+# Mutation fuzz of every loader through the CLI: start from valid F1 files,
+# damage one line of one file, run the command that reads it.  The command
+# may accept the file (exit 0) or reject it (exit 3, one "error:" line), but
+# never fail as a runtime error (exit 4).  Where the damage makes the line
+# itself unreadable, the error must carry that line's position.
+_JSON_VALUES = [None, 0, 1.5, True, "x", [], ["x"], {}]
+# fields whose absence loads fine (defaults) or is not a line fault
+_OPTIONAL_FIELDS = {"package", "core", "core_project", "projects"}
+
+
+def _write_f1_inputs(tmp: str) -> dict[str, str]:
+    h, cg = make_f1_hierarchy(), make_f1_callgraph()
+    paths = {name: os.path.join(tmp, name) for name in
+             ("hierarchy", "callgraph", "exclusion", "assignment")}
+    save_hierarchy(h, paths["hierarchy"])
+    save_call_graph(cg, paths["callgraph"])
+    table = origin_edge_frequencies(cg, find_origins(cg, h))
+    save_exclusion_list(build_exclusion_list(table, 3), paths["exclusion"], h)
+    vulnerable = frozenset({MethodNode.from_uid("T3::next():void")})
+    save_assignment(VulnerabilityAssignment(vulnerable, seed=0, requested=1),
+                    paths["assignment"])
+    return paths
+
+
+@st.composite
+def _mutations(draw, lines: list[str], jsonl: bool):
+    """(mutated lines, line the error must name or None, path-only flag)."""
+    kinds = ["truncate", "duplicate", "bom", "nul", "swap"]
+    if jsonl:
+        kinds += ["drop-field", "retype-field"]
+    kind = draw(st.sampled_from(kinds))
+    i = draw(st.integers(0, len(lines) - 1))
+    line, out = lines[i], list(lines)
+    payload = not line.startswith("#")
+    expect: int | None = None
+    path_only = False
+    if kind == "truncate":
+        out[i] = line[: draw(st.integers(1, len(line) - 1))]
+        expect = i + 1 if jsonl or payload else None
+    elif kind == "duplicate":
+        out.insert(i + 1, line)
+        if jsonl and (i == 0 or '"kind":"type"' in line):
+            expect = i + 2  # a second header, or a duplicate type id
+    elif kind in ("bom", "nul"):
+        at = 0 if kind == "bom" else draw(st.integers(0, len(line)))
+        out[i] = line[:at] + ("\ufeff" if kind == "bom" else "\x00") + line[at:]
+        expect = i + 1 if jsonl else None
+    elif kind == "swap":
+        j = draw(st.integers(0, len(lines) - 1).filter(lambda j: j != i))
+        out[i], out[j] = out[j], out[i]
+        expect = 1 if jsonl and 0 in (i, j) else None
+    else:
+        record = json.loads(line)
+        key = draw(st.sampled_from(sorted(record)))
+        if kind == "drop-field":
+            del record[key]
+        else:
+            record[key] = draw(st.sampled_from(
+                [v for v in _JSON_VALUES if type(v) is not type(record[key])]
+            ))
+        out[i] = json.dumps(record)
+        if key == "schema":
+            path_only = True
+        elif not (key in _OPTIONAL_FIELDS and (kind == "drop-field" or key == "projects")):
+            expect = i + 1
+    return out, expect, path_only
+
+
+class TestMutatedInputs:
+    @settings(
+        max_examples=200, derandomize=True, database=None, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(st.data())
+    def test_cli_exits_0_or_3_with_position(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = _write_f1_inputs(tmp)
+            target = data.draw(st.sampled_from(sorted(paths)))
+            with open(paths[target], encoding="utf-8") as fh:
+                lines = fh.read().splitlines()
+            jsonl = target in ("hierarchy", "callgraph")
+            out, expect, path_only = data.draw(_mutations(lines, jsonl))
+            with open(paths[target], "w", encoding="utf-8") as fh:
+                fh.write("\n".join(out) + "\n")
+            inputs = [paths["hierarchy"], paths["callgraph"]]
+            if target == "assignment":
+                argv = ["vuln-sim", *inputs, "--app-project", "app",
+                        "--assignment-in", paths["assignment"]]
+            else:
+                argv = ["prune", *inputs, "--exclusion-file", paths["exclusion"],
+                        "--out", os.path.join(tmp, "pruned.jsonl")]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+            err = err.getvalue()
+            assert "Traceback" not in err
+            assert code in (0, 3), err
+            if code == 3:
+                assert err.startswith("error: ") and err.count("\n") == 1, err
+            if expect is not None:
+                assert code == 3
+                assert err.startswith(f"error: {paths[target]}:{expect}: "), err
+            if path_only:
+                assert code == 3
+                assert err.startswith(f"error: {paths[target]}: "), err
