@@ -29,7 +29,7 @@ from .io import (
     save_hierarchy,
 )
 from .localness import LocalnessOptions, label_all, localness_distribution
-from .model import CallGraph, GraphError, HierarchyValidationError, TypeHierarchy
+from .model import CallGraph, GraphError, HierarchyValidationError, TypeHierarchy, sort_key
 from .origins import build_exclusion_list, find_origins, origin_edge_frequencies, unique_derivative_counts
 from .pipeline import (
     MODES,
@@ -251,6 +251,11 @@ def cmd_vuln_sim(args: argparse.Namespace) -> int:
     )
     if args.compare_to:
         pruned_cg = load_call_graph(args.compare_to, h)
+        absent = min(assignment.vulnerable - pruned_cg.nodes, key=sort_key, default=None)
+        if absent is not None:
+            print(f"error: {args.compare_to}: graph lacks vulnerable method "
+                  f"{absent.uid} of the assignment", file=sys.stderr)
+            return 3
         pruned = propagate(
             pruned_cg, assignment, roles, h,
             warmup=args.warmup, repetitions=args.repetitions,

@@ -73,6 +73,16 @@ def _dump(record: dict) -> str:
 _decode = json.JSONDecoder().raw_decode
 
 
+def _check_utf8(path: str, lineno: int, line: str) -> None:
+    """Readers decode with ``surrogateescape``, so a byte that is not UTF-8
+    is a lone surrogate, which no longer encodes; they check non-ASCII lines."""
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        byte = ord(line[exc.start]) - 0xDC00  # surrogateescape's offset
+        raise RecordFormatError(path, lineno, f"invalid UTF-8: byte 0x{byte:02x}") from None
+
+
 def _read_jsonl(
     path: str, content: str, handlers: Mapping[str, Callable[[dict], None]]
 ) -> None:
@@ -83,11 +93,13 @@ def _read_jsonl(
     its ValueError, TypeError or AttributeError a bad value.
     """
     saw_header = False
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
+            if not line.isascii():
+                _check_utf8(path, lineno, line)
             # one decoder call per line; the checks `json.loads` would add
             # around it (leading BOM, trailing data) are made here
             try:
@@ -277,11 +289,13 @@ def read_text_records(
     mapped through `parse`, whose ValueError names the line's problem."""
     headers: dict[str, int] = {}
     records: list[T] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
+            if not line.isascii():
+                _check_utf8(path, lineno, line)
             try:
                 if line.startswith("#"):
                     body = line.lstrip("#").strip()

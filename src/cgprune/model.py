@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
-from typing import AbstractSet, Callable, Iterable, KeysView, Mapping
+from typing import AbstractSet, Callable, Iterable, KeysView, Mapping, Sequence
 
 
 class GraphError(Exception):
@@ -326,7 +326,8 @@ def validate_hierarchy(h: TypeHierarchy) -> list[Violation]:
     core-library types carry the reserved core project id (`core-project`).
     """
     violations: list[Violation] = []
-    for tid in h.sorted_ids():
+    ids = h.sorted_ids()
+    for tid in ids:
         node = h.types[tid]
         for p in node.parents:
             if p not in h.types:
@@ -342,57 +343,70 @@ def validate_hierarchy(h: TypeHierarchy) -> list[Violation]:
                     f"expected {h.core_project_id!r}",
                 )
             )
-    for tid in sorted(_cyclic_type_ids(h)):
-        violations.append(Violation(tid, "cycle", "type participates in a parent cycle"))
+    # a type is on a cycle iff one of its parents shares its component
+    index = {tid: i for i, tid in enumerate(ids)}
+    parents = [[index[p] for p in h.types[tid].parents if p in index] for tid in ids]
+    component = component_masks(parents, [0] * len(ids), range(len(ids)))
+    for i, tid in enumerate(ids):
+        if any(component[p] == component[i] for p in parents[i]):
+            violations.append(Violation(tid, "cycle", "type participates in a parent cycle"))
     return violations
 
 
-def _cyclic_type_ids(h: TypeHierarchy) -> set[str]:
-    """Type ids on a parent cycle (members of a nontrivial SCC or self-loop)."""
-    # Iterative Tarjan over the child -> parent relation; dangling parents
-    # are skipped (they are reported separately).
-    index_of: dict[str, int] = {}
-    lowlink: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    cyclic: set[str] = set()
-    counter = 0
+def component_masks(
+    succ: Sequence[Sequence[int]], mask: list[int], roots: Iterable[int]
+) -> list[int]:
+    """One iterative Tarjan walk (1972) from `roots` over int successor lists.
 
-    for root in h.sorted_ids():
-        if root in index_of:
+    Afterwards each visited node's `mask` entry is the OR of the entries of
+    all nodes it reaches, itself included.  Returns component numbers: equal
+    for the members of one strongly connected component, 0 where no root
+    reaches.  A component is emitted after every component it reaches, so
+    its root's mask, ORed from successors and subtree on the way, is final
+    then and goes to every member: one OR per edge, no recursion.
+    """
+    n = len(succ)
+    order = [0] * n  # preorder number from 1, then n + component number
+    low = [0] * n
+    stack: list[int] = []
+    count = emitted = 0
+    for root in roots:
+        if order[root]:
             continue
-        work: list[tuple[str, int]] = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index_of[v] = lowlink[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack.add(v)
-            parents = [p for p in h.types[v].parents if p in h.types]
-            if pi < len(parents):
-                work[-1] = (v, pi + 1)
-                w = parents[pi]
-                if w not in index_of:
-                    work.append((w, 0))
-                elif w in on_stack:
-                    lowlink[v] = min(lowlink[v], index_of[w])
+        count += 1
+        order[root] = low[root] = count
+        stack.append(root)
+        walk = [(root, iter(succ[root]))]
+        while walk:
+            v, todo = walk[-1]
+            for w in todo:
+                if not order[w]:
+                    count += 1
+                    order[w] = low[w] = count
+                    stack.append(w)
+                    walk.append((w, iter(succ[w])))
+                    break
+                # w is emitted (its mask is final) or shares v's component
+                mask[v] |= mask[w]
+                if order[w] < low[v]:
+                    low[v] = order[w]
             else:
-                work.pop()
-                if work:
-                    u = work[-1][0]
-                    lowlink[u] = min(lowlink[u], lowlink[v])
-                if lowlink[v] == index_of[v]:
-                    scc = []
+                walk.pop()
+                if low[v] == order[v]:
+                    emitted += 1
+                    bits = mask[v]
                     while True:
                         w = stack.pop()
-                        on_stack.discard(w)
-                        scc.append(w)
+                        mask[w] = bits
+                        order[w] = n + emitted
                         if w == v:
                             break
-                    if len(scc) > 1 or v in h.types[v].parents:
-                        cyclic.update(scc)
-    return cyclic
+                if walk:
+                    u = walk[-1][0]
+                    mask[u] |= mask[v]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+    return order
 
 
 def ancestor_depths(h: TypeHierarchy, type_id: str) -> dict[str, int]:
@@ -476,16 +490,13 @@ def reflexive_descendants(
     return seen
 
 
-def reverse_adjacency(cg: CallGraph) -> Mapping[MethodNode, tuple[MethodNode, ...]]:
-    """Predecessor view: target -> sources, one entry per edge.
-
-    The total entry count equals the edge count, so edge multiplicity is
-    preserved exactly.
-    """
+def reverse_adjacency(cg: CallGraph) -> Mapping[MethodNode, Sequence[MethodNode]]:
+    """Predecessor view: target -> sources, one entry per edge and in edge
+    order, so edge multiplicity is preserved exactly; built afresh per call."""
     preds: dict[MethodNode, list[MethodNode]] = {}
     for e in cg.edges:
         preds.setdefault(e.target, []).append(e.source)
-    return {n: tuple(ps) for n, ps in preds.items()}
+    return preds
 
 
 def validate_call_graph(cg: CallGraph, h: TypeHierarchy) -> list[Violation]:

@@ -255,11 +255,12 @@ class SweepRecord:
 
 @dataclass(frozen=True)
 class PipelineError:
-    """Why one graph produced no records."""
+    """Why one graph produced no records; `error_type` is the exception's class."""
 
     graph_id: str
     stage: str
     message: str
+    error_type: str
 
 
 REPORT_COLUMNS = (
@@ -410,7 +411,7 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
                 ))
         except (GraphError, ValueError, OSError) as exc:
             log.warning("graph %s failed at stage %s: %s", graph_id, stage, exc)
-            errors.append(PipelineError(graph_id, stage, str(exc)))
+            errors.append(PipelineError(graph_id, stage, str(exc), type(exc).__name__))
             continue
         graphs.append(summary)
         records.extend(graph_records)
@@ -482,7 +483,8 @@ def write_report_json(report: AnalysisReport, path: str) -> None:
             for n, cols in report.aggregates().items()
         },
         "errors": [
-            {"graph_id": e.graph_id, "stage": e.stage, "message": e.message}
+            {"graph_id": e.graph_id, "stage": e.stage, "message": e.message,
+             "error_type": e.error_type}
             for e in report.errors
         ],
     }

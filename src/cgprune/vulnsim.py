@@ -1,8 +1,8 @@
 """Vulnerability reachability: who in the application can reach a flawed method.
 
 Vulnerable methods are planted in dependency code (uniformly at random with a
-fixed seed), then one bit-parallel pass over reversed edges finds, for every
-caller, the set of vulnerable methods it transitively reaches.  The headline
+fixed seed), then one Tarjan walk over strongly connected components finds
+which vulnerable methods each application method reaches.  The headline
 numbers are the count of (application method, vulnerable method) pairs and
 the fraction of vulnerable methods reached by at least one application
 method; comparing the numbers before and after pruning shows how much
@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .io import read_text_records, write_text_records
 from .model import (
@@ -31,6 +31,7 @@ from .model import (
     TypeHierarchy,
     TypeNode,
     UnknownTypeError,
+    component_masks,
     reverse_adjacency,
     sort_key,
 )
@@ -52,12 +53,6 @@ class ProjectRoleMap:
 
     def _is_application_type(self, t: TypeNode) -> bool:
         return t.project_id == self.application_project_id and not t.is_core_lib
-
-    def application_types(self, h: TypeHierarchy) -> frozenset[str]:
-        """Ids of the types whose methods are application nodes."""
-        return frozenset(
-            tid for tid, t in h.types.items() if self._is_application_type(t)
-        )
 
     def is_application(self, h: TypeHierarchy, node: MethodNode) -> bool:
         return self._is_application_type(h.node(node.defining_type))
@@ -133,7 +128,7 @@ class ReachabilityResult:
 
 
 def _reach_one(
-    preds: Mapping[MethodNode, tuple[MethodNode, ...]],
+    preds: Mapping[MethodNode, Sequence[MethodNode]],
     vuln: MethodNode,
 ) -> tuple[set[MethodNode], dict[MethodNode, MethodNode]]:
     """Reverse BFS from one vulnerable node.
@@ -141,7 +136,7 @@ def _reach_one(
     Returns every node that reaches it, plus per-node successor links
     pointing one hop towards the vulnerable node (for path reconstruction).
     It builds witness paths, and the tests use it as the reference for the
-    bit-parallel pass.
+    component walk.
     """
     next_hop: dict[MethodNode, MethodNode] = {}
     visited = {vuln}
@@ -158,34 +153,6 @@ def _reach_one(
     return visited, next_hop
 
 
-def _reached_bits(callers: list[list[int]], seeds: list[int]) -> list[int]:
-    """Bit-parallel reverse reachability over a dense int index.
-
-    `callers[n]` lists the predecessors of node n and `seeds[i]` is the node
-    that owns bit i.  Returns each node's mask: bit i is set iff the node is
-    `seeds[i]` or reaches it.  The pass is level-synchronous: every round
-    pushes only the bits a node gained in the previous round to its callers,
-    so bit i reaches a node at that node's BFS distance from `seeds[i]`.  No
-    (node, bit) pair is expanded twice, which bounds the work by the per-seed
-    BFS it replaces and makes cycles need no special handling.
-    """
-    mask = [0] * len(callers)
-    gained: dict[int, int] = {}
-    for i, seed in enumerate(seeds):
-        mask[seed] |= 1 << i
-        gained[seed] = mask[seed]
-    while gained:
-        next_gained: dict[int, int] = {}
-        for node, bits in gained.items():
-            for caller in callers[node]:
-                new = bits & ~mask[caller]
-                if new:
-                    mask[caller] |= new
-                    next_gained[caller] = next_gained.get(caller, 0) | new
-        gained = next_gained
-    return mask
-
-
 def propagate(
     cg: CallGraph,
     assignment: VulnerabilityAssignment,
@@ -197,19 +164,19 @@ def propagate(
 ) -> ReachabilityResult:
     """Measure application-to-vulnerable reachability over `cg`.
 
-    The nodes that reach a vulnerable node get dense int ids, and each
-    vulnerable node one bit of a Python int; a single reverse pass
-    (`_reached_bits`) then gives every such node the set of vulnerable
-    nodes it reaches.  The rest of the graph is never indexed, so the cost
-    follows the reverse-reachable part, not the graph's size.  A pair is an
+    The nodes that reach a vulnerable node get dense int ids and callee
+    lists, and each vulnerable node one bit of a Python int; one pass, a
+    Tarjan walk from the application nodes (`model.component_masks`), then
+    gives each the set of vulnerable nodes it reaches.  The pass follows
+    the reverse-reachable part, not the graph's size.  A pair is an
     application node plus a vulnerable node in its set, other than itself:
     a node never pairs with itself, even when it lies on a cycle or calls
     itself.  That matters for assignments loaded from a file, which may
     name application nodes.
 
     The pass runs `warmup` unmeasured times, then `repetitions` measured
-    times; `elapsed` is the mean time of one measured pass, pair counting
-    included.  Counts are identical across runs (the pass is
+    times; `elapsed` is the mean time of one measured pass, the whole walk
+    and pair counting included.  Counts are identical across runs (the pass is
     deterministic), so only time is averaged.  Witness paths, when asked
     for, come from one breadth-first search per reached vulnerable node.
     """
@@ -231,26 +198,27 @@ def propagate(
     # first (node i owns bit i), then each caller as the walk over `preds`
     # first meets it.  `nodes` grows while the loop reads it.
     vulnerable = sorted(assignment.vulnerable, key=sort_key)
+    k = len(vulnerable)
     nodes = list(vulnerable)
     index = {n: i for i, n in enumerate(nodes)}
-    callers: list[list[int]] = []
-    for node in nodes:
-        ids = []
+    callees: list[list[int]] = [[] for _ in nodes]
+    for t, node in enumerate(nodes):
         for s in preds.get(node, ()):
             i = index.get(s)
             if i is None:
                 i = index[s] = len(nodes)
                 nodes.append(s)
-            ids.append(i)
-        callers.append(ids)
-    app_types = roles.application_types(h)
-    apps = [i for i, n in enumerate(nodes) if n.defining_type in app_types]
-    seeds = list(range(len(vulnerable)))
+                callees.append([])
+            callees[i].append(t)
+    del index  # not needed past here; freeing it lowers the passes' peak memory
+    is_app = roles._is_application_type
+    apps = [i for i, n in enumerate(nodes) if is_app(h.types[n.defining_type])]
 
     def run() -> tuple[int, int]:
-        mask = _reached_bits(callers, seeds)
-        for i, seed in enumerate(seeds):
-            mask[seed] ^= 1 << i  # the self-pair rule
+        mask = [1 << i for i in range(k)] + [0] * (len(nodes) - k)
+        component_masks(callees, mask, apps)
+        for i in range(k):
+            mask[i] ^= 1 << i  # the self-pair rule
         pairs = 0
         reached = 0
         for a in apps:

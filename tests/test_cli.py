@@ -371,6 +371,41 @@ class TestExitCodes:
             f"error: {assignment}:3: method 'T3::gone():void' is not in the call graph\n"
         )
 
+    def test_compare_to_graph_lacking_a_vulnerable_method_is_validation_error(
+        self, f1, f1_paths, tmp_path, capsys
+    ):
+        # --cves 1 on f1 marks T3::next, the only dependency method
+        gone = m("T3", "next")
+        other = tmp_path / "other.jsonl"
+        save_call_graph(build_call_graph(
+            f1.cg.nodes - {gone},
+            [e for e in f1.cg.edges if gone not in (e.source, e.target)],
+        ), str(other))
+        assert main(["vuln-sim", *f1_paths, "--app-project", "app", "--cves", "1",
+                     "--compare-to", str(other)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {other}: graph lacks vulnerable method T3::next():void "
+            "of the assignment\n"
+        )
+
+    def test_latin1_hierarchy_text_is_validation_error(self, f1_paths, tmp_path, capsys):
+        hp = tmp_path / "latin1.jsonl"
+        with open(f1_paths[0], encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        lines[2] = lines[2].replace('"fq":"', '"fq":"caf\u00e9.')
+        hp.write_bytes("\n".join(lines).encode("latin-1") + b"\n")
+        assert main(["origins", str(hp), f1_paths[1]]) == 3
+        assert capsys.readouterr().err == f"error: {hp}:3: invalid UTF-8: byte 0xe9\n"
+
+    def test_undecodable_exclusion_byte_is_validation_error(
+        self, f1_paths, tmp_path, capsys
+    ):
+        excl = tmp_path / "excl.tsv"
+        excl.write_bytes(b"# declared-size: 1\n# top\xff\nnext():void\tT3\n")
+        assert main(["prune", *f1_paths, "--exclusion-file", str(excl),
+                     "--out", str(tmp_path / "out.jsonl")]) == 3
+        assert capsys.readouterr().err == f"error: {excl}:2: invalid UTF-8: byte 0xff\n"
+
     def test_unexpected_call_graph_record_is_positioned_once(
         self, f1_paths, tmp_path, capsys
     ):

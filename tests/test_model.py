@@ -289,6 +289,21 @@ class TestDescendants:
             assert h.reflexive_ancestor_depths(t) == depths
 
 
+class TestCycleRule:
+    @settings(max_examples=300, deadline=None)
+    @given(hierarchies_with_roots())
+    def test_cycle_violations_match_reference(self, case):
+        # a type is on a cycle iff one of its parents has it as an ancestor;
+        # a type merely between two cycles, or below one, is not
+        h, _ = case
+        expected = [
+            t for t in h.sorted_ids()
+            if any(t in ancestor_depths(h, p) for p in h.types[t].parents)
+        ]
+        found = [v.type_id for v in validate_hierarchy(h) if v.rule == "cycle"]
+        assert found == expected
+
+
 class TestCallGraphConstruction:
     def test_duplicates_collapse_and_are_counted(self):
         edges = list(f1_edges().values())
@@ -413,6 +428,18 @@ class TestReverseAdjacency:
 
     def test_empty_graph(self):
         assert reverse_adjacency(build_call_graph([], [])) == {}
+
+    def test_sources_keep_edge_order_and_multiplicity(self):
+        # witness paths take the first caller a search meets, so the order
+        # of each target's sources is part of the contract
+        t, a, b = m("T9", "run"), m("T1", "f"), m("T2", "g")
+        cg = build_call_graph([], [
+            CallEdge(b, t, "T9"), CallEdge(a, t, "T8"),
+            CallEdge(b, t, "T7"), CallEdge(a, t, "T9"),
+        ])
+        sources = [e.source for e in cg.edges if e.target == t]
+        assert sources == [a, a, b, b]
+        assert list(reverse_adjacency(cg)[t]) == sources
 
 
 class TestValidateCallGraph:

@@ -205,8 +205,16 @@ class TestErrorContinuation:
             report = run_pipeline(broken)
         assert [e.graph_id for e in report.errors] == ["missing"]
         assert report.errors[0].stage == "load"
+        assert report.errors[0].error_type == "FileNotFoundError"
         assert {r.graph_id for r in report.records} == {"f1"}
         assert "missing" in caplog.text
+        path = tmp_path / "report.json"
+        write_report_json(report, str(path))
+        (entry,) = json.loads(path.read_text())["errors"]
+        assert entry == {
+            "graph_id": "missing", "stage": "load",
+            "message": report.errors[0].message, "error_type": "FileNotFoundError",
+        }
 
     def test_stage_name_identifies_failure_point(self, f1, tmp_path):
         config = f1_config(f1, tmp_path)
@@ -224,6 +232,7 @@ class TestErrorContinuation:
         assert report.records == ()
         assert [e.stage for e in report.errors] == ["inject"]
         assert "no dependency nodes" in report.errors[0].message
+        assert report.errors[0].error_type == "NoEligibleNodesError"
 
     def test_partial_sweep_never_reported(self, f1, tmp_path, monkeypatch):
         # fail the comparison on the second sweep entry: records from the
@@ -244,6 +253,7 @@ class TestErrorContinuation:
         assert report.records == ()
         assert report.graphs == ()
         assert [e.stage for e in report.errors] == ["propagate-top1"]
+        assert report.errors[0].error_type == "ValueError"
 
     def test_bug_propagates_instead_of_error_row(self, f1, tmp_path, monkeypatch):
         # only domain errors (GraphError, ValueError, OSError) become error

@@ -1,4 +1,6 @@
-"""CVE injection and bit-parallel reachability, base versus pruned."""
+"""CVE injection and reachability over call graph components, base versus pruned."""
+
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -274,7 +276,7 @@ class TestAssignmentFile:
             load_assignment(str(path))
 
 
-# Differential test of the bit-parallel pass against one reverse BFS per
+# Differential test of the component walk against one reverse BFS per
 # vulnerable node.  Types: two application, two library, one core; any node,
 # application nodes included, may be vulnerable.
 DIFF_H = TypeHierarchy({
@@ -344,3 +346,64 @@ class TestBitParallelPassMatchesPerVulnerableBfs:
         assert result.reached_vulnerable == reached
         assert result.reachable_vuln_fraction == len(reached) / len(vulnerable)
         assert result.witnesses == expected
+
+
+def diff_nodes(*type_ids):
+    return [MethodNode(t, MethodSignature(f"m{i}")) for i, t in enumerate(type_ids)]
+
+
+class TestCondensation:
+    """The pass walks strongly connected components; these pin the cases a
+    component-level mask could get wrong, against the per-vulnerable BFS."""
+
+    def check(self, cg, vulnerable):
+        expected = per_vulnerable_bfs(cg, vulnerable)
+        result = propagate(
+            cg, VulnerabilityAssignment(vulnerable, seed=0, requested=len(vulnerable)),
+            ROLES, DIFF_H, collect_witnesses=True,
+        )
+        assert result.witnesses == expected
+        assert result.reachable_pairs == len(expected)
+        return result
+
+    def test_chain_of_nontrivial_components(self):
+        # {a0, a1} -> {l0, l1} -> {l2, l3, l4}, plus a0 -> l2 skipping the
+        # middle component, so the last one finishes on two paths
+        a0, a1, l0, l1, l2, l3, l4 = diff_nodes("A0", "A1", "L0", "L1", "L0", "L1", "L0")
+        cg = build_call_graph([], [
+            CallEdge(s, t, "L0") for s, t in [
+                (a0, a1), (a1, a0), (a1, l0),
+                (l0, l1), (l1, l0), (l1, l2),
+                (l2, l3), (l3, l4), (l4, l2), (a0, l2),
+            ]
+        ])
+        result = self.check(cg, frozenset({l0, l4}))
+        assert result.reachable_pairs == 4
+        assert result.reached_vulnerable == {l0, l4}
+
+    def test_vulnerable_application_node_inside_a_component(self):
+        # a0 -> l0 -> a1 -> a0 is one component holding the vulnerable
+        # application node a0; a0 reaches itself around the cycle but never
+        # pairs with itself, while a1 and the outside caller a2 pair with it
+        a0, l0, a1, a2 = diff_nodes("A0", "L0", "A1", "A0")
+        cg = build_call_graph([], [
+            CallEdge(s, t, "A0") for s, t in [(a0, l0), (l0, a1), (a1, a0), (a2, a1)]
+        ])
+        result = self.check(cg, frozenset({a0, l0}))
+        assert result.reachable_pairs == 5
+        assert (a0, a0) not in result.witnesses
+
+    def test_one_cycle_deeper_than_the_recursion_limit(self):
+        # a recursive walk would need one frame per node
+        size = 5_000
+        assert size > sys.getrecursionlimit()
+        nodes = diff_nodes(*["A0" if i % 2 == 0 else "L0" for i in range(size)])
+        cg = build_call_graph([], [
+            CallEdge(nodes[i], nodes[(i + 1) % size], "L0") for i in range(size)
+        ])
+        vulnerable = frozenset({nodes[1], nodes[3]})
+        result = propagate(
+            cg, VulnerabilityAssignment(vulnerable, seed=0, requested=2), ROLES, DIFF_H
+        )
+        assert result.reachable_pairs == size
+        assert result.reached_vulnerable == vulnerable
