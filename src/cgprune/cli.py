@@ -30,7 +30,13 @@ from .io import (
 )
 from .localness import LocalnessOptions, label_all, localness_distribution
 from .model import CallGraph, GraphError, HierarchyValidationError, TypeHierarchy, sort_key
-from .origins import build_exclusion_list, find_origins, origin_edge_frequencies, unique_derivative_counts
+from .origins import (
+    OriginRef,
+    build_exclusion_list,
+    find_origins,
+    origin_edge_frequencies,
+    unique_derivative_counts,
+)
 from .pipeline import (
     MODES,
     ConfigError,
@@ -140,6 +146,24 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
+def _write_ranked_origins(
+    args: argparse.Namespace,
+    h: TypeHierarchy,
+    rows: Sequence[tuple[OriginRef, int]],
+    count_column: str,
+) -> None:
+    """The first `args.top` (0 = all) ranked (origin, count) rows as CSV."""
+    _write_rows(
+        args.out,
+        ["rank", "origin_type", "origin_fq", "signature", count_column],
+        [
+            [i + 1, o.origin_type, h.node(o.origin_type).fq_name,
+             o.signature.to_text(), count]
+            for i, (o, count) in enumerate(rows[: args.top or None])
+        ],
+    )
+
+
 def cmd_origins(args: argparse.Namespace) -> int:
     h, cg = _load_inputs(args)
     origins = find_origins(cg, h)
@@ -150,16 +174,7 @@ def cmd_origins(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     table = origin_edge_frequencies(cg, origins)
-    rows = table.rows if args.top == 0 else table.top(args.top)
-    _write_rows(
-        args.out,
-        ["rank", "origin_type", "origin_fq", "signature", "edge_count"],
-        [
-            [i + 1, o.origin_type, h.node(o.origin_type).fq_name,
-             o.signature.to_text(), count]
-            for i, (o, count) in enumerate(rows)
-        ],
-    )
+    _write_ranked_origins(args, h, table.rows, "edge_count")
     return 0
 
 
@@ -167,16 +182,7 @@ def cmd_derivatives(args: argparse.Namespace) -> int:
     h, cg = _load_inputs(args)
     origins = find_origins(cg, h)
     counts = unique_derivative_counts(cg, origins)
-    rows = counts if args.top == 0 else counts[: args.top]
-    _write_rows(
-        args.out,
-        ["rank", "origin_type", "origin_fq", "signature", "derivative_count"],
-        [
-            [i + 1, o.origin_type, h.node(o.origin_type).fq_name,
-             o.signature.to_text(), count]
-            for i, (o, count) in enumerate(rows)
-        ],
-    )
+    _write_ranked_origins(args, h, counts, "derivative_count")
     return 0
 
 

@@ -21,8 +21,6 @@ from typing import Mapping
 from .model import CallGraph, MethodNode, TypeHierarchy
 from .origins import OriginMap, OriginRef
 
-LEVELS = (0, 1, 2, 3)
-
 
 @dataclass(frozen=True)
 class LocalnessOptions:
@@ -117,9 +115,6 @@ class LocalnessDistribution:
     """
 
     per_origin: Mapping[OriginRef, tuple[float, float, float, float] | None]
-
-    def rows(self) -> list[tuple[OriginRef, tuple[float, float, float, float] | None]]:
-        return sorted(self.per_origin.items(), key=lambda item: item[0])
 
 
 def localness_distribution(

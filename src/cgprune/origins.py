@@ -54,9 +54,6 @@ class OriginMap:
     entries: Mapping[MethodNode, OriginRef]
     ambiguous: Mapping[MethodNode, tuple[OriginRef, ...]] = field(default_factory=dict)
 
-    def origin_of(self, node: MethodNode) -> OriginRef:
-        return self.entries[node]
-
     def derivatives(self) -> dict[OriginRef, list[MethodNode]]:
         """Nodes grouped by their origin, each group in canonical order."""
         groups: dict[OriginRef, list[MethodNode]] = {}

@@ -21,7 +21,7 @@ import logging
 import os
 import statistics
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from typing import Callable, Mapping
 
@@ -44,9 +44,22 @@ class ConfigError(ValueError):
     """The pipeline config file is malformed or inconsistent."""
 
 
-def _is_number(value: object, integer: bool = False) -> bool:
-    kinds = int if integer else (int, float)
-    return isinstance(value, kinds) and not isinstance(value, bool)
+# Each scalar config key: its JSON type and its least allowed value (None for
+# no bound).  The localness keys are fields of `PipelineConfig.localness`.
+_SCALARS: dict[str, tuple[type, int | None]] = {
+    "corpus": (str, None),
+    "application_project": (str, None),
+    "include_core_cves": (bool, None),
+    "extended_hierarchy": (bool, None),
+    "package_boundary": (bool, None),
+    "cve_count": (int, 1),
+    "cve_seed": (int, None),
+    "warmup": (int, 0),
+    "repetitions": (int, 1),
+    "localness_top": (int, 0),
+}
+_LOCALNESS_KEYS = ("extended_hierarchy", "package_boundary")
+_TYPE_NAMES = {str: "a string", bool: "a boolean", int: "an integer"}
 
 
 def _json_list(name: str, value: object, kind: type, what: str) -> tuple:
@@ -110,27 +123,22 @@ class PipelineConfig:
             raise ConfigError(f"sweep values must be non-negative, got {self.sweep}")
         # The stages reject these values too, but only per graph: checked
         # here, they fail the config once instead of every graph.
-        if not _is_number(self.threshold) or not 0.0 <= self.threshold <= 1.0:
-            raise ConfigError(f"threshold must be in [0, 1], got {self.threshold!r}")
-        for name, low in (
-            ("cve_count", 1), ("cve_seed", None), ("warmup", 0), ("repetitions", 1),
-            ("localness_top", 0),
-        ):
-            value = getattr(self, name)
-            if not _is_number(value, integer=True):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        threshold = self.threshold
+        if (isinstance(threshold, bool) or not isinstance(threshold, (int, float))
+                or not 0.0 <= threshold <= 1.0):
+            raise ConfigError(f"threshold must be in [0, 1], got {threshold!r}")
+        for name, (kind, low) in _SCALARS.items():
+            value = getattr(self.localness if name in _LOCALNESS_KEYS else self, name)
+            # a boolean is an int to Python but never a number here
+            if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+                raise ConfigError(f"{name} must be {_TYPE_NAMES[kind]}, got {value!r}")
             if low is not None and value < low:
                 rule = "positive" if low else "non-negative"
                 raise ConfigError(f"{name} must be {rule}, got {value!r}")
 
     @classmethod
     def from_mapping(cls, data: Mapping, base_dir: str = ".") -> "PipelineConfig":
-        known = {
-            "corpus", "inputs", "synthetic", "sweep", "mode", "threshold",
-            "oracle", "cve_count", "cve_seed", "include_core_cves",
-            "application_project", "warmup", "repetitions", "localness_top",
-            "extended_hierarchy", "package_boundary", "core_prefixes",
-        }
+        known = {f.name for f in fields(cls)} - {"localness"} | set(_SCALARS)
         unknown = sorted(set(data) - known)
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
@@ -141,22 +149,22 @@ class PipelineConfig:
         inputs = []
         items = _json_list("inputs", data.get("inputs", []), dict, "objects")
         for i, item in enumerate(items):
-            fields = {"id": item.get("id", f"g{i:03d}")}
+            entry = {"id": item.get("id", f"g{i:03d}")}
             try:
-                fields.update((k, item[k]) for k in ("hierarchy", "callgraph"))
+                entry.update((k, item[k]) for k in ("hierarchy", "callgraph"))
             except KeyError as exc:
                 raise ConfigError(
                     f"inputs[{i}] missing field {exc.args[0]!r}"
                 ) from None
-            for key, value in fields.items():
+            for key, value in entry.items():
                 if not isinstance(value, str):
                     raise ConfigError(
                         f"inputs[{i}].{key} must be a string, got {value!r}"
                     )
             inputs.append(GraphInput(
-                graph_id=fields["id"],
-                hierarchy_path=resolve(fields["hierarchy"]),
-                callgraph_path=resolve(fields["callgraph"]),
+                graph_id=entry["id"],
+                hierarchy_path=resolve(entry["hierarchy"]),
+                callgraph_path=resolve(entry["callgraph"]),
             ))
         synthetic = None
         if "synthetic" in data:
@@ -167,28 +175,22 @@ class PipelineConfig:
                     f"synthetic must be an object with an object 'params', got {spec!r}"
                 )
             params_data = dict(params_data)
+            sites = params_data.get("call_sites_per_method")
+            if isinstance(sites, list):
+                params_data["call_sites_per_method"] = tuple(sites)
             try:
-                if "call_sites_per_method" in params_data:
-                    params_data["call_sites_per_method"] = tuple(
-                        params_data["call_sites_per_method"]
-                    )
                 params = GenParams(**params_data)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"synthetic.params: {exc}") from None
             count = spec.get("count", 1)
-            if not _is_number(count, integer=True):
+            if not isinstance(count, int) or isinstance(count, bool):
                 raise ConfigError(f"synthetic.count must be an integer, got {count!r}")
             if count < 1:
                 raise ConfigError(f"synthetic.count must be positive, got {count}")
             synthetic = SyntheticSpec(count=count, params=params)
         kwargs = {
-            k: data[k]
-            for k in (
-                "corpus", "mode", "threshold", "oracle", "cve_count", "cve_seed",
-                "include_core_cves", "application_project", "warmup",
-                "repetitions", "localness_top",
-            )
-            if k in data
+            k: data[k] for k in ("mode", "threshold", "oracle", *_SCALARS)
+            if k in data and k not in _LOCALNESS_KEYS
         }
         if "sweep" in data:
             kwargs["sweep"] = _json_list("sweep", data["sweep"], int, "integers")
@@ -197,8 +199,7 @@ class PipelineConfig:
                 "core_prefixes", data["core_prefixes"], str, "strings"
             )
         localness = LocalnessOptions(
-            extended_hierarchy=data.get("extended_hierarchy", True),
-            package_boundary=data.get("package_boundary", False),
+            **{k: data[k] for k in _LOCALNESS_KEYS if k in data}
         )
         return cls(
             inputs=tuple(inputs),
@@ -263,11 +264,7 @@ class PipelineError:
     error_type: str
 
 
-REPORT_COLUMNS = (
-    "graph_id", "top_n", "nodes", "edges", "reduction_ratio",
-    "reachable_pairs", "reachable_fraction", "pair_delta", "fraction_delta",
-    "analysis_elapsed_s", "prune_elapsed_s",
-)
+REPORT_COLUMNS = tuple(f.name for f in fields(SweepRecord))
 AGGREGATE_COLUMNS = REPORT_COLUMNS[2:]
 TIMING_COLUMNS = ("analysis_elapsed_s", "prune_elapsed_s")
 
@@ -350,7 +347,8 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
             stage = "localness"
             labels = label_all(cg, h, config.localness)
             level_counts = Counter(labels.values())
-            top = [origin for origin, _ in table.top(config.localness_top)]
+            top_rows = table.top(config.localness_top)
+            top = [origin for origin, _ in top_rows]
             dist = localness_distribution(origins, labels, top)
             stage = "inject"
             assignment = inject_artificial_cves(
@@ -369,8 +367,7 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
                 duplicate_edges=cg.duplicate_count,
                 localness_levels=tuple(level_counts.get(v, 0) for v in range(4)),
                 top_origins=tuple(
-                    (origin.render(h), count)
-                    for origin, count in table.top(config.localness_top)
+                    (origin.render(h), count) for origin, count in top_rows
                 ),
                 origin_localness=tuple(
                     (origin.render(h), dist.per_origin[origin]) for origin in top
@@ -429,7 +426,7 @@ def write_report_csv(report: AnalysisReport, path: str) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(REPORT_COLUMNS)
         for r in report.records:
-            writer.writerow([getattr(r, name) for name in REPORT_COLUMNS])
+            writer.writerow(vars(r).values())
 
 
 def write_aggregates_csv(report: AnalysisReport, path: str) -> None:
@@ -449,32 +446,11 @@ def write_aggregates_csv(report: AnalysisReport, path: str) -> None:
 
 
 def write_report_json(report: AnalysisReport, path: str) -> None:
-    """The full report as one sorted-keys JSON document."""
+    """The full report as one sorted-keys JSON document (tuples as lists)."""
     payload = {
         "corpus": report.corpus,
-        "graphs": [
-            {
-                "graph_id": g.graph_id,
-                "nodes": g.nodes,
-                "edges": g.edges,
-                "duplicate_edges": g.duplicate_edges,
-                "localness_levels": list(g.localness_levels),
-                "top_origins": [[name, count] for name, count in g.top_origins],
-                "origin_localness": [
-                    [name, list(dist) if dist is not None else None]
-                    for name, dist in g.origin_localness
-                ],
-                "vulnerable_count": g.vulnerable_count,
-                "base_pairs": g.base_pairs,
-                "base_fraction": g.base_fraction,
-                "base_elapsed_s": g.base_elapsed_s,
-            }
-            for g in report.graphs
-        ],
-        "records": [
-            {name: getattr(r, name) for name in REPORT_COLUMNS}
-            for r in report.records
-        ],
+        "graphs": [vars(g) for g in report.graphs],
+        "records": [vars(r) for r in report.records],
         "aggregates": {
             str(n): {
                 name: {"mean": mean, "std": std}
@@ -482,11 +458,7 @@ def write_report_json(report: AnalysisReport, path: str) -> None:
             }
             for n, cols in report.aggregates().items()
         },
-        "errors": [
-            {"graph_id": e.graph_id, "stage": e.stage, "message": e.message,
-             "error_type": e.error_type}
-            for e in report.errors
-        ],
+        "errors": [vars(e) for e in report.errors],
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)

@@ -42,6 +42,11 @@ _CALLGRAPH_SEED_OFFSET = 0x9E3779B9
 CORE_PROJECT = "core"
 
 
+def _is_int(value: object) -> bool:
+    """An int that is not a bool (Python counts booleans as ints)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class GenParams:
     """Knobs for synthetic corpus generation.
@@ -61,15 +66,23 @@ class GenParams:
 
     def __post_init__(self) -> None:
         for name in ("type_count", "max_parents_per_type", "signature_pool_size",
-                     "project_count"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+                     "project_count", "seed"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+            if value < 1 and name != "seed":
+                raise ValueError(f"{name} must be positive, got {value}")
         for name in ("override_probability", "core_type_fraction"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(
-                    f"{name} must be in [0, 1], got {getattr(self, name)}"
-                )
-        low, high = self.call_sites_per_method
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise TypeError(f"{name} must be a number, got {value!r}")
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {value}")
+        sites = self.call_sites_per_method
+        if not (isinstance(sites, (tuple, list)) and len(sites) == 2
+                and all(map(_is_int, sites))):
+            raise TypeError(f"call_sites_per_method must be two integers, got {sites!r}")
+        low, high = sites
         if not 0 <= low <= high:
             raise ValueError(
                 f"call_sites_per_method must satisfy 0 <= low <= high, "

@@ -288,16 +288,23 @@ class TestPipeline:
 
     def test_ill_typed_config_value_exits_3(self, f1_paths, tmp_path, capsys):
         cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({
-            "inputs": [{"hierarchy": f1_paths[0], "callgraph": f1_paths[1]}],
-            "application_project": "app", "sweep": 5,
-        }))
-        assert main(["pipeline", "--config", str(cfg),
-                     "--out-dir", str(tmp_path / "r")]) == 3
-        assert capsys.readouterr().err == (
-            "error: sweep must be a list of integers, got 5\n"
-        )
-        assert not (tmp_path / "r").exists()
+        for key, value, message in [
+            ("sweep", 5, "sweep must be a list of integers, got 5"),
+            ("include_core_cves", "false",
+             "include_core_cves must be a boolean, got 'false'"),
+            ("extended_hierarchy", "no", "extended_hierarchy must be a boolean, got 'no'"),
+            ("package_boundary", 1, "package_boundary must be a boolean, got 1"),
+            ("corpus", 5, "corpus must be a string, got 5"),
+            ("application_project", 7, "application_project must be a string, got 7"),
+        ]:
+            cfg.write_text(json.dumps({
+                "inputs": [{"hierarchy": f1_paths[0], "callgraph": f1_paths[1]}],
+                "application_project": "app", key: value,
+            }))
+            assert main(["pipeline", "--config", str(cfg),
+                         "--out-dir", str(tmp_path / "r")]) == 3, key
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not (tmp_path / "r").exists()
 
 
 class TestExitCodes:

@@ -118,12 +118,28 @@ class TestConfig:
          "core_prefixes must be a list of strings, got 'org.lib'"),
         ({"oracle": ["keep-all"]}, "oracle must be one of"),
         ({"cve_seed": "7"}, "cve_seed must be an integer, got '7'"),
+        ({"include_core_cves": "false"},
+         "include_core_cves must be a boolean, got 'false'"),
+        ({"extended_hierarchy": "no"}, "extended_hierarchy must be a boolean, got 'no'"),
+        ({"package_boundary": 1}, "package_boundary must be a boolean, got 1"),
+        ({"corpus": 5}, "corpus must be a string, got 5"),
+        ({"application_project": 7}, "application_project must be a string, got 7"),
+        ({"synthetic": {"params": {"seed": "x"}}},
+         "synthetic.params: seed must be an integer, got 'x'"),
+        ({"synthetic": {"params": {"type_count": 2.5}}},
+         "synthetic.params: type_count must be an integer, got 2.5"),
+        ({"synthetic": {"params": {"call_sites_per_method": [0, 2.5]}}},
+         "synthetic.params: call_sites_per_method must be two integers, got (0, 2.5)"),
+        ({"synthetic": {"params": {"max_parents_per_type": True}}},
+         "synthetic.params: max_parents_per_type must be an integer, got True"),
     ], ids=[
         "sweep-number", "sweep-strings", "sweep-bool", "count-string",
         "synthetic-number", "params-list", "call-sites-number", "path-number",
         "id-number",
         "inputs-string", "input-string", "prefixes-string", "oracle-list",
-        "seed-string",
+        "seed-string", "core-cves-string", "extended-string", "boundary-number",
+        "corpus-number", "project-number", "params-seed-string",
+        "params-count-float", "params-call-sites-float", "params-parents-bool",
     ])
     def test_ill_typed_values_rejected(self, data, message):
         data = {"synthetic": {"count": 1, "params": {}}, **data}
