@@ -17,9 +17,7 @@ from .model import (
     TypeNode,
     UnknownTypeError,
     Violation,
-    ancestors_of,
     build_call_graph,
-    children_index,
     is_reflexive_descendant,
     reflexive_descendants,
     reverse_adjacency,

@@ -55,6 +55,7 @@ from .pruning import (
 )
 from .synth import GenParams, generate_call_graph_cha, generate_hierarchy
 from .vulnsim import (
+    NoEligibleNodesError,
     ProjectRoleMap,
     compare,
     inject_artificial_cves,
@@ -342,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("localness", help="per-origin localness level distribution")
     _add_input_args(p)
     p.add_argument("--top", type=_non_negative_int, default=10,
-                   help="origins to report")
+                   help="origins to report (0 = none)")
     p.add_argument("--strict-hierarchy", action="store_true",
                    help="count only ancestor/descendant pairs as same hierarchy")
     p.add_argument("--package-boundary", action="store_true",
@@ -405,7 +406,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args)
     except (HierarchyValidationError, SchemaVersionError, RecordFormatError,
-            ConfigError) as exc:
+            ConfigError, NoEligibleNodesError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:

@@ -8,11 +8,12 @@ resolved target.
 
 Everything here is immutable after construction and safe to share across
 threads; the only state added later is lazily built lookup tables (the
-ancestor memo of a TypeHierarchy, the adjacency and target indexes of a
-CallGraph), whose entries are fixed by the values themselves.  Analyses
-elsewhere in the package are pure functions over these values.
-Construction is permissive; `validate_hierarchy` reports rule violations
-instead of raising, so callers (e.g. file loaders) decide how strict to be.
+ancestor memo and children index of a TypeHierarchy, the adjacency and
+target indexes of a CallGraph), whose entries are fixed by the values
+themselves.  Analyses elsewhere in the package are pure functions over these
+values.  Construction is permissive; `validate_hierarchy` reports rule
+violations instead of raising, so callers (e.g. file loaders) decide how
+strict to be.
 """
 
 from __future__ import annotations
@@ -158,6 +159,17 @@ class TypeHierarchy:
     def _ancestors(self) -> dict[str, KeysView[str]]:
         # one ancestor walk per type; each view keeps its depth dict alive
         return {}
+
+    @cached_property
+    def children(self) -> Mapping[str, list[str]]:
+        """parent id -> sorted direct children ids (inverse of the parent
+        lists), built once per hierarchy; dangling parents are left out."""
+        children: dict[str, list[str]] = {tid: [] for tid in self.types}
+        for tid in self.sorted_ids():
+            for p in self.types[tid].parents:
+                if p in self.types:
+                    children[p].append(tid)
+        return children
 
 
 @dataclass(frozen=True, order=True)
@@ -432,49 +444,23 @@ def ancestor_depths(h: TypeHierarchy, type_id: str) -> dict[str, int]:
     return depths
 
 
-def ancestors_of(h: TypeHierarchy, type_id: str) -> list[str]:
-    """All strict transitive ancestors of `type_id`.
-
-    Deduplicated, ordered breadth-first by (depth, type id); the type itself
-    is excluded.
-    """
-    depths = ancestor_depths(h, type_id)
-    strict = (tid for tid in depths if tid != type_id)
-    return sorted(strict, key=lambda t: (depths[t], t))
-
-
 def is_reflexive_descendant(h: TypeHierarchy, ancestor: str, type_id: str) -> bool:
-    """True iff `type_id` is `ancestor` itself or transitively extends it."""
+    """True iff `type_id` is `ancestor` itself or transitively extends it.
+
+    Walks afresh instead of reading the ancestor memo: `pruning.not_excluded`,
+    the pruning reference, must not share the fast path's memo.
+    """
     h.node(ancestor)
-    if ancestor == type_id:
-        h.node(type_id)
-        return True
-    return ancestor in ancestors_of(h, type_id)
+    return ancestor in ancestor_depths(h, type_id)
 
 
-def children_index(h: TypeHierarchy) -> dict[str, list[str]]:
-    """parent id -> sorted direct children ids (inverse of the parent lists)."""
-    children: dict[str, list[str]] = {tid: [] for tid in h.types}
-    for tid in h.sorted_ids():
-        for p in h.types[tid].parents:
-            if p in h.types:
-                children[p].append(tid)
-    return children
-
-
-def reflexive_descendants(
-    h: TypeHierarchy,
-    *type_ids: str,
-    children: Mapping[str, list[str]] | None = None,
-) -> set[str]:
+def reflexive_descendants(h: TypeHierarchy, *type_ids: str) -> set[str]:
     """Every root plus every type that transitively extends one of them.
 
-    This is the descendant cone that CHA dispatch and pruning both use.
-    Callers that walk many cones of one hierarchy pass one `children_index`
-    as `children` instead of rebuilding it per call.
+    This is the descendant cone of CHA dispatch; it walks the hierarchy's
+    cached `children` index.
     """
-    if children is None:
-        children = children_index(h)
+    children = h.children
     for tid in type_ids:
         h.node(tid)
     seen = set(type_ids)

@@ -34,12 +34,9 @@ class OriginRef:
     origin_type: str
     signature: MethodSignature
 
-    def render(self, h: TypeHierarchy | None = None) -> str:
-        """Readable form, with the fully-qualified type name when available."""
-        name = self.origin_type
-        if h is not None and self.origin_type in h:
-            name = h.types[self.origin_type].fq_name
-        return f"{name}.{self.signature.to_text()}"
+    def render(self, h: TypeHierarchy) -> str:
+        """Readable form: the origin type's fully-qualified name plus the signature."""
+        return f"{h.node(self.origin_type).fq_name}.{self.signature.to_text()}"
 
 
 @dataclass(frozen=True)

@@ -121,6 +121,13 @@ class PipelineConfig:
             raise ConfigError("config names no input graphs and no synthetic spec")
         if any(n < 0 for n in self.sweep):
             raise ConfigError(f"sweep values must be non-negative, got {self.sweep}")
+        # a repeated id or N would give rows that cannot be told apart
+        for name, values in (("graph ids", self.graph_ids), ("sweep values", self.sweep)):
+            repeated = [v for v, k in Counter(values).items() if k > 1]
+            if repeated:
+                raise ConfigError(
+                    f"{name} must be distinct, got {repeated[0]!r} more than once"
+                )
         # The stages reject these values too, but only per graph: checked
         # here, they fail the config once instead of every graph.
         threshold = self.threshold
@@ -135,6 +142,13 @@ class PipelineConfig:
             if low is not None and value < low:
                 rule = "positive" if low else "non-negative"
                 raise ConfigError(f"{name} must be {rule}, got {value!r}")
+
+    @property
+    def graph_ids(self) -> tuple[str, ...]:
+        """Every graph's id in run order: the inputs' ids, then ``syn000``,
+        ``syn001``, ... for the synthetic graphs."""
+        count = self.synthetic.count if self.synthetic is not None else 0
+        return (*(g.graph_id for g in self.inputs), *(f"syn{i:03d}" for i in range(count)))
 
     @classmethod
     def from_mapping(cls, data: Mapping, base_dir: str = ".") -> "PipelineConfig":
@@ -305,13 +319,13 @@ class AnalysisReport:
 def _sources(
     config: PipelineConfig,
 ) -> list[tuple[str, Callable[[], tuple[TypeHierarchy, CallGraph]]]]:
-    sources: list[tuple[str, Callable[[], tuple[TypeHierarchy, CallGraph]]]] = []
+    loaders: list[Callable[[], tuple[TypeHierarchy, CallGraph]]] = []
     for gin in config.inputs:
         def load(gin: GraphInput = gin) -> tuple[TypeHierarchy, CallGraph]:
             h = load_hierarchy(gin.hierarchy_path)
             h = apply_core_prefixes(h, list(config.core_prefixes))
             return h, load_call_graph(gin.callgraph_path, h)
-        sources.append((gin.graph_id, load))
+        loaders.append(load)
     if config.synthetic is not None:
         base = config.synthetic.params
         for i in range(config.synthetic.count):
@@ -319,8 +333,8 @@ def _sources(
             def gen(params: GenParams = params) -> tuple[TypeHierarchy, CallGraph]:
                 h = generate_hierarchy(params)
                 return h, generate_call_graph_cha(h, params)
-            sources.append((f"syn{i:03d}", gen))
-    return sources
+            loaders.append(gen)
+    return list(zip(config.graph_ids, loaders))
 
 
 def run_pipeline(config: PipelineConfig) -> AnalysisReport:

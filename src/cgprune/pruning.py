@@ -43,24 +43,27 @@ class PruneDecision:
 class PruneDecisionOracle(Protocol):
     """Pluggable judge for candidate edges.
 
-    `context` is an opaque record (method texts, features, anything) that a
-    caller may attach per edge; the built-in oracles ignore it.
+    An oracle sees only the edge; whatever else it judges by (method texts,
+    features) it derives from the edge itself.
     """
 
-    def decide(self, edge: CallEdge, context: object = None) -> PruneDecision: ...
+    def decide(self, edge: CallEdge) -> PruneDecision: ...
+
+
+_KEEP = PruneDecision(prune=False, confidence=1.0)
 
 
 class KeepAllOracle:
     """Condemns nothing; selective pruning becomes the identity."""
 
-    def decide(self, edge: CallEdge, context: object = None) -> PruneDecision:
-        return PruneDecision(prune=False, confidence=1.0)
+    def decide(self, edge: CallEdge) -> PruneDecision:
+        return _KEEP
 
 
 class PruneAllOracle:
     """Condemns every candidate with full confidence."""
 
-    def decide(self, edge: CallEdge, context: object = None) -> PruneDecision:
+    def decide(self, edge: CallEdge) -> PruneDecision:
         return PruneDecision(prune=True, confidence=1.0)
 
 
@@ -74,16 +77,11 @@ ORACLES: dict[str, Callable[[], PruneDecisionOracle]] = {
 class FixedTableOracle:
     """Replays decisions from a prepared edge table; unknown edges are kept."""
 
-    def __init__(
-        self,
-        table: Mapping[CallEdge, PruneDecision],
-        default: PruneDecision = PruneDecision(prune=False, confidence=1.0),
-    ) -> None:
+    def __init__(self, table: Mapping[CallEdge, PruneDecision]) -> None:
         self.table = dict(table)
-        self.default = default
 
-    def decide(self, edge: CallEdge, context: object = None) -> PruneDecision:
-        return self.table.get(edge, self.default)
+    def decide(self, edge: CallEdge) -> PruneDecision:
+        return self.table.get(edge, _KEEP)
 
 
 @dataclass(frozen=True)
@@ -162,7 +160,6 @@ def prune_selective(
     h: TypeHierarchy,
     oracle: PruneDecisionOracle | None,
     threshold: float = 0.95,
-    context_provider: Callable[[CallEdge], object] | None = None,
 ) -> PruneResult:
     """Drop candidates the oracle condemns with confidence above `threshold`.
 
@@ -186,10 +183,8 @@ def prune_selective(
     else:
         candidates.sort()
         for i in candidates:
-            e = edges[i]
-            context = context_provider(e) if context_provider is not None else None
             try:
-                decision = oracle.decide(e, context)
+                decision = oracle.decide(edges[i])
             except Exception:
                 failures += 1
                 continue

@@ -30,7 +30,6 @@ from .model import (
     TypeHierarchy,
     TypeNode,
     build_call_graph,
-    children_index,
     reflexive_descendants,
     sort_key,
 )
@@ -188,15 +187,12 @@ def generate_call_graph_cha(h: TypeHierarchy, p: GenParams) -> CallGraph:
         for tid in h.sorted_ids()
         for sig in sorted(h.types[tid].declared, key=sort_key)
     ]
-    children = children_index(h)
     cones: dict[str, list[str]] = {}
 
     def cone(receiver: str) -> list[str]:
         found = cones.get(receiver)
         if found is None:
-            found = cones[receiver] = sorted(
-                reflexive_descendants(h, receiver, children=children)
-            )
+            found = cones[receiver] = sorted(reflexive_descendants(h, receiver))
         return found
 
     # Every CHA target is a declared method, so edges point at the objects

@@ -296,6 +296,9 @@ class TestPipeline:
             ("package_boundary", 1, "package_boundary must be a boolean, got 1"),
             ("corpus", 5, "corpus must be a string, got 5"),
             ("application_project", 7, "application_project must be a string, got 7"),
+            ("sweep", [1, 1, 0], "sweep values must be distinct, got 1 more than once"),
+            ("inputs", [{"id": "f1", "hierarchy": f1_paths[0], "callgraph": f1_paths[1]}] * 2,
+             "graph ids must be distinct, got 'f1' more than once"),
         ]:
             cfg.write_text(json.dumps({
                 "inputs": [{"hierarchy": f1_paths[0], "callgraph": f1_paths[1]}],
@@ -393,6 +396,14 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"error: {other}: graph lacks vulnerable method T3::next():void "
             "of the assignment\n"
+        )
+
+    def test_no_eligible_dependency_method_is_validation_error(self, f1_paths, capsys):
+        # with org.lib reclassified as core, every method is application or core
+        assert main(["vuln-sim", *f1_paths, "--app-project", "app",
+                     "--core-prefix", "org.lib"]) == 3
+        assert capsys.readouterr().err == (
+            "error: no dependency nodes outside project 'app' to mark vulnerable\n"
         )
 
     def test_latin1_hierarchy_text_is_validation_error(self, f1_paths, tmp_path, capsys):

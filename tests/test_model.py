@@ -20,9 +20,7 @@ from cgprune import (
     TypeHierarchy,
     TypeNode,
     UnknownTypeError,
-    ancestors_of,
     build_call_graph,
-    children_index,
     is_reflexive_descendant,
     reflexive_descendants,
     reverse_adjacency,
@@ -144,32 +142,6 @@ class TestValidateHierarchy:
         assert [v.rule for v in violations] == ["core-project"]
 
 
-class TestAncestorsOf:
-    def test_f1_chains(self):
-        h = make_f1_hierarchy()
-        assert ancestors_of(h, "T2") == ["T1", "T0"]
-        assert ancestors_of(h, "T0") == []
-        assert ancestors_of(h, "T4") == ["T0"]
-
-    def test_diamond_is_deduplicated_and_depth_ordered(self):
-        h = TypeHierarchy({
-            "Top": _type("Top"),
-            "L": _type("L", parents=["Top"]),
-            "R": _type("R", parents=["Top"]),
-            "Bot": _type("Bot", parents=["L", "R"]),
-        })
-        assert ancestors_of(h, "Bot") == ["L", "R", "Top"]
-
-    def test_never_contains_self(self):
-        h = make_f1_hierarchy()
-        for tid in h.sorted_ids():
-            assert tid not in ancestors_of(h, tid)
-
-    def test_unknown_type_raises(self):
-        with pytest.raises(UnknownTypeError):
-            ancestors_of(make_f1_hierarchy(), "T9")
-
-
 class TestIsReflexiveDescendant:
     def test_f1_cases(self):
         h = make_f1_hierarchy()
@@ -214,10 +186,11 @@ def hierarchies_with_roots(draw):
 class TestDescendants:
     def test_children_index_inverts_parents(self):
         h = make_f1_hierarchy()
-        idx = children_index(h)
+        idx = h.children
         assert idx["T0"] == ["T1", "T4", "T5"]
         assert idx["T1"] == ["T2", "T3"]
         assert idx["T5"] == []
+        assert h.children is h.children
 
     def test_reflexive_descendants(self):
         h = make_f1_hierarchy()
@@ -243,8 +216,6 @@ class TestDescendants:
         with pytest.raises(UnknownTypeError, match="T9"):
             reflexive_descendants(h, "T1", "T9")
         with pytest.raises(UnknownTypeError, match="T9"):
-            reflexive_descendants(h, "T9", children=children_index(h))
-        with pytest.raises(UnknownTypeError, match="T9"):
             h.reflexive_ancestors("T9")
 
     def test_reflexive_ancestors_memoised(self):
@@ -263,17 +234,27 @@ class TestDescendants:
             if any(is_reflexive_descendant(h, r, u) for r in roots)
         }
         assert reflexive_descendants(h, *roots) == expected
-        assert reflexive_descendants(h, *roots, children=children_index(h)) == expected
 
     def test_ancestor_depths_share_the_memo(self):
-        h = make_f1_hierarchy()
-        assert h.reflexive_ancestor_depths("T3") == {"T3": 0, "T1": 1, "T0": 2}
-        assert set(h._ancestors) == {"T3"}
-        assert h.reflexive_ancestors("T3") == {"T3", "T1", "T0"}
-        with pytest.raises(TypeError):
-            h.reflexive_ancestor_depths("T3")["T3"] = 5  # the memo is read-only
-        with pytest.raises(UnknownTypeError, match="T9"):
-            h.reflexive_ancestor_depths("T9")
+        diamond = TypeHierarchy({
+            "Top": _type("Top"),
+            "L": _type("L", parents=["Top"]),
+            "R": _type("R", parents=["Top"]),
+            "Bot": _type("Bot", parents=["L", "R"]),
+        })
+        for h, tid, depths in [
+            (make_f1_hierarchy(), "T3", {"T3": 0, "T1": 1, "T0": 2}),
+            (diamond, "Bot", {"Bot": 0, "L": 1, "R": 1, "Top": 2}),
+        ]:
+            # deduplicated, ordered by (depth, type id)
+            assert list(ancestor_depths(h, tid).items()) == list(depths.items())
+            assert h.reflexive_ancestor_depths(tid) == depths
+            assert set(h._ancestors) == {tid}
+            assert h.reflexive_ancestors(tid) == set(depths)
+            with pytest.raises(TypeError):
+                h.reflexive_ancestor_depths(tid)[tid] = 5  # the memo is read-only
+            with pytest.raises(UnknownTypeError, match="T9"):
+                h.reflexive_ancestor_depths("T9")
 
     @settings(max_examples=300, deadline=None)
     @given(hierarchies_with_roots())

@@ -53,12 +53,10 @@ class TestFindOrigins:
         assert m("T1", "next") not in origins.entries
 
     def test_origin_minimality(self, f1):
-        from cgprune import ancestors_of
-
         origins = find_origins(f1.cg, f1.h)
         for ref in origins.entries.values():
             assert f1.h.types[ref.origin_type].declares(ref.signature)
-            for anc in ancestors_of(f1.h, ref.origin_type):
+            for anc in f1.h.reflexive_ancestors(ref.origin_type) - {ref.origin_type}:
                 assert not f1.h.types[anc].declares(ref.signature)
 
     def test_skips_intermediate_non_declarer(self):

@@ -132,6 +132,12 @@ class TestConfig:
          "synthetic.params: call_sites_per_method must be two integers, got (0, 2.5)"),
         ({"synthetic": {"params": {"max_parents_per_type": True}}},
          "synthetic.params: max_parents_per_type must be an integer, got True"),
+        ({"sweep": [1, 1, 0]}, "sweep values must be distinct, got 1 more than once"),
+        ({"inputs": [{"id": "a", "hierarchy": "h.jsonl", "callgraph": "cg.jsonl"},
+                     {"id": "a", "hierarchy": "h2.jsonl", "callgraph": "cg2.jsonl"}]},
+         "graph ids must be distinct, got 'a' more than once"),
+        ({"inputs": [{"id": "syn000", "hierarchy": "h.jsonl", "callgraph": "cg.jsonl"}]},
+         "graph ids must be distinct, got 'syn000' more than once"),
     ], ids=[
         "sweep-number", "sweep-strings", "sweep-bool", "count-string",
         "synthetic-number", "params-list", "call-sites-number", "path-number",
@@ -140,6 +146,7 @@ class TestConfig:
         "seed-string", "core-cves-string", "extended-string", "boundary-number",
         "corpus-number", "project-number", "params-seed-string",
         "params-count-float", "params-call-sites-float", "params-parents-bool",
+        "sweep-repeated", "input-ids-repeated", "input-id-synthetic",
     ])
     def test_ill_typed_values_rejected(self, data, message):
         data = {"synthetic": {"count": 1, "params": {}}, **data}

@@ -168,7 +168,7 @@ class TestPruneSelective:
 
     def test_oracle_failure_keeps_edge_and_is_counted(self, f1):
         class Exploding:
-            def decide(self, edge, context=None):
+            def decide(self, edge):
                 raise RuntimeError("model unavailable")
 
         excl = excl_of(("next", "T1"))
@@ -197,21 +197,6 @@ class TestPruneSelective:
     def test_threshold_out_of_range_rejected(self, f1):
         with pytest.raises(ValueError):
             prune_selective(f1.cg, excl_of(), f1.h, KeepAllOracle(), 1.5)
-
-    def test_context_provider_is_consulted(self, f1):
-        seen = []
-
-        class Recorder:
-            def decide(self, edge, context=None):
-                seen.append(context)
-                return PruneDecision(prune=False, confidence=1.0)
-
-        excl = excl_of(("next", "T1"))
-        prune_selective(
-            f1.cg, excl, f1.h, Recorder(), 0.5,
-            context_provider=lambda e: e.target.uid,
-        )
-        assert sorted(seen) == ["T2::next():void", "T3::next():void"]
 
 
 class TestPruneDecision:
@@ -324,7 +309,7 @@ class TestIndexedPruneMatchesPerEdgeReference:
         calls = []
 
         class Recording:
-            def decide(self, edge, context=None):
+            def decide(self, edge):
                 calls.append(edge)
                 return PruneDecision(edge.receiver_type in condemned, 1.0)
 

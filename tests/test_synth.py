@@ -9,7 +9,6 @@ from cgprune import (
     GenParams,
     TypeHierarchy,
     TypeNode,
-    ancestors_of,
     brute_force_origins,
     build_call_graph,
     cha_targets,
@@ -71,7 +70,7 @@ class TestGenerateHierarchy:
         h = generate_hierarchy(GenParams(override_probability=0.0, seed=4))
         for tid, node in h.types.items():
             inherited = set()
-            for anc in ancestors_of(h, tid):
+            for anc in h.reflexive_ancestors(tid) - {tid}:
                 inherited |= h.types[anc].declared
             assert not (node.declared & inherited)
 
