@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import replace
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Mapping, TypeVar
 
 from .model import (
@@ -137,12 +138,13 @@ def _read_jsonl(
         raise RecordFormatError(path, 1, "empty file: missing header record")
 
 
-def _write_jsonl(path: str, content: str, header: dict, records: Iterable[dict]) -> None:
-    """Write the header record with `header`'s extra fields, then the records."""
+def _write_jsonl(path: str, content: str, header: dict, lines: Iterable[str]) -> None:
+    """Write the header record with `header`'s extra fields, then `lines`:
+    each one record as `_dump` writes it, plus a newline."""
     header = {"kind": "header", "schema": SCHEMA_VERSION, "content": content, **header}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_dump(header) + "\n")
-        fh.writelines(_dump(record) + "\n" for record in records)
+        fh.writelines(lines)
 
 
 _TYPE_NAMES = {str: "a string", bool: "a boolean", list: "a list of strings"}
@@ -176,21 +178,27 @@ def _signature_lookup(
     return signature
 
 
+def _json_strings(values: Iterable[str]) -> str:
+    """A list of strings as `_dump` writes it."""
+    return "[" + ",".join(map(encode_basestring_ascii, values)) + "]"
+
+
 def save_hierarchy(h: TypeHierarchy, path: str) -> None:
-    """Write a hierarchy as header plus one type record per line."""
+    """Write a hierarchy as header plus one type record per line.
+
+    Each line is what `_dump` writes for the type's record, formatted from
+    a template with the fields in sorted order.
+    """
     projects = sorted({t.project_id for t in h.types.values()})
     header = {"core_project": h.core_project_id, "projects": projects}
     _write_jsonl(path, "hierarchy", header, (
-        {
-            "kind": "type",
-            "id": t.type_id,
-            "fq": t.fq_name,
-            "parents": list(t.parents),
-            "declares": sorted(sig.to_text() for sig in t.declared),
-            "project": t.project_id,
-            "package": t.package_name,
-            "core": t.is_core_lib,
-        }
+        f'{{"core":{"true" if t.is_core_lib else "false"},'
+        f'"declares":{_json_strings(sorted(sig.to_text() for sig in t.declared))},'
+        f'"fq":{encode_basestring_ascii(t.fq_name)},'
+        f'"id":{encode_basestring_ascii(t.type_id)},'
+        f'"kind":"type","package":{encode_basestring_ascii(t.package_name)},'
+        f'"parents":{_json_strings(t.parents)},'
+        f'"project":{encode_basestring_ascii(t.project_id)}}}\n'
         for t in map(h.types.__getitem__, h.sorted_ids())
     ))
 
@@ -233,13 +241,21 @@ def load_hierarchy(path: str) -> TypeHierarchy:
 
 
 def save_call_graph(cg: CallGraph, path: str) -> None:
-    """Write a call graph as header, node records, then edge records."""
-    nodes = ({"kind": "node", "id": node.uid} for node in cg.sorted_nodes())
-    edges = (
-        {"kind": "edge", "src": e.source.uid, "dst": e.target.uid, "recv": e.receiver_type}
-        for e in cg.edges
-    )
-    _write_jsonl(path, "callgraph", {}, chain(nodes, edges))
+    """Write a call graph as header, node records, then edge records.
+
+    The lines are what `_dump` writes for each record; each uid and each
+    receiver type is escaped once, not once per record that names it.
+    """
+    uids = {node: encode_basestring_ascii(node.uid) for node in cg.sorted_nodes()}
+    receivers = {r: encode_basestring_ascii(r) for r in {e.receiver_type for e in cg.edges}}
+    _write_jsonl(path, "callgraph", {}, chain(
+        (f'{{"id":{uid},"kind":"node"}}\n' for uid in uids.values()),
+        (
+            f'{{"dst":{uids[e.target]},"kind":"edge","recv":{receivers[e.receiver_type]},'
+            f'"src":{uids[e.source]}}}\n'
+            for e in cg.edges
+        ),
+    ))
 
 
 def load_call_graph(path: str, h: TypeHierarchy) -> CallGraph:

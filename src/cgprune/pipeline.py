@@ -18,12 +18,16 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 import os
 import statistics
+import sys
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
-from typing import Callable, Mapping
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .io import apply_core_prefixes, load_call_graph, load_hierarchy
 from .localness import LocalnessOptions, label_all, localness_distribution
@@ -119,6 +123,8 @@ class PipelineConfig:
             )
         if not self.inputs and self.synthetic is None:
             raise ConfigError("config names no input graphs and no synthetic spec")
+        if not self.sweep:
+            raise ConfigError("sweep must name at least one Top-N")
         if any(n < 0 for n in self.sweep):
             raise ConfigError(f"sweep values must be non-negative, got {self.sweep}")
         # a repeated id or N would give rows that cannot be told apart
@@ -311,9 +317,48 @@ class AnalysisReport:
             cols: dict[str, tuple[float, float]] = {}
             for name in AGGREGATE_COLUMNS:
                 values = [float(getattr(r, name)) for r in rows]
-                cols[name] = (statistics.fmean(values), statistics.pstdev(values))
+                cols[name] = (statistics.fmean(values), _pstdev(values))
             out[n] = cols
         return out
+
+
+# p/q is scaled to at least this many bits, so its root has at least 55:
+# two more than a float keeps, enough for round-to-odd to round once
+_SQRT_BITS = 2 * sys.float_info.mant_dig + 3
+
+
+def _sqrt_ratio(p: int, q: int) -> float:
+    """The square root of p/q (ints, p >= 0, q > 0), correctly rounded."""
+    if not p:
+        return 0.0
+    shift = (p.bit_length() - q.bit_length() - _SQRT_BITS) // 2
+    if shift >= 0:
+        q <<= 2 * shift
+    else:
+        p <<= -2 * shift
+    root = math.isqrt(p // q)
+    # round to odd: a set low bit stands for the inexact part
+    root |= root * root * q != p
+    return float(root << shift) if shift >= 0 else root / (1 << -shift)
+
+
+def _pstdev(values: list[float]) -> float:
+    """`statistics.pstdev(values)`, the same float, in exact integer arithmetic
+    (since CPython 3.11 `pstdev` also rounds the root once).
+
+    A finite float is a dyadic rational a/2^k.  Over the column's largest
+    denominator D the values are integers a_i, and the variance is
+    (n·Σa² − (Σa)²) / (n·D)², whose root is rounded once.  A column with a
+    non-finite value goes to `statistics.pstdev`, so it behaves the same.
+    """
+    if not values or not all(map(math.isfinite, values)):
+        return statistics.pstdev(values)
+    ratios = [v.as_integer_ratio() for v in values]
+    den = max(d for _, d in ratios)
+    scaled = [a * (den // d) for a, d in ratios]
+    n = len(scaled)
+    total = sum(scaled)
+    return _sqrt_ratio(n * sum(a * a for a in scaled) - total * total, (n * den) ** 2)
 
 
 def _sources(
@@ -459,21 +504,90 @@ def write_aggregates_csv(report: AnalysisReport, path: str) -> None:
             writer.writerow(row)
 
 
+def _json_scalar(value: object) -> str:
+    """One scalar exactly as `json.dump` writes it: `bool` is tested before
+    `int`, and non-finite floats are written ``NaN``/``Infinity``."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"not a JSON scalar: {value!r}")
+
+
+def _object_template(keys: Iterable[str], depth: int, value: str = "%s") -> str:
+    """A sorted-keys ``indent=2`` JSON object whose opening brace sits
+    `depth` levels deep, with `value` (a %-template) for every key."""
+    pad = "\n" + "  " * depth
+    items = ",".join(
+        f"{pad}  {encode_basestring_ascii(k)}: {value}" for k in sorted(keys)
+    )
+    return "{" + items + pad + "}"
+
+
+def _json_items(open_: str, close: str, items: Iterable[str]) -> Iterator[str]:
+    """A top-level value's array or object in the ``indent=2`` layout: the
+    items as given (each indented and without its comma), or ``[]``/``{}``."""
+    separator = open_ + "\n"
+    for item in items:
+        yield separator
+        yield item
+        separator = ",\n"
+    yield "\n  " + close if separator == ",\n" else open_ + close
+
+
+def _nested_json(row: object) -> str:
+    """A dataclass row as an item of a top-level array, as `json.dump` writes it."""
+    return "    " + json.dumps(vars(row), sort_keys=True, indent=2).replace("\n", "\n    ")
+
+
+# `write_report_json` fills one template per record and one per Top-N, with
+# the values in sorted-key order
+_RECORD_FIELDS = attrgetter(*sorted(REPORT_COLUMNS))
+_RECORD_ITEM = "    " + _object_template(REPORT_COLUMNS, 2)
+_AGGREGATE_NAMES = sorted(AGGREGATE_COLUMNS)
+_AGGREGATE_ITEM = '    "%s": ' + _object_template(
+    _AGGREGATE_NAMES, 2, _object_template(("mean", "std"), 3)
+)
+
+
 def write_report_json(report: AnalysisReport, path: str) -> None:
-    """The full report as one sorted-keys JSON document (tuples as lists)."""
-    payload = {
-        "corpus": report.corpus,
-        "graphs": [vars(g) for g in report.graphs],
-        "records": [vars(r) for r in report.records],
-        "aggregates": {
-            str(n): {
-                name: {"mean": mean, "std": std}
-                for name, (mean, std) in cols.items()
-            }
-            for n, cols in report.aggregates().items()
-        },
-        "errors": [vars(e) for e in report.errors],
-    }
+    """The full report as `json.dump(payload, sort_keys=True, indent=2)`
+    writes it (tuples as lists), plus a newline, byte for byte.
+
+    Records and aggregates, the bulk of a report, are filled into per-item
+    templates from C-level scalar writers; the one-per-graph summaries and
+    errors go through `json.dumps`.
+    """
+    aggregates = report.aggregates()
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write('{\n  "aggregates": ')
+        fh.writelines(_json_items("{", "}", (
+            _AGGREGATE_ITEM % (n, *(
+                _json_scalar(v) for name in _AGGREGATE_NAMES for v in aggregates[n][name]
+            ))
+            for n in sorted(aggregates, key=str)  # json sorts the keys as strings
+        )))
+        fh.write(f',\n  "corpus": {_json_scalar(report.corpus)},\n  "errors": ')
+        fh.writelines(_json_items("[", "]", map(_nested_json, report.errors)))
+        fh.write(',\n  "graphs": ')
+        fh.writelines(_json_items("[", "]", map(_nested_json, report.graphs)))
+        fh.write(',\n  "records": ')
+        fh.writelines(_json_items("[", "]", (
+            _RECORD_ITEM % tuple(map(_json_scalar, _RECORD_FIELDS(r)))
+            for r in report.records
+        )))
+        fh.write("\n}\n")

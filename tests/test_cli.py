@@ -297,6 +297,7 @@ class TestPipeline:
             ("corpus", 5, "corpus must be a string, got 5"),
             ("application_project", 7, "application_project must be a string, got 7"),
             ("sweep", [1, 1, 0], "sweep values must be distinct, got 1 more than once"),
+            ("sweep", [], "sweep must name at least one Top-N"),
             ("inputs", [{"id": "f1", "hierarchy": f1_paths[0], "callgraph": f1_paths[1]}] * 2,
              "graph ids must be distinct, got 'f1' more than once"),
         ]:

@@ -12,6 +12,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cgprune import (
+    CallEdge,
+    GenParams,
     HierarchyValidationError,
     MethodNode,
     RecordFormatError,
@@ -20,8 +22,11 @@ from cgprune import (
     TypeNode,
     VulnerabilityAssignment,
     apply_core_prefixes,
+    build_call_graph,
     build_exclusion_list,
     find_origins,
+    generate_call_graph_cha,
+    generate_hierarchy,
     load_call_graph,
     load_hierarchy,
     origin_edge_frequencies,
@@ -33,6 +38,7 @@ from cgprune import (
 )
 from cgprune.cli import main
 from cgprune.io import SCHEMA_VERSION
+from cgprune.model import MethodSignature
 
 from conftest import make_f1_callgraph, make_f1_hierarchy, sig
 
@@ -74,6 +80,90 @@ class TestCallGraphRoundTrip:
         from conftest import m
 
         assert m("T1", "hasNext") in load_call_graph(str(path), f1.h).nodes
+
+
+def _jsonl_oracle(content: str, header: dict, records: list[dict]) -> str:
+    """A file as one `json.dumps(record, sort_keys=True)` per line, the
+    reference for the writers."""
+    header = {"kind": "header", "schema": SCHEMA_VERSION, "content": content, **header}
+    return "".join(
+        json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n" for r in [header, *records]
+    )
+
+
+def _hierarchy_oracle(h: TypeHierarchy) -> str:
+    return _jsonl_oracle("hierarchy", {
+        "core_project": h.core_project_id,
+        "projects": sorted({t.project_id for t in h.types.values()}),
+    }, [
+        {
+            "kind": "type", "id": t.type_id, "fq": t.fq_name, "parents": list(t.parents),
+            "declares": sorted(s.to_text() for s in t.declared), "project": t.project_id,
+            "package": t.package_name, "core": t.is_core_lib,
+        }
+        for t in map(h.types.__getitem__, h.sorted_ids())
+    ])
+
+
+def _call_graph_oracle(cg) -> str:
+    return _jsonl_oracle("callgraph", {}, [
+        *({"kind": "node", "id": n.uid} for n in cg.sorted_nodes()),
+        *({"kind": "edge", "src": e.source.uid, "dst": e.target.uid, "recv": e.receiver_type}
+          for e in cg.edges),
+    ])
+
+
+def _non_ascii_graph():
+    """A hierarchy and call graph with non-ASCII text, quotes, backslashes
+    and control characters in every name the model takes as free text."""
+    odd = 'ü"\\\x01\u2028\U0001f600'
+    signatures = [
+        MethodSignature(f"grö{odd}ße", ("int", f"Ärger{odd}"), f"Résumé{odd}"),
+        MethodSignature("next"),
+    ]
+    types = {
+        f"Tø{odd}": TypeNode(
+            type_id=f"Tø{odd}", fq_name=f"jävä.lang.Öbject{odd}", parents=(),
+            declared=frozenset(signatures), project_id=f"jré{odd}",
+            package_name=f"jävä.lang{odd}", is_core_lib=True,
+        ),
+        f"Ťyp{odd}": TypeNode(
+            type_id=f"Ťyp{odd}", fq_name=f"cöm.app.Ťyp{odd}", parents=(f"Tø{odd}",),
+            declared=frozenset(signatures[:1]), project_id=f"äpp{odd}",
+            package_name="",
+        ),
+    }
+    h = TypeHierarchy(types=types, core_project_id=f"jré{odd}")
+    root, sub = (MethodNode(tid, signatures[0]) for tid in types)
+    cg = build_call_graph(
+        [MethodNode(f"Tø{odd}", signatures[1])],
+        [CallEdge(sub, root, f"Tø{odd}"), CallEdge(root, sub, f"Ťyp{odd}")],
+    )
+    return h, cg
+
+
+def _generated_graph():
+    params = GenParams(type_count=60, seed=4)
+    h = generate_hierarchy(params)
+    return h, generate_call_graph_cha(h, params)
+
+
+@pytest.mark.parametrize("graph", [
+    pytest.param(lambda: (make_f1_hierarchy(), make_f1_callgraph()), id="f1"),
+    pytest.param(_generated_graph, id="generated"),
+    pytest.param(_non_ascii_graph, id="non-ascii"),
+])
+def test_writers_match_json_dumps(graph, tmp_path):
+    h, cg = graph()
+    hp, cp = str(tmp_path / "h.jsonl"), str(tmp_path / "cg.jsonl")
+    save_hierarchy(h, hp)
+    save_call_graph(cg, cp)
+    assert (tmp_path / "h.jsonl").read_text() == _hierarchy_oracle(h)
+    assert (tmp_path / "cg.jsonl").read_text() == _call_graph_oracle(cg)
+    # the model accepts every name it was given: the files load back
+    loaded = load_hierarchy(hp)
+    assert loaded == h
+    assert load_call_graph(cp, loaded).edges == cg.edges
 
 
 class TestNodeSharing:

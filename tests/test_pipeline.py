@@ -3,10 +3,16 @@
 import csv
 import json
 import logging
+import math
+import statistics
+from dataclasses import dataclass, field
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cgprune import (
+    AnalysisReport,
     ConfigError,
     PipelineConfig,
     run_pipeline,
@@ -16,7 +22,15 @@ from cgprune import (
     write_report_csv,
     write_report_json,
 )
-from cgprune.pipeline import DEFAULT_SWEEP
+from cgprune.pipeline import (
+    AGGREGATE_COLUMNS,
+    DEFAULT_SWEEP,
+    GraphSummary,
+    PipelineError,
+    SweepRecord,
+    _json_scalar,
+    _pstdev,
+)
 
 
 def f1_config(f1, tmp_path, **overrides) -> PipelineConfig:
@@ -133,6 +147,7 @@ class TestConfig:
         ({"synthetic": {"params": {"max_parents_per_type": True}}},
          "synthetic.params: max_parents_per_type must be an integer, got True"),
         ({"sweep": [1, 1, 0]}, "sweep values must be distinct, got 1 more than once"),
+        ({"sweep": []}, "sweep must name at least one Top-N"),
         ({"inputs": [{"id": "a", "hierarchy": "h.jsonl", "callgraph": "cg.jsonl"},
                      {"id": "a", "hierarchy": "h2.jsonl", "callgraph": "cg2.jsonl"}]},
          "graph ids must be distinct, got 'a' more than once"),
@@ -146,7 +161,7 @@ class TestConfig:
         "seed-string", "core-cves-string", "extended-string", "boundary-number",
         "corpus-number", "project-number", "params-seed-string",
         "params-count-float", "params-call-sites-float", "params-parents-bool",
-        "sweep-repeated", "input-ids-repeated", "input-id-synthetic",
+        "sweep-repeated", "sweep-empty", "input-ids-repeated", "input-id-synthetic",
     ])
     def test_ill_typed_values_rejected(self, data, message):
         data = {"synthetic": {"count": 1, "params": {}}, **data}
@@ -315,6 +330,37 @@ class TestAggregates:
                 assert std == pytest.approx(expect_var ** 0.5, abs=1e-9)
 
 
+# column values: integers (negative too), unit floats, repeated thirds, and
+# magnitudes from 1e-20 to 1e26 of either sign
+_values = st.one_of(
+    st.integers(-10**6, 10**6).map(float),
+    st.floats(0.0, 1.0),
+    st.sampled_from([1 / 3, 2 / 3, -1 / 3]),
+    st.builds(lambda m, e: m * 10.0 ** e, st.floats(-1.0, 1.0), st.integers(-20, 26)),
+)
+_columns = st.one_of(
+    st.lists(_values, min_size=1, max_size=12),
+    # single values and constant columns
+    st.builds(lambda v, n: [v] * n, _values, st.integers(1, 12)),
+)
+
+
+class TestPstdev:
+    @settings(max_examples=300, deadline=None)
+    @given(_columns)
+    def test_equals_statistics_pstdev(self, values):
+        assert _pstdev(values) == statistics.pstdev(values)
+
+    def test_non_finite_column_behaves_like_statistics_pstdev(self):
+        def outcome(pstdev):
+            try:
+                return repr(pstdev([1.0, math.inf, 2.0]))
+            except Exception as exc:  # whatever statistics does, _pstdev does
+                return type(exc), str(exc)
+
+        assert outcome(_pstdev) == outcome(statistics.pstdev)
+
+
 class TestReportWriters:
     @pytest.fixture
     def report(self, f1, tmp_path):
@@ -366,3 +412,116 @@ class TestReportWriters:
             ]
 
         assert strip(run_pipeline(config)) == strip(run_pipeline(config))
+
+
+def _json_oracle(report: AnalysisReport) -> str:
+    """The report as `json.dump` writes it, the reference for the writer."""
+    payload = {
+        "corpus": report.corpus,
+        "graphs": [vars(g) for g in report.graphs],
+        "records": [vars(r) for r in report.records],
+        "aggregates": {
+            str(n): {name: {"mean": mean, "std": std} for name, (mean, std) in cols.items()}
+            for n, cols in report.aggregates().items()
+        },
+        "errors": [vars(e) for e in report.errors],
+    }
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+@dataclass(frozen=True)
+class _StatedAggregates(AnalysisReport):
+    """A report with aggregates given, not computed: a column holding inf or
+    nan has none, since `statistics.pstdev` fails on it."""
+
+    stated: dict = field(default_factory=dict)
+
+    def aggregates(self):
+        return self.stated
+
+
+_ODD_TEXT = 'ünïcødé "quoted" back\\slash \x00\x1f\t\n \u2028 \U0001f600'
+
+
+def _summary(graph_id: str, **overrides) -> GraphSummary:
+    values = dict(
+        graph_id=graph_id, nodes=3, edges=2, duplicate_edges=0,
+        localness_levels=(1, 0, 2, 0), top_origins=(("T0::f():V", 2),),
+        origin_localness=(("T0::f():V", (0.5, 0.25, 0.25, 0.0)), ("x", None)),
+        vulnerable_count=1, base_pairs=1, base_fraction=0.5, base_elapsed_s=1e-05,
+    )
+    values.update(overrides)
+    return GraphSummary(**values)
+
+
+def _record(graph_id: str, top_n: int, **overrides) -> SweepRecord:
+    values = dict(
+        graph_id=graph_id, top_n=top_n, nodes=3, edges=1, reduction_ratio=0.5,
+        reachable_pairs=1, reachable_fraction=1 / 3, pair_delta=0,
+        fraction_delta=-0.0, analysis_elapsed_s=2.5e-06, prune_elapsed_s=1e-07,
+    )
+    values.update(overrides)
+    return SweepRecord(**values)
+
+
+class TestReportJsonMatchesJsonDump:
+    def check(self, report, tmp_path):
+        path = tmp_path / "report.json"
+        write_report_json(report, str(path))
+        assert path.read_text(encoding="utf-8") == _json_oracle(report)
+
+    def test_scalars(self):
+        # bool before int: json writes True as true, not 1
+        for value in (True, False, None, 0, -7, 10**20, 0.1, -0.0, 1e300,
+                      math.inf, -math.inf, math.nan, _ODD_TEXT):
+            assert _json_scalar(value) == json.dumps(value), value
+
+    def test_empty_report(self, tmp_path):
+        self.check(AnalysisReport(corpus="c", graphs=(), records=(), errors=()), tmp_path)
+
+    def test_graph_without_records_or_errors(self, tmp_path):
+        report = AnalysisReport(
+            corpus="c", graphs=(_summary("g", top_origins=(), origin_localness=()),),
+            records=(), errors=(),
+        )
+        self.check(report, tmp_path)
+
+    def test_inf_and_nan_in_float_fields(self, tmp_path):
+        nan, inf = math.nan, math.inf
+        report = _StatedAggregates(
+            corpus="c",
+            graphs=(_summary("g", base_fraction=nan, base_elapsed_s=inf,
+                             origin_localness=(("o", (-inf, nan, 0.0, 1.0)),)),),
+            records=(_record("g", 1, reduction_ratio=inf, fraction_delta=-inf,
+                             reachable_fraction=nan),),
+            errors=(),
+            stated={1: {
+                **dict.fromkeys(AGGREGATE_COLUMNS, (1.0, 0.0)),
+                "reduction_ratio": (inf, nan), "fraction_delta": (-inf, 0.0),
+            }},
+        )
+        self.check(report, tmp_path)
+
+    def test_escaped_text_in_corpus_ids_and_messages(self, tmp_path):
+        report = AnalysisReport(
+            corpus=_ODD_TEXT,
+            graphs=(_summary(_ODD_TEXT + "1"),),
+            records=(_record(_ODD_TEXT + "1", 0), _record(_ODD_TEXT + "1", 3)),
+            errors=(PipelineError(_ODD_TEXT + "2", "load", _ODD_TEXT, "ValueError"),),
+        )
+        self.check(report, tmp_path)
+
+    def test_pipeline_report_with_keys_out_of_numeric_order(self, tmp_path):
+        # aggregates are keyed "0", "1", "10", "100", "11", "2" in the file
+        config = PipelineConfig.from_mapping({
+            "corpus": "syn",
+            "synthetic": {"count": 3, "params": {"seed": 2, "type_count": 30}},
+            "sweep": [0, 1, 2, 10, 11, 100],
+            "cve_count": 3,
+            "application_project": "p1",
+            "warmup": 0,
+            "repetitions": 1,
+        })
+        report = run_pipeline(config)
+        assert len(report.records) == 18
+        self.check(report, tmp_path)
