@@ -20,8 +20,6 @@ import sys
 from typing import Callable, Sequence
 
 from .io import (
-    RecordFormatError,
-    SchemaVersionError,
     apply_core_prefixes,
     load_call_graph,
     load_hierarchy,
@@ -29,7 +27,7 @@ from .io import (
     save_hierarchy,
 )
 from .localness import LocalnessOptions, label_all, localness_distribution
-from .model import CallGraph, GraphError, HierarchyValidationError, TypeHierarchy, sort_key
+from .model import CallGraph, GraphError, TypeHierarchy, sort_key
 from .origins import (
     OriginRef,
     build_exclusion_list,
@@ -55,7 +53,6 @@ from .pruning import (
 )
 from .synth import GenParams, generate_call_graph_cha, generate_hierarchy
 from .vulnsim import (
-    NoEligibleNodesError,
     ProjectRoleMap,
     compare,
     inject_artificial_cves,
@@ -127,7 +124,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
             max_parents_per_type=args.max_parents,
             signature_pool_size=args.sig_pool,
             override_probability=args.override_prob,
-            call_sites_per_method=(args.call_sites[0], args.call_sites[1]),
+            call_sites_per_method=tuple(args.call_sites),
             project_count=args.projects,
             core_type_fraction=args.core_fraction,
             seed=args.seed,
@@ -315,15 +312,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a synthetic hierarchy and call graph")
     p.add_argument("--out-hierarchy", required=True, metavar="PATH")
     p.add_argument("--out-callgraph", required=True, metavar="PATH")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--types", type=int, default=50)
-    p.add_argument("--max-parents", type=int, default=2)
-    p.add_argument("--sig-pool", type=int, default=8)
-    p.add_argument("--override-prob", type=float, default=0.5)
-    p.add_argument("--call-sites", type=int, nargs=2, default=[0, 3],
+    p.add_argument("--seed", type=int, default=GenParams.seed)
+    p.add_argument("--types", type=int, default=GenParams.type_count)
+    p.add_argument("--max-parents", type=int, default=GenParams.max_parents_per_type)
+    p.add_argument("--sig-pool", type=int, default=GenParams.signature_pool_size)
+    p.add_argument("--override-prob", type=float, default=GenParams.override_probability)
+    p.add_argument("--call-sites", type=int, nargs=2, default=GenParams.call_sites_per_method,
                    metavar=("LOW", "HIGH"))
-    p.add_argument("--projects", type=int, default=3)
-    p.add_argument("--core-fraction", type=float, default=0.3)
+    p.add_argument("--projects", type=int, default=GenParams.project_count)
+    p.add_argument("--core-fraction", type=float, default=GenParams.core_type_fraction)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("origins", help="rank origins by caused-edge frequency")
@@ -360,10 +357,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="load a saved exclusion list instead")
     p.add_argument("--out", required=True, metavar="PATH",
                    help="where to write the pruned call graph")
-    p.add_argument("--mode", choices=MODES, default="exhaustive")
+    p.add_argument("--mode", choices=MODES, default=PipelineConfig.mode)
     p.add_argument("--oracle", choices=list(ORACLES),
-                   default="keep-all", help="decision oracle for selective mode")
-    p.add_argument("--threshold", type=_unit_float, default=0.95,
+                   default=PipelineConfig.oracle, help="decision oracle for selective mode")
+    p.add_argument("--threshold", type=_unit_float, default=PipelineConfig.threshold,
                    help="selective mode prunes only above this confidence")
     p.add_argument("--save-exclusion", metavar="PATH",
                    help="also save the exclusion list that was applied")
@@ -374,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_args(p)
     p.add_argument("--app-project", required=True,
                    help="project id whose methods count as application code")
-    p.add_argument("--cves", type=_positive_int, default=100,
+    p.add_argument("--cves", type=_positive_int, default=PipelineConfig.cve_count,
                    help="how many dependency methods to mark vulnerable")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--include-core", action="store_true",
@@ -385,8 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="save the vulnerability assignment")
     p.add_argument("--compare-to", metavar="PATH",
                    help="pruned call graph to diff against")
-    p.add_argument("--warmup", type=_non_negative_int, default=1)
-    p.add_argument("--repetitions", type=_positive_int, default=3)
+    p.add_argument("--warmup", type=_non_negative_int, default=PipelineConfig.warmup)
+    p.add_argument("--repetitions", type=_positive_int, default=PipelineConfig.repetitions)
     p.set_defaults(func=cmd_vuln_sim)
 
     p = sub.add_parser("pipeline", help="run the batch pipeline from a config file")
@@ -405,8 +402,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     try:
         return args.func(args)
-    except (HierarchyValidationError, SchemaVersionError, RecordFormatError,
-            ConfigError, NoEligibleNodesError) as exc:
+    except (GraphError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:

@@ -16,6 +16,11 @@ raises RecordFormatError prefixed ``path:line:``, and the CLI exits 3, as it
 does on a wrong schema version (SchemaVersionError) and on a loaded whole
 that breaks its rules (HierarchyValidationError).  Readers hold one line at
 a time; writers emit canonical, key-sorted records, so files are byte-stable.
+
+`checked` and `checked_list` hold the one rule for every value from outside,
+here, in the pipeline config and in `GenParams`: it is exactly a JSON string,
+boolean, integer, number or object (a boolean is never a number) and lies in
+its range, or the error reads ``<what> must be <rule>, got <value!r>``.
 """
 
 from __future__ import annotations
@@ -147,15 +152,42 @@ def _write_jsonl(path: str, content: str, header: dict, lines: Iterable[str]) ->
         fh.writelines(lines)
 
 
-_TYPE_NAMES = {str: "a string", bool: "a boolean", list: "a list of strings"}
+_KINDS = {
+    str: "a string", bool: "a boolean", int: "an integer", float: "a number", dict: "an object",
+}
+
+
+def checked(what: str, value: T, kind: type, low: float | None = None,
+            high: float | None = None) -> T:
+    """`value`, if it is exactly a JSON `kind` (a `float` may be written as
+    an integer) in [low, high]; else a TypeError for the kind or a ValueError
+    for the range.  A lone `low` is 0 (non-negative) or, for integers, 1
+    (positive); NaN lies in no range."""
+    if type(value) is not kind and not (kind is float and type(value) is int):
+        raise TypeError(f"{what} must be {_KINDS[kind]}, got {value!r}")
+    if low is not None and not low <= value or high is not None and not value <= high:
+        rule = f"in [{low}, {high}]" if high is not None else "positive" if low else "non-negative"
+        raise ValueError(f"{what} must be {rule}, got {value!r}")
+    return value
+
+
+def checked_list(what: str, value: object, kind: type) -> tuple:
+    """`value` as a tuple, if it is a JSON array (or a tuple) of exactly
+    `kind` items; else a TypeError that names the kind: "a list of strings"."""
+    if type(value) not in (list, tuple) or any(type(v) is not kind for v in value):
+        raise TypeError(f"{what} must be a list of {_KINDS[kind].split()[1]}s, got {value!r}")
+    return tuple(value)
 
 
 def _typed(record: dict, key: str, kind: type, default: object = ...) -> object:
-    """`record[key]`, or `default` (if given) when the key is absent; a value
-    that is not exactly a `kind` (a list: of strings) is a TypeError."""
+    """`record[key]`, or `default` (if given) when the key is absent, if it
+    is exactly a `kind` (a list: of strings).  The test is inline, as the
+    loaders call this once per field; the shared checks word the error."""
     value = record[key] if default is ... else record.get(key, default)
     if type(value) is not kind or kind is list and any(type(v) is not str for v in value):
-        raise TypeError(f"{key!r} must be {_TYPE_NAMES[kind]}, got {value!r}")
+        if kind is list:
+            checked_list(repr(key), value, str)
+        checked(repr(key), value, kind)
     return value
 
 
@@ -277,7 +309,7 @@ def load_call_graph(path: str, h: TypeHierarchy) -> CallGraph:
         found = by_uid.get(uid)
         if found is None:
             if type(uid) is not str:
-                raise TypeError(f"method node id must be a string, got {uid!r}")
+                checked("method node id", uid, str)
             # non-canonical spellings such as ``f(,int)`` parse to one node
             parsed = MethodNode.from_uid(uid, signature)
             found = by_uid[uid] = nodes.setdefault(parsed, parsed)

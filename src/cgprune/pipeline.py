@@ -23,13 +23,13 @@ import os
 import statistics
 import sys
 from collections import Counter
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .io import apply_core_prefixes, load_call_graph, load_hierarchy
+from .io import apply_core_prefixes, checked, checked_list, load_call_graph, load_hierarchy
 from .localness import LocalnessOptions, label_all, localness_distribution
 from .model import CallGraph, GraphError, TypeHierarchy
 from .origins import build_exclusion_list, find_origins, origin_edge_frequencies
@@ -48,32 +48,21 @@ class ConfigError(ValueError):
     """The pipeline config file is malformed or inconsistent."""
 
 
-# Each scalar config key: its JSON type and its least allowed value (None for
-# no bound).  The localness keys are fields of `PipelineConfig.localness`.
-_SCALARS: dict[str, tuple[type, int | None]] = {
-    "corpus": (str, None),
-    "application_project": (str, None),
-    "include_core_cves": (bool, None),
-    "extended_hierarchy": (bool, None),
-    "package_boundary": (bool, None),
+# Each scalar config key: its JSON kind, then its least and greatest allowed
+# values, if any.  `mode` and `oracle` are names from a fixed set.
+_SCALARS: dict[str, tuple] = {
+    "corpus": (str,),
+    "threshold": (float, 0, 1),
     "cve_count": (int, 1),
-    "cve_seed": (int, None),
+    "cve_seed": (int,),
+    "include_core_cves": (bool,),
+    "application_project": (str,),
     "warmup": (int, 0),
     "repetitions": (int, 1),
     "localness_top": (int, 0),
+    "extended_hierarchy": (bool,),
+    "package_boundary": (bool,),
 }
-_LOCALNESS_KEYS = ("extended_hierarchy", "package_boundary")
-_TYPE_NAMES = {str: "a string", bool: "a boolean", int: "an integer"}
-
-
-def _json_list(name: str, value: object, kind: type, what: str) -> tuple:
-    """`value` as a tuple, if it is a JSON array of `kind` items (booleans
-    never count as integers)."""
-    if not isinstance(value, (list, tuple)) or not all(
-        isinstance(v, kind) and not isinstance(v, bool) for v in value
-    ):
-        raise ConfigError(f"{name} must be a list of {what}, got {value!r}")
-    return tuple(value)
 
 
 @dataclass(frozen=True)
@@ -95,7 +84,8 @@ class SyntheticSpec:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Everything one pipeline run needs, loadable from a JSON file."""
+    """Everything one pipeline run needs, loadable from a JSON object whose
+    keys are these fields."""
 
     corpus: str = "corpus"
     inputs: tuple[GraphInput, ...] = ()
@@ -111,13 +101,28 @@ class PipelineConfig:
     warmup: int = 1
     repetitions: int = 3
     localness_top: int = 10
-    localness: LocalnessOptions = field(default_factory=LocalnessOptions)
+    extended_hierarchy: bool = True
+    package_boundary: bool = False
     core_prefixes: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        # The stages reject bad values too, but only per graph: checked
+        # here, they fail the config once instead of every graph.
+        try:
+            for name, rule in _SCALARS.items():
+                checked(name, getattr(self, name), *rule)
+            # a JSON array arrives as a list; the fields hold tuples
+            object.__setattr__(self, "sweep", checked_list("sweep", self.sweep, int))
+            object.__setattr__(
+                self, "core_prefixes", checked_list("core_prefixes", self.core_prefixes, str)
+            )
+            for n in self.sweep:
+                checked("sweep values", n, int, 0)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from None
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not isinstance(self.oracle, str) or self.oracle not in ORACLES:
+        if self.oracle not in tuple(ORACLES):
             raise ConfigError(
                 f"oracle must be one of {tuple(ORACLES)}, got {self.oracle!r}"
             )
@@ -125,8 +130,6 @@ class PipelineConfig:
             raise ConfigError("config names no input graphs and no synthetic spec")
         if not self.sweep:
             raise ConfigError("sweep must name at least one Top-N")
-        if any(n < 0 for n in self.sweep):
-            raise ConfigError(f"sweep values must be non-negative, got {self.sweep}")
         # a repeated id or N would give rows that cannot be told apart
         for name, values in (("graph ids", self.graph_ids), ("sweep values", self.sweep)):
             repeated = [v for v, k in Counter(values).items() if k > 1]
@@ -134,20 +137,6 @@ class PipelineConfig:
                 raise ConfigError(
                     f"{name} must be distinct, got {repeated[0]!r} more than once"
                 )
-        # The stages reject these values too, but only per graph: checked
-        # here, they fail the config once instead of every graph.
-        threshold = self.threshold
-        if (isinstance(threshold, bool) or not isinstance(threshold, (int, float))
-                or not 0.0 <= threshold <= 1.0):
-            raise ConfigError(f"threshold must be in [0, 1], got {threshold!r}")
-        for name, (kind, low) in _SCALARS.items():
-            value = getattr(self.localness if name in _LOCALNESS_KEYS else self, name)
-            # a boolean is an int to Python but never a number here
-            if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-                raise ConfigError(f"{name} must be {_TYPE_NAMES[kind]}, got {value!r}")
-            if low is not None and value < low:
-                rule = "positive" if low else "non-negative"
-                raise ConfigError(f"{name} must be {rule}, got {value!r}")
 
     @property
     def graph_ids(self) -> tuple[str, ...]:
@@ -158,8 +147,9 @@ class PipelineConfig:
 
     @classmethod
     def from_mapping(cls, data: Mapping, base_dir: str = ".") -> "PipelineConfig":
-        known = {f.name for f in fields(cls)} - {"localness"} | set(_SCALARS)
-        unknown = sorted(set(data) - known)
+        """The config of a JSON object: `inputs` and `synthetic` are built
+        here, every other key goes to its field as it is."""
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
 
@@ -167,66 +157,37 @@ class PipelineConfig:
             return p if os.path.isabs(p) else os.path.join(base_dir, p)
 
         inputs = []
-        items = _json_list("inputs", data.get("inputs", []), dict, "objects")
-        for i, item in enumerate(items):
-            entry = {"id": item.get("id", f"g{i:03d}")}
-            try:
-                entry.update((k, item[k]) for k in ("hierarchy", "callgraph"))
-            except KeyError as exc:
-                raise ConfigError(
-                    f"inputs[{i}] missing field {exc.args[0]!r}"
-                ) from None
-            for key, value in entry.items():
-                if not isinstance(value, str):
-                    raise ConfigError(
-                        f"inputs[{i}].{key} must be a string, got {value!r}"
-                    )
-            inputs.append(GraphInput(
-                graph_id=entry["id"],
-                hierarchy_path=resolve(entry["hierarchy"]),
-                callgraph_path=resolve(entry["callgraph"]),
-            ))
         synthetic = None
-        if "synthetic" in data:
-            spec = data["synthetic"]
-            params_data = spec.get("params", {}) if isinstance(spec, dict) else None
-            if not isinstance(params_data, dict):
-                raise ConfigError(
-                    f"synthetic must be an object with an object 'params', got {spec!r}"
+        try:
+            for i, item in enumerate(checked_list("inputs", data.get("inputs", []), dict)):
+                entry = {"id": item.get("id", f"g{i:03d}")}
+                try:
+                    entry.update((k, item[k]) for k in ("hierarchy", "callgraph"))
+                except KeyError as exc:
+                    raise ValueError(f"inputs[{i}] missing field {exc.args[0]!r}") from None
+                graph_id, hierarchy, callgraph = (
+                    checked(f"inputs[{i}].{key}", value, str) for key, value in entry.items()
                 )
-            params_data = dict(params_data)
-            sites = params_data.get("call_sites_per_method")
-            if isinstance(sites, list):
-                params_data["call_sites_per_method"] = tuple(sites)
-            try:
-                params = GenParams(**params_data)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"synthetic.params: {exc}") from None
-            count = spec.get("count", 1)
-            if not isinstance(count, int) or isinstance(count, bool):
-                raise ConfigError(f"synthetic.count must be an integer, got {count!r}")
-            if count < 1:
-                raise ConfigError(f"synthetic.count must be positive, got {count}")
-            synthetic = SyntheticSpec(count=count, params=params)
-        kwargs = {
-            k: data[k] for k in ("mode", "threshold", "oracle", *_SCALARS)
-            if k in data and k not in _LOCALNESS_KEYS
-        }
-        if "sweep" in data:
-            kwargs["sweep"] = _json_list("sweep", data["sweep"], int, "integers")
-        if "core_prefixes" in data:
-            kwargs["core_prefixes"] = _json_list(
-                "core_prefixes", data["core_prefixes"], str, "strings"
-            )
-        localness = LocalnessOptions(
-            **{k: data[k] for k in _LOCALNESS_KEYS if k in data}
-        )
-        return cls(
-            inputs=tuple(inputs),
-            synthetic=synthetic,
-            localness=localness,
-            **kwargs,
-        )
+                inputs.append(GraphInput(graph_id, resolve(hierarchy), resolve(callgraph)))
+            if "synthetic" in data:
+                spec = data["synthetic"]
+                params = spec.get("params", {}) if isinstance(spec, dict) else None
+                if not isinstance(params, dict):
+                    raise TypeError(
+                        f"synthetic must be an object with an object 'params', got {spec!r}"
+                    )
+                sites = params.get("call_sites_per_method")
+                if type(sites) is list:  # a JSON array; the field is a pair
+                    params = {**params, "call_sites_per_method": tuple(sites)}
+                try:
+                    params = GenParams(**params)
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"synthetic.params: {exc}") from None
+                count = checked("synthetic.count", spec.get("count", 1), int, 1)
+                synthetic = SyntheticSpec(count=count, params=params)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from None
+        return cls(**{**data, "inputs": tuple(inputs), "synthetic": synthetic})
 
     @classmethod
     def from_file(cls, path: str) -> "PipelineConfig":
@@ -301,8 +262,9 @@ class AnalysisReport:
     def aggregates(self) -> dict[int, dict[str, tuple[float, float]]]:
         """Per Top-N mean and population standard deviation of each column.
 
-        Computed once per report and shared by every caller, so treat the
-        result as read-only.
+        A column holding inf or nan has neither: it is a ValueError that
+        names the column and the Top-N.  Computed once per report and shared
+        by every caller, so treat the result as read-only.
         """
         return self._aggregates
 
@@ -317,6 +279,9 @@ class AnalysisReport:
             cols: dict[str, tuple[float, float]] = {}
             for name in AGGREGATE_COLUMNS:
                 values = [float(getattr(r, name)) for r in rows]
+                bad = [v for v in values if not math.isfinite(v)]
+                if bad:
+                    raise ValueError(f"cannot aggregate {name} at Top-N {n}: it holds {bad[0]!r}")
                 cols[name] = (statistics.fmean(values), _pstdev(values))
             out[n] = cols
         return out
@@ -344,15 +309,13 @@ def _sqrt_ratio(p: int, q: int) -> float:
 
 def _pstdev(values: list[float]) -> float:
     """`statistics.pstdev(values)`, the same float, in exact integer arithmetic
-    (since CPython 3.11 `pstdev` also rounds the root once).
+    (since CPython 3.11 `pstdev` also rounds the root once), for one or more
+    finite values.
 
     A finite float is a dyadic rational a/2^k.  Over the column's largest
     denominator D the values are integers a_i, and the variance is
-    (n·Σa² − (Σa)²) / (n·D)², whose root is rounded once.  A column with a
-    non-finite value goes to `statistics.pstdev`, so it behaves the same.
+    (n·Σa² − (Σa)²) / (n·D)², whose root is rounded once.
     """
-    if not values or not all(map(math.isfinite, values)):
-        return statistics.pstdev(values)
     ratios = [v.as_integer_ratio() for v in values]
     den = max(d for _, d in ratios)
     scaled = [a * (den // d) for a, d in ratios]
@@ -395,6 +358,10 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
     records: list[SweepRecord] = []
     errors: list[PipelineError] = []
     roles = ProjectRoleMap(application_project_id=config.application_project)
+    options = LocalnessOptions(
+        extended_hierarchy=config.extended_hierarchy,
+        package_boundary=config.package_boundary,
+    )
     for index, (graph_id, load) in enumerate(_sources(config)):
         stage = "load"
         try:
@@ -404,7 +371,7 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
             stage = "frequencies"
             table = origin_edge_frequencies(cg, origins)
             stage = "localness"
-            labels = label_all(cg, h, config.localness)
+            labels = label_all(cg, h, options)
             level_counts = Counter(labels.values())
             top_rows = table.top(config.localness_top)
             top = [origin for origin, _ in top_rows]

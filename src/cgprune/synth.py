@@ -22,6 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from .io import checked, checked_list
 from .model import (
     CallEdge,
     CallGraph,
@@ -41,9 +42,17 @@ _CALLGRAPH_SEED_OFFSET = 0x9E3779B9
 CORE_PROJECT = "core"
 
 
-def _is_int(value: object) -> bool:
-    """An int that is not a bool (Python counts booleans as ints)."""
-    return isinstance(value, int) and not isinstance(value, bool)
+# Each scalar field of GenParams: its JSON kind, then its least and greatest
+# allowed values, if any.
+_SCALARS: dict[str, tuple] = {
+    "type_count": (int, 1),
+    "max_parents_per_type": (int, 1),
+    "signature_pool_size": (int, 1),
+    "override_probability": (float, 0, 1),
+    "project_count": (int, 1),
+    "core_type_fraction": (float, 0, 1),
+    "seed": (int,),
+}
 
 
 @dataclass(frozen=True)
@@ -64,28 +73,18 @@ class GenParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("type_count", "max_parents_per_type", "signature_pool_size",
-                     "project_count", "seed"):
-            value = getattr(self, name)
-            if not _is_int(value):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-            if value < 1 and name != "seed":
-                raise ValueError(f"{name} must be positive, got {value}")
-        for name in ("override_probability", "core_type_fraction"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise TypeError(f"{name} must be a number, got {value!r}")
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
+        for name, rule in _SCALARS.items():
+            checked(name, getattr(self, name), *rule)
         sites = self.call_sites_per_method
-        if not (isinstance(sites, (tuple, list)) and len(sites) == 2
-                and all(map(_is_int, sites))):
-            raise TypeError(f"call_sites_per_method must be two integers, got {sites!r}")
-        low, high = sites
+        try:
+            low, high = checked_list("call_sites_per_method", sites, int)
+        except (TypeError, ValueError):  # not a list of integers, or not two
+            raise TypeError(
+                f"call_sites_per_method must be two integers, got {sites!r}"
+            ) from None
         if not 0 <= low <= high:
             raise ValueError(
-                f"call_sites_per_method must satisfy 0 <= low <= high, "
-                f"got {self.call_sites_per_method}"
+                f"call_sites_per_method must satisfy 0 <= low <= high, got {sites}"
             )
 
 

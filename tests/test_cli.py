@@ -2,14 +2,18 @@
 
 import csv
 import json
+from dataclasses import replace
 
 import pytest
 
 from cgprune import (
     CallEdge,
+    GenParams,
     TypeNode,
     TypeHierarchy,
     build_call_graph,
+    generate_call_graph_cha,
+    generate_hierarchy,
     load_call_graph,
     load_hierarchy,
     save_call_graph,
@@ -60,6 +64,15 @@ class TestGen:
             ]) == 0
             outs.append((hp.read_bytes(), cp.read_bytes()))
         assert outs[0] == outs[1]
+
+    def test_defaults_are_genparams_defaults(self, tmp_path):
+        hp, cp = tmp_path / "h.jsonl", tmp_path / "cg.jsonl"
+        assert main(["gen", "--out-hierarchy", str(hp), "--out-callgraph", str(cp)]) == 0
+        h = generate_hierarchy(GenParams())
+        save_hierarchy(h, str(tmp_path / "h2.jsonl"))
+        save_call_graph(generate_call_graph_cha(h, GenParams()), str(tmp_path / "cg2.jsonl"))
+        assert hp.read_bytes() == (tmp_path / "h2.jsonl").read_bytes()
+        assert cp.read_bytes() == (tmp_path / "cg2.jsonl").read_bytes()
 
 
 class TestOrigins:
@@ -272,6 +285,13 @@ class TestPipeline:
                      "--out-dir", str(tmp_path / "r")]) == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_config_not_an_object_exits_3(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text("[1, 2]")
+        assert main(["pipeline", "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "r")]) == 3
+        assert capsys.readouterr().err == f"error: {cfg}: config must be a JSON object\n"
+
     def test_out_of_range_config_value_exits_3(self, f1_paths, tmp_path, capsys):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({
@@ -341,6 +361,21 @@ class TestExitCodes:
         assert main(["prune", *f1_paths, "--exclusion-file", str(excl),
                      "--out", str(tmp_path / "out.jsonl")]) == 3
         assert "excl.tsv:2: expected" in capsys.readouterr().err
+
+    def test_ambiguous_exclusion_name_is_validation_error(
+        self, f1, f1_paths, tmp_path, capsys
+    ):
+        # T5 takes T4's fully qualified name, which then names two types
+        types = {**f1.h.types, "T5": replace(f1.h.types["T5"], fq_name="com.app.b.Service")}
+        hp = tmp_path / "twins.jsonl"
+        save_hierarchy(TypeHierarchy(types, f1.h.core_project_id), str(hp))
+        excl = tmp_path / "excl.tsv"
+        excl.write_text("# declared-size: 1\nrun():void\tcom.app.b.Service\n")
+        assert main(["prune", str(hp), f1_paths[1], "--exclusion-file", str(excl),
+                     "--out", str(tmp_path / "out.jsonl")]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {excl}:2: type name 'com.app.b.Service' is ambiguous in this hierarchy\n"
+        )
 
     @pytest.mark.parametrize("text, line", [
         ("# seed: x\n", 1),

@@ -285,6 +285,15 @@ class TestSchemaAndFormatErrors:
         with pytest.raises(RecordFormatError, match="missing field"):
             load_hierarchy(path)
 
+    def test_first_record_must_be_the_header(self, f1, tmp_path):
+        path = self._write(tmp_path, [
+            '{"kind":"node","id":"T4::run():void"}',
+            '{"kind":"header","schema":1,"content":"callgraph"}',
+        ])
+        with pytest.raises(RecordFormatError) as exc:
+            load_call_graph(path, f1.h)
+        assert str(exc.value) == f"{path}:1: first record must be the header"
+
     def test_wrong_content_kind(self, f1, tmp_path):
         path = tmp_path / "h.jsonl"
         save_hierarchy(f1.h, str(path))
