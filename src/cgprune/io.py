@@ -306,7 +306,10 @@ def load_call_graph(path: str, h: TypeHierarchy) -> CallGraph:
     signature = _signature_lookup({s.to_text(): s for s in declared})
 
     def node(uid: str) -> MethodNode:
-        found = by_uid.get(uid)
+        try:
+            found = by_uid.get(uid)
+        except TypeError:  # an array or object is unhashable
+            found = None
         if found is None:
             if type(uid) is not str:
                 checked("method node id", uid, str)

@@ -8,12 +8,12 @@ resolved target.
 
 Everything here is immutable after construction and safe to share across
 threads; the only state added later is lazily built lookup tables (the
-ancestor memo and children index of a TypeHierarchy, the adjacency and
-target indexes of a CallGraph), whose entries are fixed by the values
-themselves.  Analyses elsewhere in the package are pure functions over these
-values.  Construction is permissive; `validate_hierarchy` reports rule
-violations instead of raising, so callers (e.g. file loaders) decide how
-strict to be.
+ancestor, descendant-cone and root-declarer memos and the children and
+declarer indexes of a TypeHierarchy, the adjacency and target indexes of a
+CallGraph), whose entries are fixed by the values themselves.  Analyses
+elsewhere in the package are pure functions over these values.  Construction
+is permissive; `validate_hierarchy` reports rule violations instead of
+raising, so callers (e.g. file loaders) decide how strict to be.
 """
 
 from __future__ import annotations
@@ -159,6 +159,56 @@ class TypeHierarchy:
     def _ancestors(self) -> dict[str, KeysView[str]]:
         # one ancestor walk per type; each view keeps its depth dict alive
         return {}
+
+    def descendant_cone(self, type_id: str) -> frozenset[str]:
+        """`reflexive_descendants(self, type_id)`, memoised per type.
+
+        Pruning unions the cones of every origin type listed for a signature,
+        at every Top-N; keyed per type, overlapping origin sets share them.
+        """
+        found = self._cones.get(type_id)
+        if found is None:
+            found = self._cones[type_id] = frozenset(reflexive_descendants(self, type_id))
+        return found
+
+    @cached_property
+    def _cones(self) -> dict[str, frozenset[str]]:
+        return {}
+
+    def root_declarers(self, sig: MethodSignature) -> frozenset[str]:
+        """R(s): the types declaring `sig` with no other declarer of `sig`
+        among their reflexive ancestors.
+
+        The first declarers above any type t are exactly the members of R(s)
+        among t's reflexive ancestors, since whether a declarer is a root does
+        not depend on t.  Memoised per signature; every declarer's ancestors
+        are walked (through the ancestor memo), so a dangling parent above any
+        declarer raises `UnknownTypeError`.
+        """
+        found = self._roots.get(sig)
+        if found is None:
+            declarers = set(self._declarers.get(sig, ()))
+            found = self._roots[sig] = frozenset(
+                tid for tid in declarers
+                if not any(
+                    a != tid and a in declarers for a in self.reflexive_ancestors(tid)
+                )
+            )
+        return found
+
+    @cached_property
+    def _roots(self) -> dict[MethodSignature, frozenset[str]]:
+        return {}
+
+    @cached_property
+    def _declarers(self) -> Mapping[MethodSignature, list[str]]:
+        """signature -> every type that declares it, built once per hierarchy
+        (lists: a few times smaller than sets, and each is read once)."""
+        index: dict[MethodSignature, list[str]] = {}
+        for tid, node in self.types.items():
+            for sig in node.declared:
+                index.setdefault(sig, []).append(tid)
+        return index
 
     @cached_property
     def children(self) -> Mapping[str, list[str]]:

@@ -111,18 +111,13 @@ def _first_declarers(
     """Minimal first declarations of `sig` above (or at) `type_id`.
 
     Ordered by (depth from the type, type id); the head of the list is the
-    canonical origin.  Depths and ancestor sets come from the hierarchy's
-    memo, so each type is walked once however many signatures it carries.
+    canonical origin.  They are the hierarchy's root declarers of `sig`
+    among the type's reflexive ancestors; depths come from the ancestor memo,
+    so each type is walked once however many signatures it carries.
     """
     depths = h.reflexive_ancestor_depths(type_id)
-    declarers = [tid for tid in depths if h.types[tid].declares(sig)]
-    minimal = [
-        tid
-        for tid in declarers
-        if not any(
-            a != tid and h.types[a].declares(sig) for a in h.reflexive_ancestors(tid)
-        )
-    ]
+    roots = h.root_declarers(sig)
+    minimal = [tid for tid in depths if tid in roots]
     if not minimal:
         # target type does not declare its own signature (invalid graphs
         # only); fall back to self-origin so the map stays total

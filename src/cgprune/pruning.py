@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Mapping, Protocol
 
 from .io import read_text_records, write_text_records
@@ -137,20 +138,18 @@ def _candidate_positions(
     """Positions in `cg.edges` of every edge the exclusion list matches.
 
     Only the listed signatures are looked up in the graph's target index,
-    and each (signature, target type) group is tested once, against the
-    hierarchy's ancestor memo.  A target type the hierarchy lacks descends
-    from nothing, so its edges are never candidates.
+    and their target types are intersected with the union of the origin
+    types' descendant cones, memoised per type by the hierarchy.  A cone
+    holds only known types, so edges into a type the hierarchy lacks are
+    never candidates.
     """
     index = cg.target_positions
     positions: list[int] = []
     for sig, origin_types in excl.by_signature.items():
-        for tid in origin_types:
-            h.node(tid)
-        for target_type, group in index.get(sig, {}).items():
-            if target_type in h.types and not origin_types.isdisjoint(
-                h.reflexive_ancestors(target_type)
-            ):
-                positions.extend(group)
+        cone = set().union(*map(h.descendant_cone, origin_types))
+        by_type = index.get(sig, {})
+        for target_type in cone.intersection(by_type):
+            positions.extend(by_type[target_type])
     return positions
 
 
@@ -191,7 +190,7 @@ def prune_selective(
             if decision.prune and decision.confidence > threshold:
                 keep[i] = False
                 pruned += 1
-    kept = tuple([e for e, k in zip(edges, keep) if k])
+    kept = tuple(compress(edges, keep))
     elapsed = time.perf_counter() - start
     ratio = pruned / cg.edge_count if cg.edge_count else 0.0
     return PruneResult(

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import strategies as st
 
 from cgprune import (
     CallEdge,
@@ -104,6 +105,32 @@ class F1:
 @pytest.fixture
 def f1() -> F1:
     return F1(h=make_f1_hierarchy(), cg=make_f1_callgraph(), edges=f1_edges())
+
+
+# Random hierarchies for differential tests.  Each type's parents are drawn
+# from the types before it, so the parent relation is a DAG with multiple
+# parents (diamonds); each type declares a random subset of SIGS, so one
+# signature may be declared at several independent roots, below another
+# declarer, or where no edge target descends.
+SIGS = ("f", "g", "h")
+
+
+@st.composite
+def hierarchies_with_graphs(draw) -> tuple[TypeHierarchy, CallGraph, list[str]]:
+    """(hierarchy, call graph of up to 40 edges over its types, type ids)."""
+    n = draw(st.integers(1, 10))
+    type_ids = [f"T{i}" for i in range(n)]
+    types = {}
+    for i, tid in enumerate(type_ids):
+        parents = draw(st.lists(st.sampled_from(type_ids[:i]), max_size=3, unique=True)) if i else []
+        declared = draw(st.sets(st.sampled_from(SIGS)))
+        types[tid] = TypeNode(tid, f"x.{tid}", tuple(parents),
+                              frozenset(sig(s) for s in declared), "p")
+    methods = st.builds(MethodNode, st.sampled_from(type_ids), st.sampled_from(SIGS).map(sig))
+    edges = draw(st.lists(
+        st.builds(CallEdge, methods, methods, st.sampled_from(type_ids)), max_size=40,
+    ))
+    return TypeHierarchy(types), build_call_graph([], edges), type_ids
 
 
 # --- acceptance-criterion reporting -----------------------------------------

@@ -346,6 +346,7 @@ class TestIllTypedFields:
         ("edge", "recv", 3),
         ("node", "id", None),
         ("node", "id", [1]),
+        ("edge", "src", {}),
     ])
     def test_ill_typed_field_is_positioned(self, f1, tmp_path, kind, key, value):
         hp, cp = tmp_path / "h.jsonl", tmp_path / "cg.jsonl"
@@ -358,8 +359,11 @@ class TestIllTypedFields:
         records[index][key] = value
         lines[index] = json.dumps(records[index])
         path.write_text("\n".join(lines) + "\n")
-        prefix = re.escape(f"{path}:{index + 1}: ")
-        with pytest.raises(RecordFormatError, match=prefix):
+        message = re.escape(f"{path}:{index + 1}: ")
+        if key in ("src", "dst") or kind == "node":
+            # an unhashable id is named like any other ill-typed one
+            message += re.escape(f"method node id must be a string, got {value!r}")
+        with pytest.raises(RecordFormatError, match=message):
             load_call_graph(str(cp), load_hierarchy(str(hp)))
 
 

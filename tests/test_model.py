@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+from collections import Counter
 import os
 import pickle
 import subprocess
@@ -15,18 +16,26 @@ from conftest import f1_edges, m, make_f1_hierarchy, sig
 
 from cgprune import (
     CallEdge,
+    GenParams,
     MethodNode,
     MethodSignature,
     TypeHierarchy,
     TypeNode,
     UnknownTypeError,
     build_call_graph,
+    build_exclusion_list,
+    find_origins,
+    generate_call_graph_cha,
+    generate_hierarchy,
     is_reflexive_descendant,
+    origin_edge_frequencies,
+    prune_exhaustive,
     reflexive_descendants,
     reverse_adjacency,
     validate_call_graph,
     validate_hierarchy,
 )
+from cgprune import model, pruning
 from cgprune.model import ancestor_depths, edge_sort_key, sort_key
 
 
@@ -217,6 +226,9 @@ class TestDescendants:
             reflexive_descendants(h, "T1", "T9")
         with pytest.raises(UnknownTypeError, match="T9"):
             h.reflexive_ancestors("T9")
+        with pytest.raises(UnknownTypeError, match="T9"):
+            h.descendant_cone("T9")
+        assert "T9" not in h._cones
 
     def test_reflexive_ancestors_memoised(self):
         h = make_f1_hierarchy()
@@ -234,6 +246,43 @@ class TestDescendants:
             if any(is_reflexive_descendant(h, r, u) for r in roots)
         }
         assert reflexive_descendants(h, *roots) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(hierarchies_with_roots())
+    def test_descendant_cone_memo(self, case):
+        h, _ = case
+        for t in h.sorted_ids():
+            cone = h.descendant_cone(t)
+            assert cone == reflexive_descendants(h, t)
+            assert h.descendant_cone(t) is cone
+
+    def test_prune_sweep_walks_each_origin_cone_once(self, monkeypatch):
+        params = GenParams(type_count=120, seed=4)
+        h = generate_hierarchy(params)
+        cg = generate_call_graph_cha(h, params)
+        table = origin_edge_frequencies(cg, find_origins(cg, h))
+        walked = Counter()
+        real = model.reflexive_descendants
+
+        def counting(h, *type_ids):
+            walked.update(type_ids)
+            return real(h, *type_ids)
+
+        def forbidden(self, type_id):
+            raise AssertionError(f"ancestor walk of {type_id}")
+
+        monkeypatch.setattr(model, "reflexive_descendants", counting)
+        # a walk imported into `pruning` past the memo would be counted too
+        monkeypatch.setattr(pruning, "reflexive_descendants", counting, raising=False)
+        monkeypatch.setattr(TypeHierarchy, "reflexive_ancestors", forbidden)
+        fresh = generate_hierarchy(params)  # new, empty memos
+        for n in range(100):
+            prune_exhaustive(cg, build_exclusion_list(table, n), fresh)
+        origin_types = {ref.origin_type for ref, _count in table.top(99)}
+        # rows share origin types, and every N lists the rows before it again
+        assert len(table.top(99)) > len(origin_types)
+        assert walked.keys() == origin_types
+        assert set(walked.values()) == {1}
 
     def test_ancestor_depths_share_the_memo(self):
         diamond = TypeHierarchy({

@@ -3,8 +3,9 @@
 from collections import Counter
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
-from conftest import m, sig
+from conftest import SIGS, hierarchies_with_graphs, m, sig
 
 from cgprune import (
     CallEdge,
@@ -13,6 +14,7 @@ from cgprune import (
     TypeHierarchy,
     TypeNode,
     UnknownTypeError,
+    brute_force_origins,
     build_call_graph,
     build_exclusion_list,
     find_origins,
@@ -23,6 +25,7 @@ from cgprune import (
 )
 import cgprune.origins as origins_module
 from cgprune import model
+from cgprune.model import ancestor_depths
 
 
 def _type(tid, parents=(), declares=()):
@@ -111,6 +114,15 @@ class TestFindOrigins:
         with pytest.raises(UnknownTypeError):
             find_origins(cg, f1.h)
 
+    def test_dangling_parent_above_any_declarer_raises(self, f1):
+        # hand-built only: loaded and generated hierarchies have no dangling
+        # parents.  The root declarers of `next` walk the ancestors of every
+        # declarer, T6 too, although no target descends from T6.
+        types = dict(f1.h.types, T6=_type("T6", parents=("GHOST",), declares=("next",)))
+        h = TypeHierarchy(types, f1.h.core_project_id)
+        with pytest.raises(UnknownTypeError, match="GHOST"):
+            find_origins(f1.cg, h)
+
     def test_empty_graph(self, f1):
         origins = find_origins(build_call_graph([], []), f1.h)
         assert origins.entries == {}
@@ -148,6 +160,52 @@ class TestFindOrigins:
         assert len(targets) > len({t.defining_type for t in targets})
         assert set(walked.values()) == {1}
         assert {t.defining_type for t in targets} <= walked.keys()
+
+
+def _shapes(h, cg, ambiguous):
+    """The hierarchy shapes of one example that the differential must meet."""
+    shapes = set()
+    above = {t: set(ancestor_depths(h, t)) for t in h.types}
+    if any(above[p] & above[q] for t in h.types
+           for p in h.types[t].parents for q in h.types[t].parents if p < q):
+        shapes.add("diamond")
+    if ambiguous:
+        shapes.add("independent roots")
+    for s in SIGS:
+        declarers = {t for t in h.types if h.types[t].declares(sig(s))}
+        if any(len(above[d] & declarers) > 1 for d in declarers):
+            shapes.add("declarer above declarer")
+        targeted = {e.target.defining_type for e in cg.edges if e.target.signature == sig(s)}
+        if targeted and any(all(d not in above[t] for t in targeted) for d in declarers):
+            shapes.add("untargeted declarer")
+    return shapes
+
+
+class TestMatchesBruteForce:
+    def test_random_dags(self):
+        seen = set()
+
+        @settings(
+            max_examples=200, derandomize=True, database=None, deadline=None,
+            suppress_health_check=[HealthCheck.too_slow],
+        )
+        @given(hierarchies_with_graphs())
+        def check(case):
+            h, cg, _ = case
+            origins = find_origins(cg, h)
+            assert origins == brute_force_origins(cg, h)
+            for s in SIGS:
+                declarers = {t for t in h.types if h.types[t].declares(sig(s))}
+                assert h.root_declarers(sig(s)) == {
+                    d for d in declarers
+                    if declarers.isdisjoint(ancestor_depths(h, d).keys() - {d})
+                }
+            seen.update(_shapes(h, cg, origins.ambiguous))
+
+        check()
+        assert seen == {
+            "diamond", "independent roots", "declarer above declarer", "untargeted declarer"
+        }
 
 
 class TestOriginEdgeFrequencies:

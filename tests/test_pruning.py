@@ -1,10 +1,12 @@
 """Pruning: exclusion-list matching, exhaustive and oracle-gated modes."""
 
+import dataclasses
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import m, sig
+from conftest import SIGS, hierarchies_with_graphs, m, sig
 
 from cgprune import (
     CallEdge,
@@ -131,6 +133,16 @@ class TestPruneExhaustive:
         assert result.pruned_graph.edges == (e,)
         assert result.candidate_edges == 0
 
+    def test_dangling_parent_of_target_type_is_ignored(self, f1):
+        # hand-built only: loaded and generated hierarchies have no dangling
+        # parents.  Cones walk the children index, which leaves GHOST out.
+        types = dict(f1.h.types)
+        types["T2"] = dataclasses.replace(types["T2"], parents=("T1", "GHOST"))
+        h = TypeHierarchy(types, f1.h.core_project_id)
+        result = prune_exhaustive(f1.cg, excl_of(("next", "T1")), h)
+        assert result.pruned_edges == 2
+        assert f1.edges["cs1a"] not in result.pruned_graph.edges
+
 
 class TestPruneSelective:
     def test_prune_all_oracle_matches_exhaustive(self, f1):
@@ -253,30 +265,13 @@ class TestExclusionListFile:
 
 
 # Differential test of the indexed prune against `not_excluded`, one edge at
-# a time.  Hierarchies are random DAGs with multiple parents (so diamonds);
-# exclusion lists may name several origin types per signature, origin types
-# that declare nothing, and a signature that no edge targets.
-PRUNE_SIGS = ("f", "g", "h")
-
-
+# a time.  Exclusion lists may name several origin types per signature,
+# origin types that declare nothing, and a signature that no edge targets.
 @st.composite
 def graphs_with_exclusion_lists(draw):
-    n = draw(st.integers(1, 10))
-    type_ids = [f"T{i}" for i in range(n)]
-    types = {}
-    for i, tid in enumerate(type_ids):
-        parents = draw(st.lists(st.sampled_from(type_ids[:i]), max_size=3, unique=True)) if i else []
-        declared = draw(st.sets(st.sampled_from(PRUNE_SIGS)))
-        types[tid] = TypeNode(tid, f"x.{tid}", tuple(parents),
-                              frozenset(sig(s) for s in declared), "p")
-    h = TypeHierarchy(types)
-    methods = st.builds(MethodNode, st.sampled_from(type_ids), st.sampled_from(PRUNE_SIGS).map(sig))
-    edges = draw(st.lists(
-        st.builds(CallEdge, methods, methods, st.sampled_from(type_ids)), max_size=40,
-    ))
-    cg = build_call_graph([], edges)
+    h, cg, type_ids = draw(hierarchies_with_graphs())
     by_signature = {}
-    for name in (*PRUNE_SIGS, "ghost"):
+    for name in (*SIGS, "ghost"):
         origins = draw(st.frozensets(st.sampled_from(type_ids), max_size=3))
         if origins:
             by_signature[sig(name)] = origins
