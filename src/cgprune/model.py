@@ -9,8 +9,11 @@ resolved target.
 Everything here is immutable after construction and safe to share across
 threads; the only state added later is lazily built lookup tables (the
 ancestor, descendant-cone and root-declarer memos and the children and
-declarer indexes of a TypeHierarchy, the adjacency and target indexes of a
-CallGraph), whose entries are fixed by the values themselves.  Analyses
+declarer indexes of a TypeHierarchy; the adjacency, target and predecessor
+indexes and the node-type set of a CallGraph), whose entries are fixed by the
+values themselves.  A graph pruned by `CallGraph.pruned` inherits its
+parent's tables instead of rebuilding them: it shares the node-type set, and
+its predecessor index is derived from the parent's on first use.  Analyses
 elsewhere in the package are pure functions over these values.  Construction
 is permissive; `validate_hierarchy` reports rule violations instead of
 raising, so callers (e.g. file loaders) decide how strict to be.
@@ -21,7 +24,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from operator import attrgetter
+from types import MappingProxyType
 from typing import AbstractSet, Callable, Iterable, KeysView, Mapping, Sequence
 
 
@@ -355,6 +360,68 @@ class CallGraph:
             for sig, by_type in index.items()
         }
 
+    @cached_property
+    def node_types(self) -> frozenset[str]:
+        """The defining type of every node; pruned graphs share their
+        parent's set, since they keep its node set."""
+        return frozenset(n.defining_type for n in self.nodes)
+
+    @cached_property
+    def predecessors(self) -> Mapping[MethodNode, tuple[MethodNode, ...]]:
+        """Target -> its sources, one per edge and in edge order, read-only.
+
+        A graph made by `pruned` holds its parent until first asked, then
+        derives the index from the parent's: a copy in which only the
+        targets of the pruned groups change.
+        """
+        derivation = vars(self).pop("_derivation", None)
+        if derivation is None:
+            return MappingProxyType(_predecessors_from_edges(self))
+        parent, groups, keep = derivation
+        preds = parent.predecessors.copy()
+        edges = parent.edges
+        for group in groups:
+            target = edges[group[0]].target
+            kept = () if keep is None else [edges[i].source for i in group if keep[i]]
+            if kept:
+                preds[target] = tuple(kept)
+            else:
+                del preds[target]
+        return MappingProxyType(preds)
+
+    def pruned(
+        self, groups: Sequence[tuple[int, ...]], keep: Sequence[bool] | None = None
+    ) -> CallGraph:
+        """This graph on the same nodes without some edges of `groups`.
+
+        Each group is one of `target_positions`, so it holds every edge into
+        one target.  Without `keep` every edge of the groups goes; with it,
+        a per-edge mask that is False only inside the groups, the masked
+        edges go.  The result shares this graph's node-type set and derives
+        its predecessor index from this graph's on first use, so a pruned
+        graph that is never propagated builds none.
+        """
+        mask = keep
+        if mask is None:
+            mask = [True] * len(self.edges)
+            for group in groups:
+                for i in group:
+                    mask[i] = False
+        graph = CallGraph(nodes=self.nodes, edges=tuple(compress(self.edges, mask)))
+        vars(graph).update(node_types=self.node_types, _derivation=(self, groups, keep))
+        return graph
+
+
+def _predecessors_from_edges(cg: CallGraph) -> dict[MethodNode, tuple[MethodNode, ...]]:
+    """`CallGraph.predecessors` built from the edges, one tuple per group of
+    `target_positions` (a group lists every edge into one target, in order)."""
+    edges = cg.edges
+    return {
+        edges[group[0]].target: tuple([edges[i].source for i in group])
+        for by_type in cg.target_positions.values()
+        for group in by_type.values()
+    }
+
 
 def build_call_graph(
     nodes: Iterable[MethodNode],
@@ -528,11 +595,10 @@ def reflexive_descendants(h: TypeHierarchy, *type_ids: str) -> set[str]:
 
 def reverse_adjacency(cg: CallGraph) -> Mapping[MethodNode, Sequence[MethodNode]]:
     """Predecessor view: target -> sources, one entry per edge and in edge
-    order, so edge multiplicity is preserved exactly; built afresh per call."""
-    preds: dict[MethodNode, list[MethodNode]] = {}
-    for e in cg.edges:
-        preds.setdefault(e.target, []).append(e.source)
-    return preds
+    order, so edge multiplicity is preserved exactly.  This is the graph's
+    cached, read-only `predecessors` index: built once per graph, or derived
+    from the parent's for a pruned graph."""
+    return cg.predecessors
 
 
 def validate_call_graph(cg: CallGraph, h: TypeHierarchy) -> list[Violation]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain
 from typing import Callable, Mapping, Protocol
 
 from .io import read_text_records, write_text_records
@@ -132,10 +132,11 @@ def prune_exhaustive(
     return prune_selective(cg, excl, h, None)
 
 
-def _candidate_positions(
+def _candidate_groups(
     cg: CallGraph, excl: ExclusionList, h: TypeHierarchy
-) -> list[int]:
-    """Positions in `cg.edges` of every edge the exclusion list matches.
+) -> list[tuple[int, ...]]:
+    """The groups of `cg.target_positions` the exclusion list matches: each
+    lists the positions in `cg.edges` of every edge into one candidate target.
 
     Only the listed signatures are looked up in the graph's target index,
     and their target types are intersected with the union of the origin
@@ -144,13 +145,12 @@ def _candidate_positions(
     never candidates.
     """
     index = cg.target_positions
-    positions: list[int] = []
+    groups: list[tuple[int, ...]] = []
     for sig, origin_types in excl.by_signature.items():
         cone = set().union(*map(h.descendant_cone, origin_types))
         by_type = index.get(sig, {})
-        for target_type in cone.intersection(by_type):
-            positions.extend(by_type[target_type])
-    return positions
+        groups.extend(by_type[target_type] for target_type in cone.intersection(by_type))
+    return groups
 
 
 def prune_selective(
@@ -166,22 +166,27 @@ def prune_selective(
     oracle failure keeps the edge (conservative) and is counted, never
     raised.  The oracle sees the candidates one at a time, in edge order.
     Without an oracle (`None`) every candidate is dropped.
+
+    Candidates come in groups, one per target (`_candidate_groups`), and
+    `CallGraph.pruned` builds the result from them: without an oracle each
+    group goes whole; with one, a per-edge mask says which of its edges go.
+    The pruned graph thus derives its predecessor index from `cg`'s by
+    changing only the candidate targets.
     """
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
     start = time.perf_counter()
-    edges = cg.edges
-    candidates = _candidate_positions(cg, excl, h)
-    keep = [True] * len(edges)
-    pruned = 0
+    groups = _candidate_groups(cg, excl, h)
+    candidates = sum(map(len, groups))
     failures = 0
     if oracle is None:
-        for i in candidates:
-            keep[i] = False
-        pruned = len(candidates)
+        pruned_graph = cg.pruned(groups)
+        pruned = candidates
     else:
-        candidates.sort()
-        for i in candidates:
+        edges = cg.edges
+        keep = [True] * len(edges)
+        pruned = 0
+        for i in sorted(chain.from_iterable(groups)):
             try:
                 decision = oracle.decide(edges[i])
             except Exception:
@@ -190,12 +195,12 @@ def prune_selective(
             if decision.prune and decision.confidence > threshold:
                 keep[i] = False
                 pruned += 1
-    kept = tuple(compress(edges, keep))
+        pruned_graph = cg.pruned(groups, keep)
     elapsed = time.perf_counter() - start
     ratio = pruned / cg.edge_count if cg.edge_count else 0.0
     return PruneResult(
-        pruned_graph=CallGraph(nodes=cg.nodes, edges=kept),
-        candidate_edges=len(candidates),
+        pruned_graph=pruned_graph,
+        candidate_edges=candidates,
         pruned_edges=pruned,
         reduction_ratio=ratio,
         elapsed=elapsed,

@@ -190,7 +190,7 @@ def propagate(
             "assignment references nodes absent from the graph: "
             + ", ".join(n.uid for n in missing)
         )
-    unknown = {n.defining_type for n in cg.nodes} - h.types.keys()
+    unknown = cg.node_types - h.types.keys()
     if unknown:
         raise UnknownTypeError(min(unknown))
     preds = reverse_adjacency(cg)

@@ -19,6 +19,7 @@ from cgprune import (
     GenParams,
     MethodNode,
     MethodSignature,
+    PipelineConfig,
     TypeHierarchy,
     TypeNode,
     UnknownTypeError,
@@ -32,6 +33,7 @@ from cgprune import (
     prune_exhaustive,
     reflexive_descendants,
     reverse_adjacency,
+    run_pipeline,
     validate_call_graph,
     validate_hierarchy,
 )
@@ -470,6 +472,46 @@ class TestReverseAdjacency:
         sources = [e.source for e in cg.edges if e.target == t]
         assert sources == [a, a, b, b]
         assert list(reverse_adjacency(cg)[t]) == sources
+
+    def test_one_read_only_index_of_tuples_per_graph(self, f1):
+        preds = reverse_adjacency(f1.cg)
+        assert reverse_adjacency(f1.cg) is preds
+        assert all(type(sources) is tuple for sources in preds.values())
+        with pytest.raises(TypeError):
+            preds[m("T9", "ghost")] = ()
+
+    @staticmethod
+    def count_builds(monkeypatch) -> list:
+        built = []
+        real = model._predecessors_from_edges
+
+        def counting(cg):
+            built.append(cg)
+            return real(cg)
+
+        monkeypatch.setattr(model, "_predecessors_from_edges", counting)
+        return built
+
+    def test_pipeline_sweep_builds_one_index_from_edges(self, monkeypatch):
+        built = self.count_builds(monkeypatch)
+        report = run_pipeline(PipelineConfig.from_mapping({
+            "synthetic": {"count": 1, "params": {"type_count": 120, "seed": 4}},
+            "sweep": list(range(100)), "cve_count": 2, "warmup": 0, "repetitions": 1,
+        }))
+        assert len(report.records) == 100 and not report.errors
+        # the base graph's; every pruned graph derives its own from it
+        assert len(built) == 1
+
+    def test_prune_sweep_builds_no_index(self, monkeypatch):
+        params = GenParams(type_count=120, seed=4)
+        h = generate_hierarchy(params)
+        cg = generate_call_graph_cha(h, params)
+        table = origin_edge_frequencies(cg, find_origins(cg, h))
+        built = self.count_builds(monkeypatch)
+        for n in range(100):
+            pruned = prune_exhaustive(cg, build_exclusion_list(table, n), h).pruned_graph
+            assert pruned.node_types is cg.node_types
+        assert built == []
 
 
 class TestValidateCallGraph:

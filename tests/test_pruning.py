@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import SIGS, hierarchies_with_graphs, m, sig
+from conftest import SIGS, hierarchies_with_graphs, m, predecessor_lists, sig
 
 from cgprune import (
     CallEdge,
@@ -15,10 +15,12 @@ from cgprune import (
     KeepAllOracle,
     MethodNode,
     PruneAllOracle,
+    ProjectRoleMap,
     PruneDecision,
     TypeHierarchy,
     TypeNode,
     UnknownTypeError,
+    VulnerabilityAssignment,
     build_call_graph,
     build_exclusion_list,
     find_origins,
@@ -26,7 +28,9 @@ from cgprune import (
     not_excluded,
     origin_edge_frequencies,
     prune_exhaustive,
+    propagate,
     prune_selective,
+    reverse_adjacency,
     save_exclusion_list,
 )
 
@@ -317,3 +321,89 @@ class TestIndexedPruneMatchesPerEdgeReference:
         assert result.candidate_edges == len(candidates)
         assert result.pruned_edges == len(dropped)
         assert result.pruned_graph.nodes is cg.nodes
+
+
+# Differential test of the indexes a pruned graph inherits from its parent,
+# at every Top-N of a sweep, against a fresh graph on the same nodes and
+# edges, which builds its own from the edges.  Every type of the drawn
+# hierarchies is in project "p", so every node is application code.
+ALL_APPLICATION = ProjectRoleMap(application_project_id="p")
+
+
+@st.composite
+def sweeps_with_marked_edges(draw):
+    """(hierarchy, graph, marked edges, vulnerable nodes, whether a graph
+    pruned from a pruned graph is checked before its parent)."""
+    h, cg, _ = draw(hierarchies_with_graphs())
+    marked = draw(st.frozensets(st.sampled_from(cg.edges))) if cg.edges else frozenset()
+    nodes = cg.sorted_nodes()
+    vulnerable = draw(st.frozensets(st.sampled_from(nodes))) if nodes else frozenset()
+    return h, cg, marked, vulnerable, draw(st.booleans())
+
+
+class FailingOracle:
+    """Raises on the marked edges and condemns every other candidate."""
+
+    def __init__(self, marked):
+        self.marked = marked
+
+    def decide(self, edge):
+        if edge in self.marked:
+            raise RuntimeError(f"no verdict for {edge}")
+        return PruneDecision(True, 1.0)
+
+
+def prune_in_mode(mode, cg, excl, h, marked):
+    if mode == "exhaustive":
+        return prune_exhaustive(cg, excl, h).pruned_graph
+    if mode == "table":  # condemns the marked edges only: groups go in part
+        oracle = FixedTableOracle({e: PruneDecision(True, 1.0) for e in marked})
+    else:
+        oracle = FailingOracle(marked)
+    return prune_selective(cg, excl, h, oracle, 0.5).pruned_graph
+
+
+def assert_inherits_like_a_fresh_build(pruned, base, h, vulnerable):
+    fresh = build_call_graph(pruned.nodes, pruned.edges)
+    assert fresh.edges == pruned.edges
+    preds = reverse_adjacency(pruned)
+    # same keys, source order and multiplicity; no target without sources
+    assert preds == reverse_adjacency(fresh)
+    assert preds == {t: tuple(ss) for t, ss in predecessor_lists(pruned).items()}
+    assert all(type(ss) is tuple and ss for ss in preds.values())
+    assert pruned.node_types == fresh.node_types
+    assert pruned.node_types is base.node_types
+    assignment = VulnerabilityAssignment(vulnerable, seed=0, requested=len(vulnerable))
+    got, want = (
+        propagate(g, assignment, ALL_APPLICATION, h, collect_witnesses=True)
+        for g in (pruned, fresh)
+    )
+    assert got.reachable_pairs == want.reachable_pairs
+    assert got.reachable_vuln_fraction == want.reachable_vuln_fraction
+    assert got.reached_vulnerable == want.reached_vulnerable
+    assert got.witnesses == want.witnesses
+
+
+class TestPrunedGraphInheritsIndexes:
+    @pytest.mark.parametrize("mode", ["exhaustive", "table", "failing"])
+    @settings(
+        max_examples=200, derandomize=True, database=None, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(case=sweeps_with_marked_edges())
+    def test_derived_index_matches_a_fresh_build_at_every_n(self, mode, case):
+        h, cg, marked, vulnerable, nested_first = case
+        table = origin_edge_frequencies(cg, find_origins(cg, h))
+        full = build_exclusion_list(table, len(table.rows))
+        for n in range(len(table.rows) + 1):
+            pruned = prune_in_mode(mode, cg, build_exclusion_list(table, n), h, marked)
+            # pruned again at the full list; checked first, its index is
+            # derived from a parent whose own index is not derived yet
+            nested = prune_in_mode(mode, pruned, full, h, marked)
+            graphs = [nested, pruned] if nested_first else [pruned, nested]
+            for g in graphs:
+                assert_inherits_like_a_fresh_build(g, cg, h, vulnerable)
+        # deriving never changed the base graph's own index
+        base_preds = reverse_adjacency(cg)
+        assert base_preds == reverse_adjacency(build_call_graph(cg.nodes, cg.edges))
+        assert base_preds == {t: tuple(ss) for t, ss in predecessor_lists(cg).items()}

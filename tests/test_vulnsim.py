@@ -6,14 +6,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import m
+from conftest import m, predecessor_lists
 
 from cgprune import (
     CallEdge,
+    ExclusionList,
+    FixedTableOracle,
     MethodNode,
     MethodSignature,
     NoEligibleNodesError,
     ProjectRoleMap,
+    PruneDecision,
     ReachabilityResult,
     TypeHierarchy,
     TypeNode,
@@ -25,7 +28,7 @@ from cgprune import (
     load_assignment,
     propagate,
     prune_exhaustive,
-    reverse_adjacency,
+    prune_selective,
     save_assignment,
 )
 from cgprune.vulnsim import _reach_one
@@ -313,9 +316,31 @@ def graphs_with_vulnerable_sets(draw):
     return cg, frozenset(nodes[i] for i in vulnerable)
 
 
+@st.composite
+def pruned_graphs_with_vulnerable_sets(draw):
+    """A drawn graph pruned selectively: some signatures list drawn origin
+    types (DIFF_H is flat, so each cone is its type alone), and the oracle
+    condemns a drawn subset of the candidates, so some targets lose only
+    part of their edges."""
+    cg, vulnerable = draw(graphs_with_vulnerable_sets())
+    type_ids = st.sampled_from(sorted(DIFF_H.types))
+    by_signature = {
+        s: draw(st.frozensets(type_ids, min_size=1))
+        for s in sorted({n.signature for n in cg.nodes})
+        if draw(st.booleans())
+    }
+    condemned = draw(st.frozensets(st.sampled_from(cg.edges)))
+    pruned = prune_selective(
+        cg, ExclusionList(by_signature, len(by_signature)), DIFF_H,
+        FixedTableOracle({e: PruneDecision(True, 1.0) for e in condemned}), 0.5,
+    ).pruned_graph
+    return pruned, vulnerable
+
+
 def per_vulnerable_bfs(cg, vulnerable):
-    """Reference: one reverse BFS per vulnerable node, as `_reach_one` runs it."""
-    preds = reverse_adjacency(cg)
+    """Reference: one reverse BFS per vulnerable node, as `_reach_one` runs it,
+    over predecessor lists the tests build from the edges, not the model's."""
+    preds = predecessor_lists(cg)
     apps = {n for n in cg.nodes if ROLES.is_application(DIFF_H, n)}
     witnesses = {}
     for vuln in sorted(vulnerable):
@@ -335,7 +360,19 @@ class TestBitParallelPassMatchesPerVulnerableBfs:
     )
     @given(graphs_with_vulnerable_sets())
     def test_same_pairs_fraction_reached_set_and_witnesses(self, case):
-        cg, vulnerable = case
+        self.check(*case)
+
+    @settings(
+        max_examples=200, derandomize=True, database=None, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(pruned_graphs_with_vulnerable_sets())
+    def test_same_on_pruned_graphs(self, case):
+        # the pass reads the index the pruned graph derives from its parent's
+        self.check(*case)
+
+    @staticmethod
+    def check(cg, vulnerable):
         expected = per_vulnerable_bfs(cg, vulnerable)
         reached = {vuln for _, vuln in expected}
         result = propagate(
