@@ -8,15 +8,20 @@ resolved target.
 
 Everything here is immutable after construction and safe to share across
 threads; the only state added later is lazily built lookup tables (the
-ancestor, descendant-cone and root-declarer memos and the children and
-declarer indexes of a TypeHierarchy; the adjacency, target and predecessor
-indexes and the node-type set of a CallGraph), whose entries are fixed by the
-values themselves.  A graph pruned by `CallGraph.pruned` inherits its
-parent's tables instead of rebuilding them: it shares the node-type set, and
-its predecessor index is derived from the parent's on first use.  Analyses
-elsewhere in the package are pure functions over these values.  Construction
-is permissive; `validate_hierarchy` reports rule violations instead of
-raising, so callers (e.g. file loaders) decide how strict to be.
+ancestor, descendant-cone, root-declarer and application-type memos and the
+children and declarer indexes of a TypeHierarchy; the adjacency and target
+indexes, the node-type set, the dense node ids and the predecessor index of
+a CallGraph, plus the candidate groups `pruning` memoises on a graph), whose
+entries are fixed by the values themselves.  The predecessor index is one
+list over the node ids: per node, the ids of its callers in edge order
+(`PredecessorIndex`, which reads as a node-keyed mapping).  A graph pruned
+by `CallGraph.pruned` inherits its parent's tables instead of rebuilding
+them: it shares the node-type set and, on first use, the node ids, and
+derives its predecessor index from the parent's by copying the list and
+replacing the entries of the pruned targets.  Analyses elsewhere in the
+package are pure functions over these values.  Construction is permissive;
+`validate_hierarchy` reports rule violations instead of raising, so callers
+(e.g. file loaders) decide how strict to be.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 from operator import attrgetter
-from types import MappingProxyType
 from typing import AbstractSet, Callable, Iterable, KeysView, Mapping, Sequence
 
 
@@ -178,6 +182,23 @@ class TypeHierarchy:
 
     @cached_property
     def _cones(self) -> dict[str, frozenset[str]]:
+        return {}
+
+    def application_types(self, project_id: str) -> frozenset[str]:
+        """The types of `project_id` that are not core-library types,
+        memoised per project: `vulnsim.propagate` flags application nodes by
+        this set on every call.  `ProjectRoleMap.is_application` applies the
+        same rule one type at a time and serves the tests as its reference."""
+        found = self._application_types.get(project_id)
+        if found is None:
+            found = self._application_types[project_id] = frozenset(
+                tid for tid, t in self.types.items()
+                if t.project_id == project_id and not t.is_core_lib
+            )
+        return found
+
+    @cached_property
+    def _application_types(self) -> dict[str, frozenset[str]]:
         return {}
 
     def root_declarers(self, sig: MethodSignature) -> frozenset[str]:
@@ -367,27 +388,46 @@ class CallGraph:
         return frozenset(n.defining_type for n in self.nodes)
 
     @cached_property
-    def predecessors(self) -> Mapping[MethodNode, tuple[MethodNode, ...]]:
+    def node_ids(self) -> Mapping[MethodNode, int]:
+        """Dense node ids: node -> 0..node_count-1, keys in id order.
+
+        A graph made by `pruned` keeps its parent's node set and shares its
+        ids, built on first use by whichever graph of the family asks first.
+        """
+        derivation = vars(self).get("_derivation")
+        if derivation is not None:
+            return derivation[0].node_ids
+        return {n: i for i, n in enumerate(self.nodes)}
+
+    @cached_property
+    def _target_ids(self) -> tuple[int, ...]:
+        """The target's node id of each edge, in edge order: a graph pruned
+        from this one finds the targets of its groups here."""
+        return tuple(map(self.node_ids.__getitem__, map(attrgetter("target"), self.edges)))
+
+    @cached_property
+    def predecessors(self) -> PredecessorIndex:
         """Target -> its sources, one per edge and in edge order, read-only.
 
         A graph made by `pruned` holds its parent until first asked, then
-        derives the index from the parent's: a copy in which only the
-        targets of the pruned groups change.
+        derives the index from the parent's: one copy of the source-id list
+        in which only the targets of the pruned groups change.
         """
-        derivation = vars(self).pop("_derivation", None)
+        derivation = vars(self).get("_derivation")
         if derivation is None:
-            return MappingProxyType(_predecessors_from_edges(self))
+            return _predecessors_from_edges(self)
         parent, groups, keep = derivation
-        preds = parent.predecessors.copy()
-        edges = parent.edges
+        base = parent.predecessors
+        targets = parent._target_ids
+        sources = base.sources.copy()
         for group in groups:
-            target = edges[group[0]].target
-            kept = () if keep is None else [edges[i].source for i in group if keep[i]]
-            if kept:
-                preds[target] = tuple(kept)
-            else:
-                del preds[target]
-        return MappingProxyType(preds)
+            t = targets[group[0]]
+            sources[t] = () if keep is None else tuple(
+                compress(base.sources[t], [keep[i] for i in group])
+            )
+        vars(self)["node_ids"] = base.ids
+        vars(self).pop("_derivation", None)
+        return PredecessorIndex(base.nodes, base.ids, sources)
 
     def pruned(
         self, groups: Sequence[tuple[int, ...]], keep: Sequence[bool] | None = None
@@ -397,9 +437,9 @@ class CallGraph:
         Each group is one of `target_positions`, so it holds every edge into
         one target.  Without `keep` every edge of the groups goes; with it,
         a per-edge mask that is False only inside the groups, the masked
-        edges go.  The result shares this graph's node-type set and derives
-        its predecessor index from this graph's on first use, so a pruned
-        graph that is never propagated builds none.
+        edges go.  The result shares this graph's node-type set, and its
+        node ids and predecessor index come from this graph's on first use,
+        so a pruned graph that is never propagated builds neither.
         """
         mask = keep
         if mask is None:
@@ -412,15 +452,53 @@ class CallGraph:
         return graph
 
 
-def _predecessors_from_edges(cg: CallGraph) -> dict[MethodNode, tuple[MethodNode, ...]]:
-    """`CallGraph.predecessors` built from the edges, one tuple per group of
-    `target_positions` (a group lists every edge into one target, in order)."""
+class PredecessorIndex(Mapping[MethodNode, tuple[MethodNode, ...]]):
+    """A graph's predecessor index on dense node ids, read as a mapping.
+
+    `sources[i]` holds the ids of node i's callers, one per edge into it and
+    in edge order (empty when no edge enters it); `nodes[i]` is node i and
+    `ids` maps each node to its id.  The mapping view keys every target that
+    has a caller to a tuple of its sources as nodes; it holds no node-keyed
+    copy, so a lookup builds the tuple.  Int walks read `sources` directly.
+    """
+
+    __slots__ = ("nodes", "ids", "sources")
+
+    def __init__(
+        self,
+        nodes: Sequence[MethodNode],
+        ids: Mapping[MethodNode, int],
+        sources: list[tuple[int, ...]],
+    ) -> None:
+        self.nodes = nodes
+        self.ids = ids
+        self.sources = sources
+
+    def __getitem__(self, node: MethodNode) -> tuple[MethodNode, ...]:
+        i = self.ids.get(node)
+        found = () if i is None else self.sources[i]
+        if not found:
+            raise KeyError(node)
+        return tuple(map(self.nodes.__getitem__, found))
+
+    def __iter__(self):
+        return compress(self.nodes, self.sources)
+
+    def __len__(self) -> int:
+        return len(self.sources) - self.sources.count(())
+
+
+def _predecessors_from_edges(cg: CallGraph) -> PredecessorIndex:
+    """`CallGraph.predecessors` built from the edges on the graph's node ids,
+    one source tuple per group of `target_positions` (a group lists every
+    edge into one target, in order)."""
+    ids = cg.node_ids
     edges = cg.edges
-    return {
-        edges[group[0]].target: tuple([edges[i].source for i in group])
-        for by_type in cg.target_positions.values()
-        for group in by_type.values()
-    }
+    sources: list[tuple[int, ...]] = [()] * len(ids)
+    for by_type in cg.target_positions.values():
+        for group in by_type.values():
+            sources[ids[edges[group[0]].target]] = tuple([ids[edges[i].source] for i in group])
+    return PredecessorIndex(tuple(ids), ids, sources)
 
 
 def build_call_graph(
@@ -593,7 +671,7 @@ def reflexive_descendants(h: TypeHierarchy, *type_ids: str) -> set[str]:
     return seen
 
 
-def reverse_adjacency(cg: CallGraph) -> Mapping[MethodNode, Sequence[MethodNode]]:
+def reverse_adjacency(cg: CallGraph) -> PredecessorIndex:
     """Predecessor view: target -> sources, one entry per edge and in edge
     order, so edge multiplicity is preserved exactly.  This is the graph's
     cached, read-only `predecessors` index: built once per graph, or derived

@@ -143,13 +143,26 @@ def _candidate_groups(
     types' descendant cones, memoised per type by the hierarchy.  A cone
     holds only known types, so edges into a type the hierarchy lacks are
     never candidates.
+
+    The groups of each (signature, origin types) entry are memoised on the
+    graph for the hierarchy they were first found with; the memo holds that
+    hierarchy and starts afresh when asked with another one.  A Top-N sweep
+    thus unions cones only for the entries that changed since the last N.
     """
+    memo = vars(cg).get("_candidate_memo")
+    if memo is None or memo[0] is not h:
+        memo = vars(cg)["_candidate_memo"] = (h, {})
+    found = memo[1]
     index = cg.target_positions
     groups: list[tuple[int, ...]] = []
-    for sig, origin_types in excl.by_signature.items():
-        cone = set().union(*map(h.descendant_cone, origin_types))
-        by_type = index.get(sig, {})
-        groups.extend(by_type[target_type] for target_type in cone.intersection(by_type))
+    for entry in excl.by_signature.items():
+        matched = found.get(entry)
+        if matched is None:
+            sig, origin_types = entry
+            cone = set().union(*map(h.descendant_cone, origin_types))
+            by_type = index.get(sig, {})
+            matched = found[entry] = tuple([by_type[t] for t in cone.intersection(by_type)])
+        groups.extend(matched)
     return groups
 
 

@@ -164,15 +164,17 @@ def propagate(
 ) -> ReachabilityResult:
     """Measure application-to-vulnerable reachability over `cg`.
 
-    The nodes that reach a vulnerable node get dense int ids and callee
-    lists, and each vulnerable node one bit of a Python int; one pass, a
-    Tarjan walk from the application nodes (`model.component_masks`), then
-    gives each the set of vulnerable nodes it reaches.  The pass follows
-    the reverse-reachable part, not the graph's size.  A pair is an
-    application node plus a vulnerable node in its set, other than itself:
-    a node never pairs with itself, even when it lies on a cycle or calls
-    itself.  That matters for assignments loaded from a file, which may
-    name application nodes.
+    The nodes that reach a vulnerable node, found by walking the graph's
+    integer predecessor index (`reverse_adjacency`), get dense local ids and
+    callee lists, and each vulnerable node one bit of a Python int; one
+    pass, a Tarjan walk from the application nodes (`model.component_masks`),
+    then gives each the set of vulnerable nodes it reaches.  Application
+    nodes are those whose type is in the hierarchy's memoised set of the
+    project's types.  The pass follows the reverse-reachable part, not the
+    graph's size.  A pair is an application node plus a vulnerable node in
+    its set, other than itself: a node never pairs with itself, even when
+    it lies on a cycle or calls itself.  That matters for assignments loaded
+    from a file, which may name application nodes.
 
     The pass runs `warmup` unmeasured times, then `repetitions` measured
     times; `elapsed` is the mean time of one measured pass, the whole walk
@@ -194,28 +196,30 @@ def propagate(
     if unknown:
         raise UnknownTypeError(min(unknown))
     preds = reverse_adjacency(cg)
-    # Only nodes that reach a vulnerable node get an id: the vulnerable ones
-    # first (node i owns bit i), then each caller as the walk over `preds`
-    # first meets it.  `nodes` grows while the loop reads it.
+    sources, graph_nodes = preds.sources, preds.nodes
+    # Only nodes that reach a vulnerable node get a local id: the vulnerable
+    # ones first (node i owns bit i), then each caller as the walk over the
+    # graph's int `sources` first meets it.  `order` maps local ids to graph
+    # node ids and grows while the loop reads it.
     vulnerable = sorted(assignment.vulnerable, key=sort_key)
     k = len(vulnerable)
-    nodes = list(vulnerable)
-    index = {n: i for i, n in enumerate(nodes)}
-    callees: list[list[int]] = [[] for _ in nodes]
-    for t, node in enumerate(nodes):
-        for s in preds.get(node, ()):
-            i = index.get(s)
+    order = list(map(preds.ids.__getitem__, vulnerable))
+    local = {g: i for i, g in enumerate(order)}
+    callees: list[list[int]] = [[] for _ in order]
+    for t, g in enumerate(order):
+        for s in sources[g]:
+            i = local.get(s)
             if i is None:
-                i = index[s] = len(nodes)
-                nodes.append(s)
+                i = local[s] = len(order)
+                order.append(s)
                 callees.append([])
             callees[i].append(t)
-    del index  # not needed past here; freeing it lowers the passes' peak memory
-    is_app = roles._is_application_type
-    apps = [i for i, n in enumerate(nodes) if is_app(h.types[n.defining_type])]
+    del local  # not needed past here; freeing it lowers the passes' peak memory
+    app_types = h.application_types(roles.application_project_id)
+    apps = [i for i, g in enumerate(order) if graph_nodes[g].defining_type in app_types]
 
     def run() -> tuple[int, int]:
-        mask = [1 << i for i in range(k)] + [0] * (len(nodes) - k)
+        mask = [1 << i for i in range(k)] + [0] * (len(order) - k)
         component_masks(callees, mask, apps)
         for i in range(k):
             mask[i] ^= 1 << i  # the self-pair rule
@@ -239,7 +243,7 @@ def propagate(
     witnesses = None
     if collect_witnesses:
         witnesses = {}
-        app_nodes = {nodes[a] for a in apps}
+        app_nodes = {graph_nodes[order[a]] for a in apps}
         for vuln in reached:
             _, next_hop = _reach_one(preds, vuln)
             for app in sorted(app_nodes & next_hop.keys(), key=sort_key):

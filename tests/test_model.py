@@ -34,10 +34,12 @@ from cgprune import (
     reflexive_descendants,
     reverse_adjacency,
     run_pipeline,
+    save_call_graph,
+    save_hierarchy,
     validate_call_graph,
     validate_hierarchy,
 )
-from cgprune import model, pruning
+from cgprune import cli, model, pruning
 from cgprune.model import ancestor_depths, edge_sort_key, sort_key
 
 
@@ -502,16 +504,35 @@ class TestReverseAdjacency:
         # the base graph's; every pruned graph derives its own from it
         assert len(built) == 1
 
-    def test_prune_sweep_builds_no_index(self, monkeypatch):
+    def test_prune_sweep_builds_no_index(self, monkeypatch, tmp_path):
         params = GenParams(type_count=120, seed=4)
         h = generate_hierarchy(params)
         cg = generate_call_graph_cha(h, params)
         table = origin_edge_frequencies(cg, find_origins(cg, h))
         built = self.count_builds(monkeypatch)
+        graphs = [cg]
         for n in range(100):
             pruned = prune_exhaustive(cg, build_exclusion_list(table, n), h).pruned_graph
             assert pruned.node_types is cg.node_types
+            graphs.append(pruned)
+
+        # `prune --out` loads, prunes and saves: it needs no index either
+        h_path, cg_path = str(tmp_path / "h.jsonl"), str(tmp_path / "cg.jsonl")
+        save_hierarchy(h, h_path)
+        save_call_graph(cg, cg_path)
+        for name in ("load_call_graph", "save_call_graph"):
+            def recording(*args, _real=getattr(cli, name), **kwargs):
+                result = _real(*args, **kwargs)
+                graphs.append(args[0] if result is None else result)
+                return result
+            monkeypatch.setattr(cli, name, recording)
+        out = str(tmp_path / "pruned.jsonl")
+        assert cli.main(["prune", h_path, cg_path, "--top-n", "10", "--out", out]) == 0
+        assert len(graphs) == 103
+
         assert built == []
+        for g in graphs:
+            assert not {"node_ids", "predecessors"} & vars(g).keys()
 
 
 class TestValidateCallGraph:
@@ -546,3 +567,10 @@ class TestHierarchyLookup:
         h = make_f1_hierarchy()
         assert "T3" in h
         assert "T9" not in h
+
+    def test_application_types_are_memoised_per_project(self):
+        h = make_f1_hierarchy()
+        assert h.application_types("app") == {"T2", "T4", "T5"}
+        assert h.application_types("app") is h.application_types("app")
+        assert h.application_types("lib") == {"T3"}
+        assert h.application_types("jre") == frozenset()  # core types never are

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import SIGS, hierarchies_with_graphs, m, predecessor_lists, sig
+from conftest import (
+    SIGS, hierarchies_with_graphs, m, make_f1_hierarchy, predecessor_lists, sig,
+)
 
 from cgprune import (
     CallEdge,
@@ -363,14 +365,33 @@ def prune_in_mode(mode, cg, excl, h, marked):
     return prune_selective(cg, excl, h, oracle, 0.5).pruned_graph
 
 
+def assert_index_matches_edges(g):
+    """`reverse_adjacency(g)` against the reference built from `g.edges`:
+    the same targets, each with its sources in edge order and multiplicity,
+    no entry without sources; one read-only object per graph."""
+    preds = reverse_adjacency(g)
+    want = predecessor_lists(g)
+    keys = list(preds)
+    assert len(keys) == len(preds) == len(want)
+    assert set(keys) == want.keys()
+    for target, sources in want.items():
+        assert target in preds
+        assert preds[target] == tuple(sources)
+    for node in g.nodes - want.keys():
+        assert node not in preds and preds.get(node) is None
+    assert all(type(ss) is tuple and ss for ss in preds.values())
+    assert preds == {t: tuple(ss) for t, ss in want.items()}
+    assert reverse_adjacency(g) is preds
+    with pytest.raises(TypeError):
+        preds[m("T0", "ghost")] = ()
+
+
 def assert_inherits_like_a_fresh_build(pruned, base, h, vulnerable):
     fresh = build_call_graph(pruned.nodes, pruned.edges)
     assert fresh.edges == pruned.edges
-    preds = reverse_adjacency(pruned)
-    # same keys, source order and multiplicity; no target without sources
-    assert preds == reverse_adjacency(fresh)
-    assert preds == {t: tuple(ss) for t, ss in predecessor_lists(pruned).items()}
-    assert all(type(ss) is tuple and ss for ss in preds.values())
+    assert_index_matches_edges(pruned)
+    assert reverse_adjacency(pruned) == reverse_adjacency(fresh)
+    assert pruned.node_ids is base.node_ids
     assert pruned.node_types == fresh.node_types
     assert pruned.node_types is base.node_types
     assignment = VulnerabilityAssignment(vulnerable, seed=0, requested=len(vulnerable))
@@ -393,6 +414,7 @@ class TestPrunedGraphInheritsIndexes:
     @given(case=sweeps_with_marked_edges())
     def test_derived_index_matches_a_fresh_build_at_every_n(self, mode, case):
         h, cg, marked, vulnerable, nested_first = case
+        assert_index_matches_edges(cg)
         table = origin_edge_frequencies(cg, find_origins(cg, h))
         full = build_exclusion_list(table, len(table.rows))
         for n in range(len(table.rows) + 1):
@@ -407,3 +429,106 @@ class TestPrunedGraphInheritsIndexes:
         base_preds = reverse_adjacency(cg)
         assert base_preds == reverse_adjacency(build_call_graph(cg.nodes, cg.edges))
         assert base_preds == {t: tuple(ss) for t, ss in predecessor_lists(cg).items()}
+        assert_index_matches_edges(cg)
+
+    @pytest.mark.parametrize("mode", ["table", "failing"])
+    def test_a_partly_pruned_target_keeps_its_other_sources(self, f1, mode):
+        # T4.run has two callers and loses only the edge from T4.use: the
+        # table condemns it alone, the failing oracle raises on the other
+        run = excl_of(("run", "T4"))
+        if mode == "table":
+            oracle = FixedTableOracle({f1.edges["cs4"]: PruneDecision(True, 1.0)})
+        else:
+            oracle = FailingOracle({f1.edges["cs5"]})
+        pruned = prune_selective(f1.cg, run, f1.h, oracle, 0.5).pruned_graph
+        assert reverse_adjacency(pruned)[m("T4", "run")] == (m("T3", "next"),)
+        nested = prune_exhaustive(pruned, excl_of(("next", "T1")), f1.h).pruned_graph
+        assert m("T3", "next") not in reverse_adjacency(nested)
+        for g in (nested, pruned, f1.cg):
+            assert_index_matches_edges(g)
+            assert g.node_ids is f1.cg.node_ids
+
+
+# The candidate memo against the per-edge reference: exclusion lists drawn
+# independently (not the prefixes of one frequency table), pruned against
+# the drawn hierarchy and, alternately, against a hierarchy on other parents
+# that is built afresh and dropped every round.
+@st.composite
+def memo_rounds(draw):
+    """(hierarchy, graph, exclusion lists, per list the parents of a fresh
+    hierarchy).  Signature f cycles through origin sets A, A | B and B in a
+    drawn order, so from one list to the next its set grows, shrinks or
+    turns disjoint."""
+    h, cg, type_ids = draw(hierarchies_with_graphs())
+    types = st.sampled_from(type_ids)
+    a = draw(st.frozensets(types, min_size=1, max_size=3))
+    rest = [t for t in type_ids if t not in a]
+    b = draw(st.frozensets(st.sampled_from(rest), min_size=1, max_size=3)) if rest else a
+    f_sets = draw(st.lists(st.sampled_from([a, a | b, b]), min_size=2, max_size=6))
+    lists, fresh_parents = [], []
+    for f_set in f_sets:
+        by_signature = {}
+        for name in draw(st.permutations(("f", "g", "h", "ghost"))):
+            origins = f_set if name == "f" else draw(st.frozensets(types, max_size=3))
+            if origins:
+                by_signature[sig(name)] = origins
+        lists.append(ExclusionList(by_signature, len(by_signature)))
+        fresh_parents.append({
+            tid: tuple(draw(st.lists(st.sampled_from(type_ids[:i]), max_size=3, unique=True)))
+            if i else ()
+            for i, tid in enumerate(type_ids)
+        })
+    return h, cg, lists, fresh_parents
+
+
+class TestCandidateMemo:
+    @settings(
+        max_examples=200, derandomize=True, database=None, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(memo_rounds())
+    def test_alternating_hierarchies_keep_the_reference_edges(self, case):
+        h, cg, lists, fresh_parents = case
+
+        def check(excl, hierarchy):
+            kept = prune_exhaustive(cg, excl, hierarchy).pruned_graph.edges
+            assert kept == tuple(
+                e for e in cg.edges
+                if not_excluded(excl, e.target.signature, e.target.defining_type, hierarchy)
+            )
+
+        for r, (excl, parents) in enumerate(zip(lists, fresh_parents)):
+            # on even rounds a fresh hierarchy follows the one just dropped,
+            # which may leave its address (and `id`) to the new one
+            if r % 2:
+                check(excl, h)
+            fresh = TypeHierarchy({
+                tid: dataclasses.replace(t, parents=parents[tid])
+                for tid, t in h.types.items()
+            })
+            check(excl, fresh)
+            check(lists[r - 1], fresh)
+            del fresh
+        for excl in lists:  # one hierarchy throughout: the memo answers
+            check(excl, h)
+
+    def test_a_sweep_step_unions_cones_for_the_changed_entry_only(self, f1, monkeypatch):
+        asked = []
+        real = TypeHierarchy.descendant_cone
+
+        def counting(self, type_id):
+            asked.append(type_id)
+            return real(self, type_id)
+
+        monkeypatch.setattr(TypeHierarchy, "descendant_cone", counting)
+        prune_exhaustive(f1.cg, excl_of(("next", "T1"), ("run", "T4")), f1.h)
+        assert sorted(asked) == ["T1", "T4"]
+        asked.clear()
+        prune_exhaustive(f1.cg, excl_of(("next", "T1"), ("run", "T4"), ("run", "T0")), f1.h)
+        assert sorted(asked) == ["T0", "T4"]
+        asked.clear()
+        prune_exhaustive(f1.cg, excl_of(("next", "T1"), ("run", "T4")), f1.h)
+        assert asked == []
+        # another hierarchy, even an equal one, starts the memo afresh
+        prune_exhaustive(f1.cg, excl_of(("next", "T1"), ("run", "T4")), make_f1_hierarchy())
+        assert sorted(asked) == ["T1", "T4"]
