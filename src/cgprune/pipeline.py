@@ -8,9 +8,13 @@ that graph from the report with a logged reason and the run continues; a
 bug in the analysis itself is raised, not recorded.
 
 Reports carry one record per (graph, N) plus per-N aggregates (mean and
-population standard deviation, recomputable from the records).  Everything
-except elapsed-time columns is deterministic for a fixed config; timing
-columns are the ones whose names end in ``_s``.
+population standard deviation, recomputable from the records: the mean is
+``math.fsum(column) / len(column)``, which is `statistics.fmean`, and the
+deviation `statistics.pstdev`'s, exactly ``0.0`` for a constant column).
+Everything except elapsed-time columns is deterministic for a fixed config;
+timing columns are the ones whose names end in ``_s``.  `report.json` is
+streamed item by item, each record or aggregate row encoded by one C
+encoder call.
 """
 
 from __future__ import annotations
@@ -20,13 +24,13 @@ import json
 import logging
 import math
 import os
-import statistics
 import sys
 from collections import Counter
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
+from itertools import chain
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .io import apply_core_prefixes, checked, checked_list, load_call_graph, load_hierarchy
@@ -248,6 +252,7 @@ class PipelineError:
 REPORT_COLUMNS = tuple(f.name for f in fields(SweepRecord))
 AGGREGATE_COLUMNS = REPORT_COLUMNS[2:]
 TIMING_COLUMNS = ("analysis_elapsed_s", "prune_elapsed_s")
+_AGGREGATE_FIELDS = attrgetter(*AGGREGATE_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -262,27 +267,33 @@ class AnalysisReport:
     def aggregates(self) -> dict[int, dict[str, tuple[float, float]]]:
         """Per Top-N mean and population standard deviation of each column.
 
-        A column holding inf or nan has neither: it is a ValueError that
-        names the column and the Top-N.  Computed once per report and shared
-        by every caller, so treat the result as read-only.
+        The mean is ``math.fsum(column) / len(column)``, the body of
+        `statistics.fmean` and so its float; the deviation is
+        `statistics.pstdev`'s, exactly ``0.0`` for a column whose values
+        are all equal.  A column holding inf or nan has neither: it is a
+        ValueError that names the column and the Top-N.  Computed once per
+        report and shared by every caller, so treat the result as read-only.
         """
         return self._aggregates
 
     @cached_property
     def _aggregates(self) -> dict[int, dict[str, tuple[float, float]]]:
-        by_n: dict[int, list[SweepRecord]] = {}
+        # rows become columns and every per-value step (finiteness, sum,
+        # count) is one C-level call per column
+        by_n: dict[int, list[tuple]] = {}
         for r in self.records:
-            by_n.setdefault(r.top_n, []).append(r)
+            by_n.setdefault(r.top_n, []).append(_AGGREGATE_FIELDS(r))
         out: dict[int, dict[str, tuple[float, float]]] = {}
         for n in sorted(by_n):
-            rows = by_n[n]
             cols: dict[str, tuple[float, float]] = {}
-            for name in AGGREGATE_COLUMNS:
-                values = [float(getattr(r, name)) for r in rows]
-                bad = [v for v in values if not math.isfinite(v)]
-                if bad:
-                    raise ValueError(f"cannot aggregate {name} at Top-N {n}: it holds {bad[0]!r}")
-                cols[name] = (statistics.fmean(values), _pstdev(values))
+            for name, values in zip(AGGREGATE_COLUMNS, zip(*by_n[n])):
+                if not all(map(math.isfinite, values)):
+                    bad = next(v for v in map(float, values) if not math.isfinite(v))
+                    raise ValueError(f"cannot aggregate {name} at Top-N {n}: it holds {bad!r}")
+                count = len(values)
+                # n·Σa² − (Σa)² is 0 for a constant column, so its root is 0.0
+                std = 0.0 if values.count(values[0]) == count else _pstdev([*map(float, values)])
+                cols[name] = (math.fsum(values) / count, std)
             out[n] = cols
         return out
 
@@ -526,9 +537,18 @@ def _nested_json(row: object) -> str:
 _RECORD_FIELDS = attrgetter(*sorted(REPORT_COLUMNS))
 _RECORD_ITEM = "    " + _object_template(REPORT_COLUMNS, 2)
 _AGGREGATE_NAMES = sorted(AGGREGATE_COLUMNS)
+_AGGREGATE_PAIRS = itemgetter(*_AGGREGATE_NAMES)
 _AGGREGATE_ITEM = '    "%s": ' + _object_template(
     _AGGREGATE_NAMES, 2, _object_template(("mean", "std"), 3)
 )
+# With ensure_ascii a NUL inside a string is written \u0000, so in this
+# encoder's output a raw NUL can only be a separator.
+_encode_row = json.JSONEncoder(separators=("\0", ":"), check_circular=False).encode
+
+
+def _json_row(values: list | tuple) -> tuple[str, ...]:
+    """Each value as `json.dump` writes it, from one C encoder call."""
+    return tuple(_encode_row(values)[1:-1].split("\0"))
 
 
 def write_report_json(report: AnalysisReport, path: str) -> None:
@@ -536,16 +556,19 @@ def write_report_json(report: AnalysisReport, path: str) -> None:
     writes it (tuples as lists), plus a newline, byte for byte.
 
     Records and aggregates, the bulk of a report, are filled into per-item
-    templates from C-level scalar writers; the one-per-graph summaries and
-    errors go through `json.dumps`.
+    templates, each item's values encoded by one C encoder call, and
+    streamed to the file one item at a time; the one-per-graph summaries
+    and errors go through `json.dumps`.
     """
     aggregates = report.aggregates()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write('{\n  "aggregates": ')
+        # a list, not tuple(): a tuple of an iterator is grown by resizing,
+        # and every resized 18-tuple then stays on the tuple free list
         fh.writelines(_json_items("{", "}", (
-            _AGGREGATE_ITEM % (n, *(
-                _json_scalar(v) for name in _AGGREGATE_NAMES for v in aggregates[n][name]
-            ))
+            _AGGREGATE_ITEM % (
+                n, *_json_row([*chain.from_iterable(_AGGREGATE_PAIRS(aggregates[n]))])
+            )
             for n in sorted(aggregates, key=str)  # json sorts the keys as strings
         )))
         fh.write(f',\n  "corpus": {_json_scalar(report.corpus)},\n  "errors": ')
@@ -554,7 +577,6 @@ def write_report_json(report: AnalysisReport, path: str) -> None:
         fh.writelines(_json_items("[", "]", map(_nested_json, report.graphs)))
         fh.write(',\n  "records": ')
         fh.writelines(_json_items("[", "]", (
-            _RECORD_ITEM % tuple(map(_json_scalar, _RECORD_FIELDS(r)))
-            for r in report.records
+            _RECORD_ITEM % _json_row(_RECORD_FIELDS(r)) for r in report.records
         )))
         fh.write("\n}\n")

@@ -1,6 +1,7 @@
 """Batch pipeline: config parsing, staged execution, report emission."""
 
 import csv
+import io
 import json
 import logging
 import math
@@ -27,6 +28,7 @@ from cgprune import (
 from cgprune.pipeline import (
     AGGREGATE_COLUMNS,
     DEFAULT_SWEEP,
+    REPORT_COLUMNS,
     GraphSummary,
     PipelineError,
     SweepRecord,
@@ -317,6 +319,41 @@ class TestErrorContinuation:
             run_pipeline(f1_config(f1, tmp_path))
 
 
+# column values: integers (negative too), unit floats, repeated thirds, and
+# magnitudes from 1e-20 to 1e26 of either sign
+_values = st.one_of(
+    st.integers(-10**6, 10**6).map(float),
+    st.floats(0.0, 1.0),
+    st.sampled_from([1 / 3, 2 / 3, -1 / 3]),
+    st.builds(lambda m, e: m * 10.0 ** e, st.floats(-1.0, 1.0), st.integers(-20, 26)),
+)
+_columns = st.one_of(
+    st.lists(_values, min_size=1, max_size=12),
+    # single values and constant columns
+    st.builds(lambda v, n: [v] * n, _values, st.integers(1, 12)),
+)
+
+
+@st.composite
+def _record_sets(draw) -> list[SweepRecord]:
+    """1-6 records at each of a few Top-N values, each column drawn by
+    `_columns` and repeated or cut to the rows' count (so a constant column
+    stays constant)."""
+    records = []
+    for n in draw(st.lists(st.integers(0, 100), min_size=1, max_size=4, unique=True)):
+        rows = draw(st.integers(1, 6))
+        columns = [
+            (column * rows)[:rows]
+            for column in draw(st.lists(
+                _columns, min_size=len(AGGREGATE_COLUMNS), max_size=len(AGGREGATE_COLUMNS)
+            ))
+        ]
+        records.extend(
+            SweepRecord(f"g{i}", n, *values) for i, values in enumerate(zip(*columns))
+        )
+    return records
+
+
 class TestAggregates:
     def test_recomputable_from_records(self, f1, tmp_path):
         config = PipelineConfig.from_mapping({
@@ -354,20 +391,23 @@ class TestAggregates:
                 f"cannot aggregate reduction_ratio at Top-N 5: it holds {value!r}"
             )
 
-
-# column values: integers (negative too), unit floats, repeated thirds, and
-# magnitudes from 1e-20 to 1e26 of either sign
-_values = st.one_of(
-    st.integers(-10**6, 10**6).map(float),
-    st.floats(0.0, 1.0),
-    st.sampled_from([1 / 3, 2 / 3, -1 / 3]),
-    st.builds(lambda m, e: m * 10.0 ** e, st.floats(-1.0, 1.0), st.integers(-20, 26)),
-)
-_columns = st.one_of(
-    st.lists(_values, min_size=1, max_size=12),
-    # single values and constant columns
-    st.builds(lambda v, n: [v] * n, _values, st.integers(1, 12)),
-)
+    @settings(max_examples=75, deadline=None)
+    @given(_record_sets())
+    def test_bit_exact_against_statistics(self, records):
+        report = AnalysisReport(corpus="c", graphs=(), records=tuple(records), errors=())
+        aggregates = report.aggregates()
+        assert list(aggregates) == sorted({r.top_n for r in records})
+        for n, cols in aggregates.items():
+            assert list(cols) == list(AGGREGATE_COLUMNS)
+            rows = [r for r in records if r.top_n == n]
+            for name, got in cols.items():
+                values = [float(getattr(r, name)) for r in rows]
+                expect = (statistics.fmean(values), statistics.pstdev(values))
+                assert got == expect, (n, name, values)
+                # == holds for 0.0 and -0.0 alike; the sign must match too
+                assert [math.copysign(1.0, v) for v in got] == [
+                    math.copysign(1.0, v) for v in expect
+                ], (n, name, values)
 
 
 class TestPstdev:
@@ -480,6 +520,36 @@ def _record(graph_id: str, top_n: int, **overrides) -> SweepRecord:
     return SweepRecord(**values)
 
 
+# text with NUL, control characters and non-ASCII (`st.text()` draws no
+# surrogates), plus the writer's own separators
+_texts = st.one_of(st.text(max_size=12), st.sampled_from([", ", "\0", _ODD_TEXT]))
+# finite, with room for a few to be summed; -0.0 and subnormals included
+_numbers = {
+    "str": _texts,
+    "int": st.integers(-2**63, 2**63),
+    "float": st.floats(-1e300, 1e300),
+}
+
+
+# records share a Top-N often enough that aggregates take the non-constant path
+_random_records = st.builds(SweepRecord, **{
+    **{f.name: _numbers[f.type] for f in fields(SweepRecord)},
+    "top_n": st.integers(0, 3) | st.integers(-2**63, 2**63),
+})
+
+
+@st.composite
+def _reports(draw) -> AnalysisReport:
+    """A report of random text and numbers."""
+    return AnalysisReport(
+        corpus=draw(_texts),
+        graphs=tuple(draw(st.lists(st.builds(_summary, _texts), max_size=2))),
+        records=tuple(draw(st.lists(_random_records, max_size=8))),
+        errors=tuple(draw(st.lists(st.builds(PipelineError, _texts, _texts, _texts, _texts),
+                                   max_size=2))),
+    )
+
+
 class TestReportJsonMatchesJsonDump:
     def check(self, report, tmp_path):
         path = tmp_path / "report.json"
@@ -541,3 +611,36 @@ class TestReportJsonMatchesJsonDump:
         report = run_pipeline(config)
         assert len(report.records) == 18
         self.check(report, tmp_path)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_reports())
+    def test_random_reports(self, tmp_path_factory, report):
+        self.check(report, tmp_path_factory.mktemp("json"))
+
+
+def _csv_text(header, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+class TestCsvWritersMatchCsvLoop:
+    @settings(max_examples=100, deadline=None)
+    @given(_reports())
+    def test_random_reports(self, tmp_path_factory, report):
+        out = tmp_path_factory.mktemp("csv")
+        write_report_csv(report, str(out / "report.csv"))
+        write_aggregates_csv(report, str(out / "aggregates.csv"))
+        records = _csv_text(REPORT_COLUMNS, (vars(r).values() for r in report.records))
+        header = ["top_n"]
+        for name in AGGREGATE_COLUMNS:
+            header += [f"{name}_mean", f"{name}_std"]
+        aggregates = _csv_text(header, (
+            [n, *(v for name in AGGREGATE_COLUMNS for v in cols[name])]
+            for n, cols in sorted(report.aggregates().items())
+        ))
+        for name, expect in (("report.csv", records), ("aggregates.csv", aggregates)):
+            with open(out / name, newline="", encoding="utf-8") as fh:
+                assert fh.read() == expect, name
