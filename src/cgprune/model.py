@@ -22,6 +22,12 @@ replacing the entries of the pruned targets.  Analyses elsewhere in the
 package are pure functions over these values.  Construction is permissive;
 `validate_hierarchy` reports rule violations instead of raising, so callers
 (e.g. file loaders) decide how strict to be.
+
+A dangling parent, one that names no type of the hierarchy, is skipped by
+every walk: ancestor walks do not step to it, and the `children` index that
+descendant cones walk leaves it out.  So a hand-built hierarchy with one
+behaves as if that parent were not listed; `validate_hierarchy` still
+reports it, and the file loaders reject it.
 """
 
 from __future__ import annotations
@@ -208,8 +214,7 @@ class TypeHierarchy:
         The first declarers above any type t are exactly the members of R(s)
         among t's reflexive ancestors, since whether a declarer is a root does
         not depend on t.  Memoised per signature; every declarer's ancestors
-        are walked (through the ancestor memo), so a dangling parent above any
-        declarer raises `UnknownTypeError`.
+        are walked through the ancestor memo.
         """
         found = self._roots.get(sig)
         if found is None:
@@ -239,7 +244,7 @@ class TypeHierarchy:
     @cached_property
     def children(self) -> Mapping[str, list[str]]:
         """parent id -> sorted direct children ids (inverse of the parent
-        lists), built once per hierarchy; dangling parents are left out."""
+        lists), built once per hierarchy."""
         children: dict[str, list[str]] = {tid: [] for tid in self.types}
         for tid in self.sorted_ids():
             for p in self.types[tid].parents:
@@ -631,7 +636,7 @@ def ancestor_depths(h: TypeHierarchy, type_id: str) -> dict[str, int]:
         frontier: set[str] = set()
         for tid in level:
             for p in h.node(tid).parents:
-                if p not in depths:
+                if p not in depths and p in h.types:
                     frontier.add(p)
         level = sorted(frontier)
         for p in level:

@@ -7,10 +7,10 @@ diff against the unpruned baseline.  A stage that fails on bad input drops
 that graph from the report with a logged reason and the run continues; a
 bug in the analysis itself is raised, not recorded.
 
-Reports carry one record per (graph, N) plus per-N aggregates (mean and
-population standard deviation, recomputable from the records: the mean is
-``math.fsum(column) / len(column)``, which is `statistics.fmean`, and the
-deviation `statistics.pstdev`'s, exactly ``0.0`` for a constant column).
+Reports carry one record per (graph, N) plus per-N aggregates, recomputable
+from the records: the mean is ``math.fsum(column) / len(column)``, the
+population standard deviation is `statistics.pstdev`'s and exactly ``0.0``
+for a constant column, and a column holding inf or nan raises a ValueError.
 Everything except elapsed-time columns is deterministic for a fixed config;
 timing columns are the ones whose names end in ``_s``.  `report.json` is
 streamed item by item, each record or aggregate row encoded by one C
@@ -24,7 +24,6 @@ import json
 import logging
 import math
 import os
-import sys
 from collections import Counter
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
@@ -291,48 +290,20 @@ class AnalysisReport:
                     bad = next(v for v in map(float, values) if not math.isfinite(v))
                     raise ValueError(f"cannot aggregate {name} at Top-N {n}: it holds {bad!r}")
                 count = len(values)
-                # n·Σa² − (Σa)² is 0 for a constant column, so its root is 0.0
-                std = 0.0 if values.count(values[0]) == count else _pstdev([*map(float, values)])
+                # every column of a one-graph run is constant and skips
+                # pstdev's exact fraction arithmetic
+                if values.count(values[0]) == count:
+                    std = 0.0
+                else:
+                    # imported here: `import cgprune.cli` must not load
+                    # statistics, fractions and decimal (~5.6 ms under
+                    # `-X importtime` on a 2-core Xeon)
+                    from statistics import pstdev
+
+                    std = pstdev(map(float, values))
                 cols[name] = (math.fsum(values) / count, std)
             out[n] = cols
         return out
-
-
-# p/q is scaled to at least this many bits, so its root has at least 55:
-# two more than a float keeps, enough for round-to-odd to round once
-_SQRT_BITS = 2 * sys.float_info.mant_dig + 3
-
-
-def _sqrt_ratio(p: int, q: int) -> float:
-    """The square root of p/q (ints, p >= 0, q > 0), correctly rounded."""
-    if not p:
-        return 0.0
-    shift = (p.bit_length() - q.bit_length() - _SQRT_BITS) // 2
-    if shift >= 0:
-        q <<= 2 * shift
-    else:
-        p <<= -2 * shift
-    root = math.isqrt(p // q)
-    # round to odd: a set low bit stands for the inexact part
-    root |= root * root * q != p
-    return float(root << shift) if shift >= 0 else root / (1 << -shift)
-
-
-def _pstdev(values: list[float]) -> float:
-    """`statistics.pstdev(values)`, the same float, in exact integer arithmetic
-    (since CPython 3.11 `pstdev` also rounds the root once), for one or more
-    finite values.
-
-    A finite float is a dyadic rational a/2^k.  Over the column's largest
-    denominator D the values are integers a_i, and the variance is
-    (n·Σa² − (Σa)²) / (n·D)², whose root is rounded once.
-    """
-    ratios = [v.as_integer_ratio() for v in values]
-    den = max(d for _, d in ratios)
-    scaled = [a * (den // d) for a, d in ratios]
-    n = len(scaled)
-    total = sum(scaled)
-    return _sqrt_ratio(n * sum(a * a for a in scaled) - total * total, (n * den) ** 2)
 
 
 def _sources(
@@ -482,30 +453,6 @@ def write_aggregates_csv(report: AnalysisReport, path: str) -> None:
             writer.writerow(row)
 
 
-def _json_scalar(value: object) -> str:
-    """One scalar exactly as `json.dump` writes it: `bool` is tested before
-    `int`, and non-finite floats are written ``NaN``/``Infinity``."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value == math.inf:
-            return "Infinity"
-        if value == -math.inf:
-            return "-Infinity"
-        return float.__repr__(value)
-    raise TypeError(f"not a JSON scalar: {value!r}")
-
-
 def _object_template(keys: Iterable[str], depth: int, value: str = "%s") -> str:
     """A sorted-keys ``indent=2`` JSON object whose opening brace sits
     `depth` levels deep, with `value` (a %-template) for every key."""
@@ -571,7 +518,7 @@ def write_report_json(report: AnalysisReport, path: str) -> None:
             )
             for n in sorted(aggregates, key=str)  # json sorts the keys as strings
         )))
-        fh.write(f',\n  "corpus": {_json_scalar(report.corpus)},\n  "errors": ')
+        fh.write(f',\n  "corpus": {json.dumps(report.corpus)},\n  "errors": ')
         fh.writelines(_json_items("[", "]", map(_nested_json, report.errors)))
         fh.write(',\n  "graphs": ')
         fh.writelines(_json_items("[", "]", map(_nested_json, report.graphs)))

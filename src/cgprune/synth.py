@@ -31,7 +31,6 @@ from .model import (
     TypeHierarchy,
     TypeNode,
     build_call_graph,
-    reflexive_descendants,
     sort_key,
 )
 from .origins import OriginMap, OriginRef
@@ -168,7 +167,7 @@ def cha_targets(
     One node per reflexive descendant of the receiver that declares the
     signature, in canonical order.
     """
-    cone = reflexive_descendants(h, receiver_type)
+    cone = h.descendant_cone(receiver_type)
     return [MethodNode(tid, sig) for tid in sorted(cone) if h.types[tid].declares(sig)]
 
 
@@ -186,14 +185,6 @@ def generate_call_graph_cha(h: TypeHierarchy, p: GenParams) -> CallGraph:
         for tid in h.sorted_ids()
         for sig in sorted(h.types[tid].declared, key=sort_key)
     ]
-    cones: dict[str, list[str]] = {}
-
-    def cone(receiver: str) -> list[str]:
-        found = cones.get(receiver)
-        if found is None:
-            found = cones[receiver] = sorted(reflexive_descendants(h, receiver))
-        return found
-
     # Every CHA target is a declared method, so edges point at the objects
     # in `methods`: one node object per method, not one per edge.
     shared = {m: m for m in methods}
@@ -202,11 +193,8 @@ def generate_call_graph_cha(h: TypeHierarchy, p: GenParams) -> CallGraph:
     def targets(site: MethodNode) -> list[MethodNode]:
         found = site_targets.get(site)
         if found is None:
-            sig = site.signature
             found = site_targets[site] = [
-                shared[MethodNode(tid, sig)]
-                for tid in cone(site.defining_type)
-                if h.types[tid].declares(sig)
+                shared[t] for t in cha_targets(h, site.defining_type, site.signature)
             ]
         return found
 
@@ -231,7 +219,7 @@ def _reflexive_ancestor_depths(h: TypeHierarchy, type_id: str) -> dict[str, int]
         nxt = []
         for tid in frontier:
             for parent in h.node(tid).parents:
-                if parent not in depths:
+                if parent not in depths and parent in h.types:
                     depths[parent] = d
                     nxt.append(parent)
         frontier = nxt

@@ -109,10 +109,12 @@ def f1() -> F1:
 
 # Random hierarchies for differential tests.  Each type's parents are drawn
 # from the types before it, so the parent relation is a DAG with multiple
-# parents (diamonds); each type declares a random subset of SIGS, so one
-# signature may be declared at several independent roots, below another
-# declarer, or where no edge target descends.
+# parents (diamonds), plus sometimes GHOST, a parent that names no type;
+# each type declares a random subset of SIGS, so one signature may be
+# declared at several independent roots, below another declarer, or where
+# no edge target descends.
 SIGS = ("f", "g", "h")
+GHOST = "GHOST"
 
 
 @st.composite
@@ -122,7 +124,7 @@ def hierarchies_with_graphs(draw) -> tuple[TypeHierarchy, CallGraph, list[str]]:
     type_ids = [f"T{i}" for i in range(n)]
     types = {}
     for i, tid in enumerate(type_ids):
-        parents = draw(st.lists(st.sampled_from(type_ids[:i]), max_size=3, unique=True)) if i else []
+        parents = draw(st.lists(st.sampled_from([*type_ids[:i], GHOST]), max_size=3, unique=True))
         declared = draw(st.sets(st.sampled_from(SIGS)))
         types[tid] = TypeNode(tid, f"x.{tid}", tuple(parents),
                               frozenset(sig(s) for s in declared), "p")
