@@ -298,18 +298,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cgprune",
-        description="Origin-method-guided call graph pruning and "
-                    "vulnerability reachability analysis",
-    )
-    parser.add_argument(
-        "--verbose", action="store_true", help="log stage progress to stderr"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen", help="generate a synthetic hierarchy and call graph")
+def _gen_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out-hierarchy", required=True, metavar="PATH")
     p.add_argument("--out-callgraph", required=True, metavar="PATH")
     p.add_argument("--seed", type=int, default=GenParams.seed)
@@ -321,23 +310,16 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar=("LOW", "HIGH"))
     p.add_argument("--projects", type=int, default=GenParams.project_count)
     p.add_argument("--core-fraction", type=float, default=GenParams.core_type_fraction)
-    p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("origins", help="rank origins by caused-edge frequency")
+
+def _ranking_arguments(p: argparse.ArgumentParser) -> None:
     _add_input_args(p)
     p.add_argument("--top", type=_non_negative_int, default=10,
                    help="rows to emit (0 = all)")
     p.add_argument("--out", metavar="CSV", help="output file (default stdout)")
-    p.set_defaults(func=cmd_origins)
 
-    p = sub.add_parser("derivatives", help="rank origins by unique derivative count")
-    _add_input_args(p)
-    p.add_argument("--top", type=_non_negative_int, default=10,
-                   help="rows to emit (0 = all)")
-    p.add_argument("--out", metavar="CSV", help="output file (default stdout)")
-    p.set_defaults(func=cmd_derivatives)
 
-    p = sub.add_parser("localness", help="per-origin localness level distribution")
+def _localness_arguments(p: argparse.ArgumentParser) -> None:
     _add_input_args(p)
     p.add_argument("--top", type=_non_negative_int, default=10,
                    help="origins to report (0 = none)")
@@ -346,9 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--package-boundary", action="store_true",
                    help="draw the level-2/3 line between packages, not projects")
     p.add_argument("--out", metavar="CSV", help="output file (default stdout)")
-    p.set_defaults(func=cmd_localness)
 
-    p = sub.add_parser("prune", help="prune edges targeting excluded derivatives")
+
+def _prune_arguments(p: argparse.ArgumentParser) -> None:
     _add_input_args(p)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--top-n", type=_non_negative_int, metavar="N",
@@ -364,10 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="selective mode prunes only above this confidence")
     p.add_argument("--save-exclusion", metavar="PATH",
                    help="also save the exclusion list that was applied")
-    p.set_defaults(func=cmd_prune)
 
-    p = sub.add_parser("vuln-sim",
-                       help="inject artificial CVEs and measure reachability")
+
+def _vuln_sim_arguments(p: argparse.ArgumentParser) -> None:
     _add_input_args(p)
     p.add_argument("--app-project", required=True,
                    help="project id whose methods count as application code")
@@ -384,22 +365,67 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pruned call graph to diff against")
     p.add_argument("--warmup", type=_non_negative_int, default=PipelineConfig.warmup)
     p.add_argument("--repetitions", type=_positive_int, default=PipelineConfig.repetitions)
-    p.set_defaults(func=cmd_vuln_sim)
 
-    p = sub.add_parser("pipeline", help="run the batch pipeline from a config file")
+
+def _pipeline_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True, metavar="PATH")
     p.add_argument("--out-dir", default=".", metavar="DIR")
-    p.set_defaults(func=cmd_pipeline)
 
+
+# name -> (help, argument adder, handler), in listing order
+_COMMANDS = {
+    "gen": ("generate a synthetic hierarchy and call graph", _gen_arguments, cmd_gen),
+    "origins": ("rank origins by caused-edge frequency", _ranking_arguments, cmd_origins),
+    "derivatives": ("rank origins by unique derivative count", _ranking_arguments,
+                    cmd_derivatives),
+    "localness": ("per-origin localness level distribution", _localness_arguments,
+                  cmd_localness),
+    "prune": ("prune edges targeting excluded derivatives", _prune_arguments, cmd_prune),
+    "vuln-sim": ("inject artificial CVEs and measure reachability", _vuln_sim_arguments,
+                 cmd_vuln_sim),
+    "pipeline": ("run the batch pipeline from a config file", _pipeline_arguments,
+                 cmd_pipeline),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `cgprune` argument parser.
+
+    Every subcommand is listed, so the top-level help and usage are whole,
+    but only `command`'s subparser gets its arguments and handler; when
+    `command` names no subcommand, every subparser does.  Building the ~60
+    arguments of all seven costs about twice one command's, and a one-shot
+    command pays it on every run.
+    """
+    parser = argparse.ArgumentParser(
+        prog="cgprune",
+        description="Origin-method-guided call graph pruning and "
+                    "vulnerability reachability analysis",
+    )
+    parser.add_argument(
+        "--verbose", action="store_true", help="log stage progress to stderr"
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    every = command not in _COMMANDS
+    for name, (help_text, add_arguments, handler) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if every or name == command:
+            add_arguments(p)
+            p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    if argv is None:
+        argv = sys.argv[1:]
+    # the top-level options take no value, so the first token that is not
+    # an option is the subcommand argparse will dispatch to
+    command = next((a for a in argv if not a.startswith("-")), None)
+    args = build_parser(command).parse_args(argv)
+    # basicConfig does nothing once the root logger has a handler, so the
+    # level is set on every call
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger().setLevel(logging.INFO if args.verbose else logging.WARNING)
     try:
         return args.func(args)
     except (GraphError, ConfigError) as exc:

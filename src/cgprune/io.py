@@ -41,6 +41,7 @@ from .model import (
     TypeNode,
     build_call_graph,
     HierarchyValidationError,
+    make_edge,
     validate_call_graph,
     validate_hierarchy,
 )
@@ -321,7 +322,7 @@ def load_call_graph(path: str, h: TypeHierarchy) -> CallGraph:
     _read_jsonl(path, "callgraph", {
         "header": lambda record: None,
         "node": lambda record: node(record["id"]),
-        "edge": lambda record: edges.append(CallEdge(
+        "edge": lambda record: edges.append(make_edge(
             node(record["src"]), node(record["dst"]), _typed(record, "recv", str)
         )),
     })

@@ -35,8 +35,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
-from operator import attrgetter
+from itertools import compress, pairwise, starmap
+from operator import attrgetter, lt
 from typing import AbstractSet, Callable, Iterable, KeysView, Mapping, Sequence
 
 
@@ -319,6 +319,23 @@ class CallEdge:
 sort_key = attrgetter("_key")
 edge_sort_key = attrgetter("source._key", "target._key", "receiver_type")
 
+_set_source = CallEdge.source.__set__
+_set_target = CallEdge.target.__set__
+_set_receiver_type = CallEdge.receiver_type.__set__
+
+
+def make_edge(source: MethodNode, target: MethodNode, receiver_type: str) -> CallEdge:
+    """`CallEdge(source, target, receiver_type)` at about half the cost: the
+    frozen dataclass `__init__` sets each field through `object.__setattr__`,
+    while this sets the slots directly.  The loader and the CHA generator
+    build every edge with it.  It runs no `__post_init__`, so `CallEdge`
+    must define none (a test checks that)."""
+    edge = object.__new__(CallEdge)
+    _set_source(edge, source)
+    _set_target(edge, target)
+    _set_receiver_type(edge, receiver_type)
+    return edge
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -514,12 +531,17 @@ def build_call_graph(
 
     Duplicate (source, target, receiver) triples are collapsed and counted.
     Edge endpoints are added to the node set if missing, so the endpoint
-    invariant holds by construction.  The dedup keeps input order, so edges
-    read from a canonical file reach the sort as one presorted run.
+    invariant holds by construction.  An edge list that is already canonical
+    (its `edge_sort_key` keys strictly increasing, as in every saved file)
+    is taken as it is, since it is sorted and holds no duplicate; any other
+    list is deduplicated and sorted.
     """
     edge_list = list(edges)
-    unique = list(dict.fromkeys(edge_list))
-    unique.sort(key=edge_sort_key)
+    if all(starmap(lt, pairwise(map(edge_sort_key, edge_list)))):
+        unique = edge_list
+    else:
+        unique = list(dict.fromkeys(edge_list))
+        unique.sort(key=edge_sort_key)
     node_set = set(nodes)
     node_set.update([e.source for e in unique])
     node_set.update([e.target for e in unique])

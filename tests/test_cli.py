@@ -2,10 +2,16 @@
 
 import csv
 import json
+import logging
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import cgprune
 from cgprune import (
     CallEdge,
     GenParams,
@@ -19,7 +25,8 @@ from cgprune import (
     save_call_graph,
     save_hierarchy,
 )
-from cgprune.cli import main
+from cgprune import cli
+from cgprune.cli import build_parser, main
 
 from conftest import m, sig
 
@@ -515,3 +522,85 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+SUBCOMMANDS = ["gen", "origins", "derivatives", "localness", "prune", "vuln-sim", "pipeline"]
+
+
+class TestParserText:
+    """`main` gives only the invoked subcommand its arguments; what it
+    prints must be what the fully built parser prints."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"],
+        *([command, "--help"] for command in SUBCOMMANDS),
+        [],
+        ["frobnicate"],
+        ["--bogus", "origins", "h.jsonl", "cg.jsonl"],
+        ["prune", "h.jsonl", "cg.jsonl", "--top-n", "1"],
+        ["pipeline"],
+    ])
+    def test_same_text_and_exit_code_as_the_full_parser(self, argv, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+        def run(parse):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            out = capsys.readouterr()
+            return exc.value.code, out.out, out.err
+
+        code, out, err = run(main)
+        assert out or err
+        assert (code, out, err) == run(build_parser().parse_args)
+
+    def test_main_builds_the_first_token_that_is_not_an_option(
+        self, f1_paths, monkeypatch, capsys
+    ):
+        built = []
+        full = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda command=None: built.append(command) or full(command))
+        assert main(["--verbose", "derivatives", *f1_paths, "--top", "1"]) == 0
+        assert built == ["derivatives"]
+
+    def test_every_subcommand_is_covered(self):
+        assert "{" + ",".join(SUBCOMMANDS) + "}" in build_parser().format_usage()
+
+
+class TestVerbose:
+    @pytest.mark.parametrize("first, second, level", [
+        ([], ["--verbose"], logging.INFO),
+        (["--verbose"], [], logging.WARNING),
+    ])
+    def test_every_call_sets_the_level(self, f1_paths, capsys, first, second, level):
+        root = logging.getLogger()
+        saved, handlers = root.level, list(root.handlers)
+        try:
+            for flags in (first, second):
+                assert main([*flags, "origins", *f1_paths]) == 0
+            assert root.level == level
+            assert root.handlers == handlers  # pytest's capture handlers stay
+        finally:
+            root.setLevel(saved)
+
+
+class TestModuleEntryPoint:
+    def python_m(self, *argv):
+        return subprocess.run(
+            [sys.executable, "-m", "cgprune", *argv], capture_output=True, text=True,
+            cwd=Path(cgprune.__file__).parent.parent, env={**os.environ, "COLUMNS": "80"},
+        )
+
+    def test_help_matches_in_process_text(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(["prune", "--help"])
+        assert exc.value.code == 0
+        run = self.python_m("prune", "--help")
+        assert run.returncode == 0
+        assert run.stdout == capsys.readouterr().out
+
+    def test_no_subcommand_exits_2(self):
+        run = self.python_m()
+        assert run.returncode == 2
+        assert "required: command" in run.stderr

@@ -73,6 +73,22 @@ class TestCallGraphRoundTrip:
         assert loaded.nodes == f1.cg.nodes
         assert loaded.edges == f1.cg.edges
 
+    @pytest.mark.parametrize("change, duplicates", [("repeat", 1), ("swap", 0)])
+    def test_non_canonical_edge_lines_load_canonical(self, f1, tmp_path, change, duplicates):
+        path = tmp_path / "cg.jsonl"
+        save_call_graph(f1.cg, str(path))
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        i = [n for n, line in enumerate(lines) if '"kind":"edge"' in line][2]
+        if change == "repeat":
+            lines.insert(i + 1, lines[i])
+        else:
+            lines[i], lines[i + 1] = lines[i + 1], lines[i]
+        path.write_text("".join(lines), encoding="utf-8")
+        loaded = load_call_graph(str(path), f1.h)
+        assert loaded.edges == f1.cg.edges
+        assert loaded.nodes == f1.cg.nodes
+        assert loaded.duplicate_count == duplicates
+
     def test_isolated_nodes_survive(self, f1, tmp_path):
         # m(T1,hasNext) has no edges and must still round-trip
         path = tmp_path / "cg.jsonl"

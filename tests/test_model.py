@@ -40,7 +40,7 @@ from cgprune import (
     validate_hierarchy,
 )
 from cgprune import cli, model, pruning
-from cgprune.model import ancestor_depths, edge_sort_key, sort_key
+from cgprune.model import ancestor_depths, edge_sort_key, make_edge, sort_key
 
 
 def _type(tid, parents=(), declared=(), project="p", core=False, core_project="core"):
@@ -440,6 +440,30 @@ class TestCanonicalOrder:
             assert (edge_sort_key(a) < edge_sort_key(b)) == (a < b)
             assert (edge_sort_key(a) == edge_sort_key(b)) == (a == b)
 
+    @pytest.mark.parametrize("shape", ["canonical", "adjacent duplicate", "swapped pair"])
+    @settings(max_examples=150, deadline=None)
+    @given(case=nodes_and_edges(), data=st.data())
+    def test_nearly_canonical_input(self, shape, case, data):
+        # a canonical list is taken as it is; one repeat or one swap in it
+        # must send it through the dedup and the sort
+        nodes, edges = case
+        canonical = sorted(set(edges))
+        given_edges = list(canonical)
+        if shape == "adjacent duplicate" and canonical:
+            i = data.draw(st.integers(0, len(canonical) - 1))
+            e = canonical[i]
+            given_edges.insert(i + 1, data.draw(st.sampled_from(
+                [e, CallEdge(e.source, e.target, e.receiver_type)]
+            )))
+        elif shape == "swapped pair" and len(canonical) > 1:
+            i = data.draw(st.integers(0, len(canonical) - 2))
+            given_edges[i], given_edges[i + 1] = given_edges[i + 1], given_edges[i]
+        cg = build_call_graph(nodes, given_edges)
+        assert cg.edges == tuple(canonical)
+        assert cg.duplicate_count == len(given_edges) - len(canonical)
+        endpoints = {n for e in edges for n in (e.source, e.target)}
+        assert cg.nodes == set(nodes) | endpoints
+
     def test_empty_graph(self):
         cg = build_call_graph([], [])
         assert cg.edges == () and cg.sorted_nodes() == []
@@ -449,6 +473,28 @@ class TestCanonicalOrder:
         two = MethodNode.from_uid("T::f(int):V")
         assert one == two and sort_key(one) == sort_key(two)
         assert build_call_graph([one, two], []).node_count == 1
+
+
+class TestMakeEdge:
+    """`make_edge` sets the slots directly; it must give the value the
+    dataclass constructor gives."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(nodes_and_edges())
+    def test_same_value_as_the_constructor(self, case):
+        _, edges = case
+        made = [make_edge(e.source, e.target, e.receiver_type) for e in edges]
+        for a, b in zip(made, edges):
+            assert type(a) is CallEdge
+            assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+            assert pickle.loads(pickle.dumps(a)) == b
+        for (a, b), (x, y) in zip(itertools.product(made, repeat=2),
+                                  itertools.product(edges, repeat=2)):
+            assert (a < b) == (x < y) and (a <= b) == (x <= y)
+
+    def test_call_edge_has_no_post_init(self):
+        # make_edge skips __init__, so it would skip a __post_init__ too
+        assert not hasattr(CallEdge, "__post_init__")
 
 
 class TestReverseAdjacency:
