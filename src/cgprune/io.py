@@ -2,10 +2,17 @@
 
 Two file families, each with one reader and one per-record error boundary:
 
-- Line-delimited JSON (hierarchies, call graphs): one object per line,
-  decoded by one `raw_decode` call.  A header record comes first (``kind``,
-  ``schema``, ``content``; hierarchies add ``core_project`` and
-  ``projects``); a file without one is an "empty file" error.
+- Line-delimited JSON (hierarchies, call graphs): one object per line.  A
+  header record comes first (``kind``, ``schema``, which must be the JSON
+  integer 1, ``content``; hierarchies add ``core_project`` and
+  ``projects``); a file without one is an "empty file" error.  After it, a
+  line as a writer emits it (the ``type`` line of `save_hierarchy`, the
+  ``node`` and ``edge`` lines of `save_call_graph`: the writer's key
+  order, every string printable ASCII without ``"`` or ``\\``) is read by
+  one `fullmatch` of its kind's pattern, whose groups are the record's
+  fields.  Any other line is decoded by one `raw_decode` call; a valid one
+  loads to the same result, and a bad one fails with the same error, on
+  either path.
 - Commented text (exclusion lists, vulnerability assignments): ``# key:
   <int>`` lines whose key the file kind knows are headers, other ``#``
   lines are comments, and every other line is one record.
@@ -14,8 +21,9 @@ Blank lines are skipped.  Any fault on a line (bad JSON, a byte-order mark,
 trailing data, a missing field, a field of the wrong JSON type, a bad value)
 raises RecordFormatError prefixed ``path:line:``, and the CLI exits 3, as it
 does on a wrong schema version (SchemaVersionError) and on a loaded whole
-that breaks its rules (HierarchyValidationError).  Readers hold one line at
-a time; writers emit canonical, key-sorted records, so files are byte-stable.
+that breaks its rules (HierarchyValidationError); these two name the file.
+Readers hold one line at a time; writers emit canonical, key-sorted
+records, so files are byte-stable.
 
 `checked` and `checked_list` hold the one rule for every value from outside,
 here, in the pipeline config and in `GenParams`: it is exactly a JSON string,
@@ -26,10 +34,11 @@ its range, or the error reads ``<what> must be <rule>, got <value!r>``.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import replace
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Iterable, Mapping, TypeVar
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from .model import (
     CallEdge,
@@ -90,50 +99,48 @@ def _check_utf8(path: str, lineno: int, line: str) -> None:
         raise RecordFormatError(path, lineno, f"invalid UTF-8: byte 0x{byte:02x}") from None
 
 
+# (record kind, `fullmatch` of the lines a writer emits for it, handler of
+# the match groups)
+_LinePattern = tuple[str, Callable[[str], re.Match | None], Callable[..., None]]
+
+
 def _read_jsonl(
-    path: str, content: str, handlers: Mapping[str, Callable[[dict], None]]
+    path: str,
+    content: str,
+    handlers: Mapping[str, Callable[[dict], None]],
+    patterns: Sequence[_LinePattern],
 ) -> None:
     """Hand each record of a line-delimited JSON file to its kind's handler.
 
     The first record must be a header of this schema and `content`; it goes
     to ``handlers["header"]``.  A handler's KeyError is a missing field, and
     its ValueError, TypeError or AttributeError a bad value.
+
+    After the header, each line as read, newline included, goes first to
+    `patterns`.  Their strings are JSON strings whose text is their value,
+    so the groups are the record's fields; a line that no pattern matches
+    is stripped and decoded.
     """
     saw_header = False
+    fast: Sequence[_LinePattern] = ()  # the patterns, once the header is read
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if not line.isascii():
-                _check_utf8(path, lineno, line)
-            # one decoder call per line; the checks `json.loads` would add
-            # around it (leading BOM, trailing data) are made here
+            for kind, match, handler in fast:
+                fields = match(raw)
+                if fields is not None:
+                    args = fields.groups()
+                    break
+            else:
+                line = raw.strip()
+                if not line:
+                    continue
+                if not line.isascii():
+                    _check_utf8(path, lineno, line)
+                kind, handler, args = _decoded(path, lineno, line, content, handlers, saw_header)
+                saw_header = True
+                fast = patterns
             try:
-                record, end = _decode(line)
-            except json.JSONDecodeError as exc:
-                problem = exc.msg
-                if line.startswith("\ufeff"):
-                    problem = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
-                raise RecordFormatError(path, lineno, f"invalid JSON: {problem}") from None
-            if end != len(line):
-                raise RecordFormatError(path, lineno, "invalid JSON: Extra data")
-            kind = record.get("kind") if type(record) is dict else None
-            if type(kind) is not str:
-                raise RecordFormatError(path, lineno, "record must be an object with a 'kind'")
-            if saw_header:
-                if kind == "header" or kind not in handlers:
-                    raise RecordFormatError(path, lineno, f"unexpected record kind {kind!r}")
-            elif kind != "header":
-                raise RecordFormatError(path, lineno, "first record must be the header")
-            elif record.get("schema") != SCHEMA_VERSION:
-                raise SchemaVersionError(path, record.get("schema"), SCHEMA_VERSION)
-            elif record.get("content") != content:
-                raise RecordFormatError(path, lineno, f"expected a {content} file, "
-                                        f"found content {record.get('content')!r}")
-            saw_header = True
-            try:
-                handlers[kind](record)
+                handler(*args)
             except KeyError as exc:
                 raise RecordFormatError(
                     path, lineno, f"{kind} record missing field {exc.args[0]!r}"
@@ -142,6 +149,41 @@ def _read_jsonl(
                 raise RecordFormatError(path, lineno, str(exc)) from None
     if not saw_header:
         raise RecordFormatError(path, 1, "empty file: missing header record")
+
+
+def _decoded(
+    path: str, lineno: int, line: str, content: str,
+    handlers: Mapping[str, Callable[[dict], None]], saw_header: bool,
+) -> tuple[str, Callable[[dict], None], tuple[dict]]:
+    """(kind, handler, (record,)) for a line that `_read_jsonl` decodes.
+
+    One decoder call; the checks `json.loads` would add around it (leading
+    BOM, trailing data) are made here, and so are the header's.
+    """
+    try:
+        record, end = _decode(line)
+    except json.JSONDecodeError as exc:
+        problem = exc.msg
+        if line.startswith("\ufeff"):
+            problem = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
+        raise RecordFormatError(path, lineno, f"invalid JSON: {problem}") from None
+    if end != len(line):
+        raise RecordFormatError(path, lineno, "invalid JSON: Extra data")
+    kind = record.get("kind") if type(record) is dict else None
+    if type(kind) is not str:
+        raise RecordFormatError(path, lineno, "record must be an object with a 'kind'")
+    if saw_header:
+        if kind == "header" or kind not in handlers:
+            raise RecordFormatError(path, lineno, f"unexpected record kind {kind!r}")
+    elif kind != "header":
+        raise RecordFormatError(path, lineno, "first record must be the header")
+    elif type(schema := record.get("schema")) is not int or schema != SCHEMA_VERSION:
+        # only the JSON integer 1: `true` and `1.0` equal 1 in Python
+        raise SchemaVersionError(path, schema, SCHEMA_VERSION)
+    elif record.get("content") != content:
+        raise RecordFormatError(path, lineno, f"expected a {content} file, "
+                                f"found content {record.get('content')!r}")
+    return kind, handlers[kind], (record,)
 
 
 def _write_jsonl(path: str, content: str, header: dict, lines: Iterable[str]) -> None:
@@ -216,6 +258,21 @@ def _json_strings(values: Iterable[str]) -> str:
     return "[" + ",".join(map(encode_basestring_ascii, values)) + "]"
 
 
+# The loaders' patterns for the lines the writers emit.  A string's text is
+# its value when it is printable ASCII without '"' or '\': the group of
+# `_STRING` is the string, and the group of `_STRINGS` the list's items
+# between its outer quotes, joined by '","' (None for an empty list).  A
+# line pattern also takes the newline that ends the line as read.
+_CHARS = r'[ !#-\[\]-~]*'
+_STRING = f'"({_CHARS})"'
+_STRINGS = f'\\[("{_CHARS}"(?:,"{_CHARS}")*)?\\]'
+
+
+def _strings(group: str | None) -> tuple[str, ...]:
+    """The items of a list that `_STRINGS` matched."""
+    return () if group is None else tuple(group[1:-1].split('","'))
+
+
 def save_hierarchy(h: TypeHierarchy, path: str) -> None:
     """Write a hierarchy as header plus one type record per line.
 
@@ -236,6 +293,13 @@ def save_hierarchy(h: TypeHierarchy, path: str) -> None:
     ))
 
 
+# a type line as `save_hierarchy` writes it; groups in field order
+_TYPE_LINE = re.compile(
+    f'\\{{"core":(true|false),"declares":{_STRINGS},"fq":{_STRING},"id":{_STRING},'
+    f'"kind":"type","package":{_STRING},"parents":{_STRINGS},"project":{_STRING}\\}}\\n?'
+).fullmatch
+
+
 def load_hierarchy(path: str) -> TypeHierarchy:
     """Read and validate a hierarchy file.
 
@@ -250,26 +314,34 @@ def load_hierarchy(path: str) -> TypeHierarchy:
         nonlocal core_project
         core_project = _typed(record, "core_project", str, "core")
 
+    def add(node: TypeNode) -> None:
+        if node.type_id in types:
+            raise ValueError(f"duplicate type id {node.type_id!r}")
+        types[node.type_id] = node
+
     def type_record(record: dict) -> None:
-        tid = _typed(record, "id", str)
-        node = TypeNode(
-            type_id=tid,
+        add(TypeNode(
+            type_id=_typed(record, "id", str),
             fq_name=_typed(record, "fq", str),
             parents=tuple(_typed(record, "parents", list)),
             declared=frozenset(map(signature, _typed(record, "declares", list))),
             project_id=_typed(record, "project", str),
             package_name=_typed(record, "package", str, ""),
             is_core_lib=_typed(record, "core", bool, False),
-        )
-        if tid in types:
-            raise ValueError(f"duplicate type id {tid!r}")
-        types[tid] = node
+        ))
 
-    _read_jsonl(path, "hierarchy", {"header": header, "type": type_record})
+    def type_line(core, declares, fq, tid, package, parents, project) -> None:
+        add(TypeNode(
+            tid, fq, _strings(parents), frozenset(map(signature, _strings(declares))),
+            project, package, core == "true",
+        ))
+
+    _read_jsonl(path, "hierarchy", {"header": header, "type": type_record},
+                [("type", _TYPE_LINE, type_line)])
     h = TypeHierarchy(types=types, core_project_id=core_project)
     violations = validate_hierarchy(h)
     if violations:
-        raise HierarchyValidationError(violations)
+        raise HierarchyValidationError(violations, path)
     return h
 
 
@@ -289,6 +361,13 @@ def save_call_graph(cg: CallGraph, path: str) -> None:
             for e in cg.edges
         ),
     ))
+
+
+# node and edge lines as `save_call_graph` writes them; groups in field order
+_NODE_LINE = re.compile(f'\\{{"id":{_STRING},"kind":"node"\\}}\\n?').fullmatch
+_EDGE_LINE = re.compile(
+    f'\\{{"dst":{_STRING},"kind":"edge","recv":{_STRING},"src":{_STRING}\\}}\\n?'
+).fullmatch
 
 
 def load_call_graph(path: str, h: TypeHierarchy) -> CallGraph:
@@ -325,11 +404,17 @@ def load_call_graph(path: str, h: TypeHierarchy) -> CallGraph:
         "edge": lambda record: edges.append(make_edge(
             node(record["src"]), node(record["dst"]), _typed(record, "recv", str)
         )),
-    })
+    }, [
+        # a matched uid is a string: a known one needs only the dict lookup
+        ("edge", _EDGE_LINE, lambda dst, recv, src: edges.append(make_edge(
+            by_uid.get(src) or node(src), by_uid.get(dst) or node(dst), recv
+        ))),
+        ("node", _NODE_LINE, node),
+    ])
     cg = build_call_graph(nodes.values(), edges)
     violations = validate_call_graph(cg, h)
     if violations:
-        raise HierarchyValidationError(violations)
+        raise HierarchyValidationError(violations, path)
     return cg
 
 

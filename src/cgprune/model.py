@@ -56,12 +56,15 @@ class UnknownTypeError(GraphError, KeyError):
 
 
 class HierarchyValidationError(GraphError):
-    """Raised when a hierarchy or call graph fails validation."""
+    """Raised when a hierarchy or call graph fails validation; a loader
+    passes the file's `path`, which then starts the message."""
 
-    def __init__(self, violations: list[Violation]):
+    def __init__(self, violations: list[Violation], path: str | None = None):
         self.violations = violations
+        self.path = path
         lines = "; ".join(str(v) for v in violations)
-        super().__init__(f"{len(violations)} violation(s): {lines}")
+        where = "" if path is None else f"{path}: "
+        super().__init__(f"{where}{len(violations)} violation(s): {lines}")
 
 
 _SIG_RE = re.compile(r"^([^()\s][^()]*)\((.*)\):(.+)$")
@@ -219,11 +222,11 @@ class TypeHierarchy:
         found = self._roots.get(sig)
         if found is None:
             declarers = set(self._declarers.get(sig, ()))
+            # a declarer is one of its own reflexive ancestors, so a root
+            # shares exactly one type with the declarers
             found = self._roots[sig] = frozenset(
                 tid for tid in declarers
-                if not any(
-                    a != tid and a in declarers for a in self.reflexive_ancestors(tid)
-                )
+                if len(declarers.intersection(self.reflexive_ancestors(tid))) == 1
             )
         return found
 
@@ -319,6 +322,8 @@ class CallEdge:
 sort_key = attrgetter("_key")
 edge_sort_key = attrgetter("source._key", "target._key", "receiver_type")
 
+_source = attrgetter("source")
+_target = attrgetter("target")
 _set_source = CallEdge.source.__set__
 _set_target = CallEdge.target.__set__
 _set_receiver_type = CallEdge.receiver_type.__set__
@@ -425,7 +430,7 @@ class CallGraph:
     def _target_ids(self) -> tuple[int, ...]:
         """The target's node id of each edge, in edge order: a graph pruned
         from this one finds the targets of its groups here."""
-        return tuple(map(self.node_ids.__getitem__, map(attrgetter("target"), self.edges)))
+        return tuple(map(self.node_ids.__getitem__, map(_target, self.edges)))
 
     @cached_property
     def predecessors(self) -> PredecessorIndex:
@@ -543,8 +548,8 @@ def build_call_graph(
         unique = list(dict.fromkeys(edge_list))
         unique.sort(key=edge_sort_key)
     node_set = set(nodes)
-    node_set.update([e.source for e in unique])
-    node_set.update([e.target for e in unique])
+    node_set.update(map(_source, unique))
+    node_set.update(map(_target, unique))
     return CallGraph(
         nodes=frozenset(node_set),
         edges=tuple(unique),
@@ -714,7 +719,12 @@ def validate_call_graph(cg: CallGraph, h: TypeHierarchy) -> list[Violation]:
     """
     violations: list[Violation] = []
     types = h.types
-    for n in cg.sorted_nodes():
+    # scan in any order, then sort only the nodes that break a rule
+    bad = [
+        n for n in cg.nodes
+        if (t := types.get(n.defining_type)) is None or n.signature not in t.declared
+    ]
+    for n in sorted(bad, key=sort_key):
         t = types.get(n.defining_type)
         if t is None:
             violations.append(

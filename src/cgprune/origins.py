@@ -26,13 +26,29 @@ from .model import (
     sort_key,
 )
 
+_target = attrgetter("target")
+
 
 @dataclass(frozen=True, order=True)
 class OriginRef:
-    """The first declaration of a signature: origin type plus the signature."""
+    """The first declaration of a signature: origin type plus the signature.
+
+    `find_origins` builds one object per origin and shares it, so the dicts
+    and counters keyed by origins find their keys by identity.
+    """
 
     origin_type: str
     signature: MethodSignature
+
+    def __post_init__(self) -> None:
+        # kept like MethodNode's: hash((origin_type, signature)), once
+        object.__setattr__(self, "_hash", hash((self.origin_type, self.signature)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (type(self), (self.origin_type, self.signature))
 
     def render(self, h: TypeHierarchy) -> str:
         """Readable form: the origin type's fully-qualified name plus the signature."""
@@ -105,27 +121,6 @@ class ExclusionList:
         )
 
 
-def _first_declarers(
-    h: TypeHierarchy, type_id: str, sig: MethodSignature
-) -> list[OriginRef]:
-    """Minimal first declarations of `sig` above (or at) `type_id`.
-
-    Ordered by (depth from the type, type id); the head of the list is the
-    canonical origin.  They are the hierarchy's root declarers of `sig`
-    among the type's reflexive ancestors; depths come from the ancestor memo,
-    so each type is walked once however many signatures it carries.
-    """
-    depths = h.reflexive_ancestor_depths(type_id)
-    roots = h.root_declarers(sig)
-    minimal = [tid for tid in depths if tid in roots]
-    if not minimal:
-        # target type does not declare its own signature (invalid graphs
-        # only); fall back to self-origin so the map stays total
-        minimal = [type_id]
-    minimal.sort(key=lambda tid: (depths[tid], tid))
-    return [OriginRef(tid, sig) for tid in minimal]
-
-
 def find_origins(cg: CallGraph, h: TypeHierarchy) -> OriginMap:
     """Map every distinct edge target to its origin declaration.
 
@@ -133,15 +128,40 @@ def find_origins(cg: CallGraph, h: TypeHierarchy) -> OriginMap:
     own origin.  Fully deterministic: ties between independent first
     declarations resolve by (depth, type id) and the losing candidates are
     exposed through `OriginMap.ambiguous`.
+
+    A target's first declarations are the hierarchy's root declarers of its
+    signature among the target type's reflexive ancestors; depths come from
+    the ancestor memo, so each type is walked once however many signatures
+    it carries.  The call builds one `OriginRef` per (origin type,
+    signature) and shares it among the entries and the ambiguous sets.
     """
-    targets = sorted({e.target for e in cg.edges}, key=sort_key)
+    targets = sorted(set(map(_target, cg.edges)), key=sort_key)
     entries: dict[MethodNode, OriginRef] = {}
     ambiguous: dict[MethodNode, tuple[OriginRef, ...]] = {}
+    # signature -> (its root declarers, its OriginRef per origin type)
+    per_signature: dict[MethodSignature, tuple[frozenset[str], dict[str, OriginRef]]] = {}
     for node in targets:
-        candidates = _first_declarers(h, node.defining_type, node.signature)
-        entries[node] = candidates[0]
-        if len(candidates) > 1:
-            ambiguous[node] = tuple(candidates)
+        sig = node.signature
+        found = per_signature.get(sig)
+        if found is None:
+            found = per_signature[sig] = (h.root_declarers(sig), {})
+        roots, refs = found
+        depths = h.reflexive_ancestor_depths(node.defining_type)
+        minimal = roots.intersection(depths)
+        if len(minimal) > 1:
+            candidates = sorted(minimal, key=lambda tid: (depths[tid], tid))
+        elif minimal:
+            candidates = list(minimal)
+        else:
+            # the target type does not declare its own signature (invalid
+            # graphs only); fall back to self-origin so the map stays total
+            candidates = [node.defining_type]
+        origins = [
+            refs.get(tid) or refs.setdefault(tid, OriginRef(tid, sig)) for tid in candidates
+        ]
+        entries[node] = origins[0]
+        if len(origins) > 1:
+            ambiguous[node] = tuple(origins)
     return OriginMap(entries=entries, ambiguous=ambiguous)
 
 
@@ -163,10 +183,9 @@ def origin_edge_frequencies(cg: CallGraph, origins: OriginMap) -> OriginFrequenc
     The counts sum to the edge count of the graph; the origin map must be
     total over the graph's edge targets.
     """
-    # count per target first: an OriginRef's hash is not cached, so it is
-    # taken once per target, not once per edge
+    # count per target first, then add each target's count to its origin
     counts: Counter = Counter()
-    for target, n in Counter(map(attrgetter("target"), cg.edges)).items():
+    for target, n in Counter(map(_target, cg.edges)).items():
         try:
             counts[origins.entries[target]] += n
         except KeyError:
@@ -180,10 +199,11 @@ def unique_derivative_counts(
     cg: CallGraph, origins: OriginMap
 ) -> list[tuple[OriginRef, int]]:
     """Distinct derivative methods per origin, ranked like the frequency table."""
-    for e in cg.edges:
-        if e.target not in origins.entries:
-            raise KeyError(f"origin map is not total: missing target {e.target.uid}")
-    counts: Counter = Counter(origins.entries.values())
+    entries = origins.entries
+    if not all(map(entries.__contains__, map(_target, cg.edges))):
+        missing = next(t for t in map(_target, cg.edges) if t not in entries)
+        raise KeyError(f"origin map is not total: missing target {missing.uid}")
+    counts: Counter = Counter(entries.values())
     return list(_ranked(counts))
 
 

@@ -1,11 +1,14 @@
 """Interchange files: round trips, version checks, positioned diagnostics."""
 
 import contextlib
+import functools
 import io
 import json
 import os
 import re
 import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -36,6 +39,7 @@ from cgprune import (
     save_hierarchy,
     validate_hierarchy,
 )
+import cgprune.io as cgprune_io
 from cgprune.cli import main
 from cgprune.io import SCHEMA_VERSION
 from cgprune.model import MethodSignature
@@ -403,6 +407,223 @@ class TestLoadValidation:
         ]) + "\n")
         with pytest.raises(HierarchyValidationError, match="T9"):
             load_call_graph(str(path), f1.h)
+
+
+class TestWholeFileErrorsNameTheFile:
+    """A schema version or a whole-file rule violation names the file."""
+
+    @pytest.mark.parametrize("content", ["hierarchy", "callgraph"])
+    @pytest.mark.parametrize("schema", ["true", "1.0", '"1"'])
+    def test_schema_must_be_the_json_integer_1(self, f1, tmp_path, capsys, content, schema):
+        hp, cp = tmp_path / "h.jsonl", tmp_path / "cg.jsonl"
+        save_hierarchy(f1.h, str(hp))
+        save_call_graph(f1.cg, str(cp))
+        path = hp if content == "hierarchy" else cp
+        lines = path.read_text().splitlines(keepends=True)
+        assert json.loads(lines[0])["schema"] == 1
+        lines[0] = lines[0].replace('"schema":1', f'"schema":{schema}')
+        path.write_text("".join(lines))
+        found = json.loads(schema)
+        message = f"{path}: file has schema version {found!r}, reader supports version 1"
+        with pytest.raises(SchemaVersionError) as exc:
+            load_call_graph(str(cp), load_hierarchy(str(hp)))
+        assert str(exc.value) == message
+        assert type(exc.value.found) is type(found)
+        assert main(["origins", str(hp), str(cp)]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_hierarchy_violation_names_the_file(self, tmp_path, capsys):
+        hp = tmp_path / "h.jsonl"
+        hp.write_text("\n".join([
+            '{"kind":"header","schema":1,"content":"hierarchy"}',
+            '{"kind":"type","id":"T2","fq":"x.T2","parents":["T9"],'
+            '"declares":[],"project":"p","package":"x","core":false}',
+        ]) + "\n")
+        cp = tmp_path / "cg.jsonl"
+        cp.write_text(_CG_HEADER + "\n")
+        message = f"{hp}: 1 violation(s): [dangling-parent] T2: parent 'T9' does not exist"
+        with pytest.raises(HierarchyValidationError) as exc:
+            load_hierarchy(str(hp))
+        assert str(exc.value) == message
+        assert main(["origins", str(hp), str(cp)]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_callgraph_violation_names_the_file(self, f1, tmp_path, capsys):
+        hp, cp = tmp_path / "h.jsonl", tmp_path / "cg.jsonl"
+        save_hierarchy(f1.h, str(hp))
+        cp.write_text("\n".join([
+            _CG_HEADER,
+            '{"kind":"edge","src":"T4::run():void","dst":"T9::next():void",'
+            '"recv":"T1"}',
+        ]) + "\n")
+        message = f"{cp}: 1 violation(s): [unknown-type] T9: node T9::next():void has no type"
+        with pytest.raises(HierarchyValidationError) as exc:
+            load_call_graph(str(cp), f1.h)
+        assert str(exc.value) == message
+        assert main(["origins", str(hp), str(cp)]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# The pattern path: after the header, a line as the writers emit it loads
+# through one `fullmatch` of its kind's pattern instead of the decoder.
+_PATTERNS = ("_TYPE_LINE", "_NODE_LINE", "_EDGE_LINE")
+_TYPE_FIELDS = ("core", "declares", "fq", "id", "package", "parents", "project")
+
+
+def _counting_decoder(monkeypatch) -> list[int]:
+    """Count the lines `_read_jsonl` hands to the decoder, by line number."""
+    decoded: list[int] = []
+    real = cgprune_io._decoded
+
+    def counting(path, lineno, *args):
+        decoded.append(lineno)
+        return real(path, lineno, *args)
+
+    monkeypatch.setattr(cgprune_io, "_decoded", counting)
+    return decoded
+
+
+class TestWritersStayOnThePatternPath:
+    def test_every_written_line_matches_its_pattern(self, tmp_path, monkeypatch):
+        params = GenParams(type_count=120, seed=4)
+        h = generate_hierarchy(params)
+        cg = generate_call_graph_cha(h, params)
+        hp, cp = tmp_path / "h.jsonl", tmp_path / "cg.jsonl"
+        save_hierarchy(h, str(hp))
+        save_call_graph(cg, str(cp))
+        type_lines = hp.read_text().splitlines()[1:]
+        assert len(type_lines) == len(h.types)
+        for line in type_lines:
+            fields = cgprune_io._TYPE_LINE(line)
+            assert fields is not None, line
+            core, declares, fq, tid, package, parents, project = fields.groups()
+            record = json.loads(line)
+            assert [core == "true", list(cgprune_io._strings(declares)), fq, tid, package,
+                    list(cgprune_io._strings(parents)), project] == \
+                [record[key] for key in _TYPE_FIELDS]
+        graph_lines = cp.read_text().splitlines()[1:]
+        assert len(graph_lines) == cg.node_count + cg.edge_count
+        for line in graph_lines:
+            record = json.loads(line)
+            if record["kind"] == "node":
+                assert cgprune_io._NODE_LINE(line).groups() == (record["id"],)
+            else:
+                assert cgprune_io._EDGE_LINE(line).groups() == \
+                    (record["dst"], record["recv"], record["src"])
+        # and the loaders decode the headers only
+        decoded = _counting_decoder(monkeypatch)
+        loaded = load_hierarchy(str(hp))
+        graph = load_call_graph(str(cp), loaded)
+        assert loaded == h
+        assert (graph.nodes, graph.edges) == (cg.nodes, cg.edges)
+        assert decoded == [1, 1]
+
+    def test_non_ascii_name_is_decoded_and_round_trips(self, f1, tmp_path, monkeypatch):
+        types = dict(f1.h.types, T5=replace(f1.h.types["T5"], fq_name="com.app.c.H\u00e9lper"))
+        h = TypeHierarchy(types, f1.h.core_project_id)
+        path = tmp_path / "h.jsonl"
+        save_hierarchy(h, str(path))
+        lines = path.read_text().splitlines()
+        (line,) = [i for i, text in enumerate(lines) if '"id":"T5"' in text]
+        assert '"fq":"com.app.c.H\\u00e9lper"' in lines[line]
+        assert cgprune_io._TYPE_LINE(lines[line]) is None
+        decoded = _counting_decoder(monkeypatch)
+        assert load_hierarchy(str(path)) == h
+        assert decoded == [1, line + 1]
+
+
+# one-character damage to the lines of a saved generated corpus
+_ODD_CHARS = ['"', "\\", " ", "\t", "\x00", "\u00e9", "\u2028"]
+_STRUCTURE = "{}[],:"
+_KEYS = ["core", "declares", "dst", "fq", "id", "kind", "package", "parents", "project",
+         "recv", "src", "x"]
+
+
+@functools.cache
+def _canonical_corpus() -> tuple[TypeHierarchy, dict[str, list[str]]]:
+    params = GenParams(type_count=15, seed=4)
+    h = generate_hierarchy(params)
+    cg = generate_call_graph_cha(h, params)
+    with tempfile.TemporaryDirectory() as tmp:
+        hp, cp = os.path.join(tmp, "h.jsonl"), os.path.join(tmp, "cg.jsonl")
+        save_hierarchy(h, hp)
+        save_call_graph(cg, cp)
+        lines = {name: Path(p).read_text().splitlines()
+                 for name, p in (("hierarchy", hp), ("callgraph", cp))}
+    return h, lines
+
+
+@st.composite
+def _damaged(draw, lines: list[str]) -> tuple[str, int | None]:
+    """(file text, index of the damaged line or None)."""
+    kind = draw(st.sampled_from(
+        ["insert", "replace", "structure", "key", "no-final-newline", "crlf"]
+    ))
+    if kind == "no-final-newline":
+        return "\n".join(lines), None
+    if kind == "crlf":
+        return "\r\n".join(lines) + "\r\n", None
+    out = list(lines)
+    i = draw(st.integers(0, len(out) - 1))
+    line = out[i]
+    if kind == "insert":
+        at = draw(st.integers(0, len(line)))
+        out[i] = line[:at] + draw(st.sampled_from(_ODD_CHARS)) + line[at:]
+    elif kind == "replace":
+        at = draw(st.integers(0, len(line) - 1))
+        out[i] = line[:at] + draw(st.sampled_from(_ODD_CHARS)) + line[at + 1:]
+    elif kind == "structure":
+        at = draw(st.sampled_from([j for j, c in enumerate(line) if c in _STRUCTURE]))
+        new = draw(st.sampled_from([c for c in _STRUCTURE if c != line[at]]))
+        out[i] = line[:at] + new + line[at + 1:]
+    else:
+        key = draw(st.sampled_from(list(re.finditer(r'"([a-z]+)":', line))))
+        new = draw(st.sampled_from([k for k in _KEYS if k != key.group(1)]))
+        out[i] = line[:key.start(1)] + new + line[key.end(1):]
+    return "\n".join(out) + "\n", i
+
+
+def _outcome(load, path: str):
+    """The loaded value, or the loader error's type and message."""
+    try:
+        return load(path)
+    except cgprune_io.GraphError as exc:
+        return type(exc), str(exc)
+
+
+class TestPatternPathMatchesTheDecoder:
+    def test_damaged_lines_load_alike_on_both_paths(self):
+        h, lines = _canonical_corpus()
+        loaders = {"hierarchy": load_hierarchy,
+                   "callgraph": lambda path: load_call_graph(path, h)}
+        seen = set()
+
+        @settings(
+            max_examples=400, derandomize=True, database=None, deadline=None,
+            suppress_health_check=[HealthCheck.too_slow],
+        )
+        @given(st.data())
+        def check(data):
+            content = data.draw(st.sampled_from(sorted(loaders)))
+            text, damaged = data.draw(_damaged(lines[content]))
+            with tempfile.TemporaryDirectory() as tmp:
+                path = os.path.join(tmp, f"{content}.jsonl")
+                Path(path).write_bytes(text.encode("utf-8"))
+                fast = _outcome(loaders[content], path)
+                with pytest.MonkeyPatch.context() as mp:
+                    for name in _PATTERNS:
+                        mp.setattr(cgprune_io, name, lambda line: None)
+                    decoded = _outcome(loaders[content], path)
+            assert fast == decoded
+            if damaged:
+                line = text.splitlines()[damaged].strip()
+                matched = any(getattr(cgprune_io, name)(line) for name in _PATTERNS)
+                seen.add((matched, type(fast) is tuple))
+
+        check()
+        # a damaged line that still matches can load or fail, and so can one
+        # that does not
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 class TestApplyCorePrefixes:

@@ -601,6 +601,18 @@ class TestValidateCallGraph:
         )
         assert "unknown-receiver" in [v.rule for v in validate_call_graph(cg, f1.h)]
 
+    def test_node_violations_in_node_order_then_edges(self, f1):
+        bad = [m("T9", "ghost"), m("T5", "run"), m("A0", "x"), m("T2", "fmt"), m("T5", "a")]
+        good = [m("T2", "next"), m("T4", "run")]
+        cg = build_call_graph(bad + good, [CallEdge(m("T4", "run"), m("T2", "next"), "Q")])
+        violations = validate_call_graph(cg, f1.h)
+        # the dataclass order of the nodes is the reference
+        assert [(v.type_id, v.message.split()[-1]) for v in violations[:-1]] == [
+            (n.defining_type, n.signature.to_text() if n.defining_type in f1.h else "type")
+            for n in sorted(bad)
+        ]
+        assert (violations[-1].rule, violations[-1].type_id) == ("unknown-receiver", "Q")
+
 
 class TestHierarchyLookup:
     def test_node_raises_with_id(self):

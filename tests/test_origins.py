@@ -1,6 +1,9 @@
 """Origin analysis: first declarations, frequency ranking, exclusion lists."""
 
+import dataclasses
+import pickle
 from collections import Counter
+from itertools import chain
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -160,6 +163,31 @@ class TestFindOrigins:
         assert len(targets) > len({t.defining_type for t in targets})
         assert set(walked.values()) == {1}
         assert {t.defining_type for t in targets} <= walked.keys()
+
+
+class TestSharedOriginRefs:
+    def test_one_object_per_origin_in_one_call(self):
+        params = GenParams(type_count=120, seed=4)
+        h = generate_hierarchy(params)
+        origins = find_origins(generate_call_graph_cha(h, params), h)
+        refs = [*origins.entries.values(), *chain.from_iterable(origins.ambiguous.values())]
+        assert origins.ambiguous and len(set(refs)) < len(origins.entries)
+        first: dict[OriginRef, OriginRef] = {}
+        for ref in refs:
+            assert first.setdefault(ref, ref) is ref
+
+    def test_hash_follows_the_value(self):
+        ref = OriginRef("T1", sig("next"))
+        assert hash(ref) == hash(("T1", sig("next")))
+        assert {OriginRef("T1", model.MethodSignature("next")): 1}[ref] == 1
+        moved = dataclasses.replace(ref, origin_type="T2")
+        assert hash(moved) == hash(OriginRef("T2", sig("next"))) != hash(ref)
+        # string hashes are salted per process: a pickle carries no hash
+        assert b"_hash" not in pickle.dumps(ref)
+        copy = pickle.loads(pickle.dumps(ref))
+        assert copy == ref and hash(copy) == hash(ref)
+        assert sorted([moved, ref]) == [ref, moved]
+        assert repr(ref) == f"OriginRef(origin_type='T1', signature={sig('next')!r})"
 
 
 def _shapes(h, cg, ambiguous):
