@@ -10,8 +10,8 @@ Two file families, each with one reader and one per-record error boundary:
   ``node`` and ``edge`` lines of `save_call_graph`: the writer's key
   order, every string printable ASCII without ``"`` or ``\\``) is read by
   one `fullmatch` of its kind's pattern, whose groups are the record's
-  fields.  Any other line is decoded by one `raw_decode` call; a valid one
-  loads to the same result, and a bad one fails with the same error, on
+  fields.  Any other line is decoded as `json.loads` decodes it; a valid
+  one loads to the same result, and a bad one fails with the same error, on
   either path.
 - Commented text (exclusion lists, vulnerability assignments): ``# key:
   <int>`` lines whose key the file kind knows are headers, other ``#``
@@ -86,12 +86,10 @@ def _dump(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
-_decode = json.JSONDecoder().raw_decode
-
-
 def _check_utf8(path: str, lineno: int, line: str) -> None:
     """Readers decode with ``surrogateescape``, so a byte that is not UTF-8
-    is a lone surrogate, which no longer encodes; they check non-ASCII lines."""
+    is a lone surrogate, which no longer encodes; they check every line
+    that the pattern path does not take."""
     try:
         line.encode("utf-8")
     except UnicodeEncodeError as exc:
@@ -134,8 +132,7 @@ def _read_jsonl(
                 line = raw.strip()
                 if not line:
                     continue
-                if not line.isascii():
-                    _check_utf8(path, lineno, line)
+                _check_utf8(path, lineno, line)
                 kind, handler, args = _decoded(path, lineno, line, content, handlers, saw_header)
                 saw_header = True
                 fast = patterns
@@ -155,20 +152,12 @@ def _decoded(
     path: str, lineno: int, line: str, content: str,
     handlers: Mapping[str, Callable[[dict], None]], saw_header: bool,
 ) -> tuple[str, Callable[[dict], None], tuple[dict]]:
-    """(kind, handler, (record,)) for a line that `_read_jsonl` decodes.
-
-    One decoder call; the checks `json.loads` would add around it (leading
-    BOM, trailing data) are made here, and so are the header's.
-    """
+    """(kind, handler, (record,)) for a line that `_read_jsonl` decodes,
+    after the checks on its kind and, for the header, on its fields."""
     try:
-        record, end = _decode(line)
+        record = json.loads(line)
     except json.JSONDecodeError as exc:
-        problem = exc.msg
-        if line.startswith("\ufeff"):
-            problem = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
-        raise RecordFormatError(path, lineno, f"invalid JSON: {problem}") from None
-    if end != len(line):
-        raise RecordFormatError(path, lineno, "invalid JSON: Extra data")
+        raise RecordFormatError(path, lineno, f"invalid JSON: {exc.msg}") from None
     kind = record.get("kind") if type(record) is dict else None
     if type(kind) is not str:
         raise RecordFormatError(path, lineno, "record must be an object with a 'kind'")
@@ -224,14 +213,11 @@ def checked_list(what: str, value: object, kind: type) -> tuple:
 
 def _typed(record: dict, key: str, kind: type, default: object = ...) -> object:
     """`record[key]`, or `default` (if given) when the key is absent, if it
-    is exactly a `kind` (a list: of strings).  The test is inline, as the
-    loaders call this once per field; the shared checks word the error."""
+    is exactly a `kind` (a list: of strings)."""
     value = record[key] if default is ... else record.get(key, default)
-    if type(value) is not kind or kind is list and any(type(v) is not str for v in value):
-        if kind is list:
-            checked_list(repr(key), value, str)
-        checked(repr(key), value, kind)
-    return value
+    if kind is list:
+        return checked_list(repr(key), value, str)
+    return checked(repr(key), value, kind)
 
 
 def _signature_lookup(
@@ -386,13 +372,10 @@ def load_call_graph(path: str, h: TypeHierarchy) -> CallGraph:
     signature = _signature_lookup({s.to_text(): s for s in declared})
 
     def node(uid: str) -> MethodNode:
-        try:
-            found = by_uid.get(uid)
-        except TypeError:  # an array or object is unhashable
-            found = None
+        if type(uid) is not str:
+            checked("method node id", uid, str)
+        found = by_uid.get(uid)
         if found is None:
-            if type(uid) is not str:
-                checked("method node id", uid, str)
             # non-canonical spellings such as ``f(,int)`` parse to one node
             parsed = MethodNode.from_uid(uid, signature)
             found = by_uid[uid] = nodes.setdefault(parsed, parsed)
@@ -419,11 +402,12 @@ def load_call_graph(path: str, h: TypeHierarchy) -> CallGraph:
 
 
 def read_text_records(
-    path: str, header_keys: tuple[str, ...], parse: Callable[[str], T]
+    path: str, header_keys: Mapping[str, int | None], parse: Callable[[str], T]
 ) -> tuple[dict[str, int], list[T]]:
     """The ``# key: <int>`` headers with a key in `header_keys` (the last
-    one wins) and the lines of a commented text file, each stripped and
-    mapped through `parse`, whose ValueError names the line's problem."""
+    one wins), each at least the key's value there (None: any integer), and
+    the lines of a commented text file, each stripped and mapped through
+    `parse`, whose ValueError names the line's problem."""
     headers: dict[str, int] = {}
     records: list[T] = []
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
@@ -431,20 +415,21 @@ def read_text_records(
             line = raw.strip()
             if not line:
                 continue
-            if not line.isascii():
-                _check_utf8(path, lineno, line)
+            _check_utf8(path, lineno, line)
             try:
                 if line.startswith("#"):
                     body = line.lstrip("#").strip()
                     key, sep, value = body.partition(":")
                     if sep and key in header_keys:
-                        headers[key] = int(value)
+                        try:
+                            number = int(value)
+                        except ValueError:
+                            raise ValueError(f"header {body!r} needs an integer value") from None
+                        headers[key] = checked(f"header {key!r}", number, int, header_keys[key])
                 else:
                     records.append(parse(line))
             except ValueError as exc:
-                is_header = line[0] == "#"
-                problem = f"header {body!r} needs an integer value" if is_header else str(exc)
-                raise RecordFormatError(path, lineno, problem) from None
+                raise RecordFormatError(path, lineno, str(exc)) from None
     return headers, records
 
 

@@ -10,7 +10,10 @@ Each non-core method gets one of four levels from its outgoing edges:
 Levels only ever escalate while scanning a method's edges, and a single
 out-of-project call settles the label at 3 immediately.  Level-1 evidence
 never downgrades an already-established level 2.  Edges are visited in the
-graph's canonical order so the result is independent of input order.
+graph's canonical order so the result is independent of input order.  As
+applied, a call into the method's own hierarchy counts as level 1 only
+until a level-2 call has been seen; after one, such a call into another
+project counts as level 3, so the label can depend on the target types' ids.
 """
 
 from __future__ import annotations

@@ -651,23 +651,18 @@ def component_masks(
 def ancestor_depths(h: TypeHierarchy, type_id: str) -> dict[str, int]:
     """Minimal parent-edge distance to each reflexive ancestor (self = 0).
 
-    Never loops on cyclic input; the visited set caps every type at its
-    first (minimal) depth.
+    One breadth-first walk, keys in discovery order.  Never loops on cyclic
+    input; a type keeps the depth it is first seen at, its minimal one.
     """
     h.node(type_id)
     depths = {type_id: 0}
-    level = [type_id]
-    depth = 0
-    while level:
-        depth += 1
-        frontier: set[str] = set()
-        for tid in level:
-            for p in h.node(tid).parents:
-                if p not in depths and p in h.types:
-                    frontier.add(p)
-        level = sorted(frontier)
-        for p in level:
-            depths[p] = depth
+    queue = [type_id]
+    for tid in queue:
+        depth = depths[tid] + 1
+        for p in h.types[tid].parents:
+            if p not in depths and p in h.types:
+                depths[p] = depth
+                queue.append(p)
     return depths
 
 

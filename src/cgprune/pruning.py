@@ -256,5 +256,5 @@ def load_exclusion_list(path: str, h: TypeHierarchy) -> ExclusionList:
             raise ValueError(f"type name {fq!r} is ambiguous in this hierarchy")
         return sig, tid
 
-    headers, pairs = read_text_records(path, ("declared-size",), parse)
+    headers, pairs = read_text_records(path, {"declared-size": 0}, parse)
     return ExclusionList.from_pairs(pairs, headers.get("declared-size", len(pairs)))

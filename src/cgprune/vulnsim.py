@@ -311,7 +311,7 @@ def load_assignment(path: str, cg: CallGraph | None = None) -> VulnerabilityAssi
             raise ValueError(f"method {line!r} is not in the call graph")
         return node
 
-    headers, nodes = read_text_records(path, ("seed", "requested"), parse)
+    headers, nodes = read_text_records(path, {"seed": None, "requested": 0}, parse)
     vulnerable = frozenset(nodes)
     return VulnerabilityAssignment(
         vulnerable=vulnerable,

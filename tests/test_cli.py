@@ -360,6 +360,28 @@ class TestExitCodes:
                      "--out", str(tmp_path / "out.jsonl")]) == 3
         assert "excl.tsv:1: header" in capsys.readouterr().err
 
+    def test_negative_exclusion_size_header_is_validation_error(
+        self, f1_paths, tmp_path, capsys
+    ):
+        excl = tmp_path / "excl.tsv"
+        excl.write_text("# declared-size: -7\nnext():void\tjava.util.Iterator\n")
+        assert main(["prune", *f1_paths, "--exclusion-file", str(excl),
+                     "--out", str(tmp_path / "out.jsonl")]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {excl}:1: header 'declared-size' must be non-negative, got -7\n"
+        )
+
+    def test_negative_requested_header_is_validation_error(
+        self, f1_paths, tmp_path, capsys
+    ):
+        assignment = tmp_path / "cves.txt"
+        assignment.write_text("# seed: 0\n# requested: -3\nT3::next():void\n")
+        assert main(["vuln-sim", *f1_paths, "--app-project", "app",
+                     "--assignment-in", str(assignment)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {assignment}:2: header 'requested' must be non-negative, got -3\n"
+        )
+
     def test_malformed_exclusion_line_is_validation_error(
         self, f1_paths, tmp_path, capsys
     ):

@@ -39,6 +39,54 @@ def test_no_module_has_an_unused_import():
     assert {name: names for name, names in found.items() if names} == {}
 
 
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """The module-level private names of `sources` (file name -> source),
+    bound by a ``def``, ``class`` or assignment, that no module reads: not
+    as a name, an attribute or an imported name.  Dunders are not private."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    unread = []
+    for file, tree in trees.items():
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            unread += [
+                f"{file}: {name} (line {stmt.lineno})" for name in names
+                if name.startswith("_") and not name.endswith("__") and name not in read
+            ]
+    return unread
+
+
+def test_the_check_sees_an_unread_private_name():
+    sources = {
+        "a.py": (
+            "_used = 1\n_unused, _pair = 2, 3\n__version__ = '1'\n"
+            "def _f():\n    return _used + _pair\nclass _Gone:\n    pass\n"
+            "class _Kept:\n    pass\n"
+        ),
+        "b.py": "import a\nfrom a import _Kept\na._f()\n",
+    }
+    assert unread_private_names(sources) == ["a.py: _unused (line 2)", "a.py: _Gone (line 6)"]
+
+
+def test_no_private_name_is_left_unread():
+    package = sorted(Path(cgprune.__file__).parent.glob("*.py"))
+    assert unread_private_names({p.name: p.read_text(encoding="utf-8") for p in package}) == []
+
+
 def test_cli_import_loads_no_numeric_tower():
     # statistics pulls in fractions and decimal; the pipeline imports it
     # only when an aggregate column varies

@@ -19,6 +19,7 @@ from cgprune import (
     PruneAllOracle,
     ProjectRoleMap,
     PruneDecision,
+    RecordFormatError,
     TypeHierarchy,
     TypeNode,
     UnknownTypeError,
@@ -262,6 +263,20 @@ class TestExclusionListFile:
         path.write_text("# declared-size: ten\nnext():void\tjava.util.Iterator\n")
         with pytest.raises(ValueError, match="excl.txt:1: header 'declared-size: ten'"):
             load_exclusion_list(str(path), f1.h)
+
+    def test_negative_size_header_positioned(self, f1, tmp_path):
+        path = tmp_path / "excl.txt"
+        path.write_text("# declared-size: -7\nnext():void\tjava.util.Iterator\n")
+        with pytest.raises(RecordFormatError) as info:
+            load_exclusion_list(str(path), f1.h)
+        assert str(info.value) == (
+            f"{path}:1: header 'declared-size' must be non-negative, got -7"
+        )
+
+    def test_zero_size_header_loads(self, f1, tmp_path):
+        path = tmp_path / "excl.txt"
+        path.write_text("# declared-size: 0\n")
+        assert load_exclusion_list(str(path), f1.h).declared_size == 0
 
     def test_missing_size_header_defaults_to_entry_count(self, f1, tmp_path):
         path = tmp_path / "excl.txt"

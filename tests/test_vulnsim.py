@@ -17,6 +17,7 @@ from cgprune import (
     NoEligibleNodesError,
     ProjectRoleMap,
     PruneDecision,
+    RecordFormatError,
     ReachabilityResult,
     TypeHierarchy,
     TypeNode,
@@ -271,6 +272,20 @@ class TestAssignmentFile:
         path.write_text("# seed: eleven\nT3::next():void\n")
         with pytest.raises(ValueError, match="vuln.txt:1: header 'seed: eleven'"):
             load_assignment(str(path))
+
+    def test_negative_requested_header_positioned(self, tmp_path):
+        path = tmp_path / "vuln.txt"
+        path.write_text("# seed: 3\n# requested: -3\nT3::next():void\n")
+        with pytest.raises(RecordFormatError) as info:
+            load_assignment(str(path))
+        assert str(info.value) == f"{path}:2: header 'requested' must be non-negative, got -3"
+
+    def test_negative_seed_header_loads(self, tmp_path):
+        # a seed is any integer; only the counts have a least value
+        path = tmp_path / "vuln.txt"
+        path.write_text("# seed: -3\n# requested: 0\nT3::next():void\n")
+        loaded = load_assignment(str(path))
+        assert (loaded.seed, loaded.requested) == (-3, 1)
 
     def test_non_integer_requested_header_positioned(self, tmp_path):
         path = tmp_path / "vuln.txt"
