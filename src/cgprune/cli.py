@@ -216,9 +216,9 @@ def cmd_prune(args: argparse.Namespace) -> int:
         result = prune_exhaustive(cg, excl, h)
     else:
         result = prune_selective(cg, excl, h, ORACLES[args.oracle](), args.threshold)
-    save_call_graph(result.pruned_graph, args.out)
     if args.save_exclusion:
         save_exclusion_list(excl, args.save_exclusion, h)
+    save_call_graph(result.pruned_graph, args.out)
     print(
         f"candidates {result.candidate_edges}, pruned {result.pruned_edges}, "
         f"kept {result.pruned_graph.edge_count} of {cg.edge_count} edges "

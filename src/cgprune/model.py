@@ -7,21 +7,21 @@ the receiver type that was written at the call site in addition to the
 resolved target.
 
 Everything here is immutable after construction and safe to share across
-threads; the only state added later is lazily built lookup tables (the
-ancestor, descendant-cone, root-declarer and application-type memos and the
-children and declarer indexes of a TypeHierarchy; the adjacency and target
-indexes, the node-type set, the dense node ids and the predecessor index of
-a CallGraph, plus the candidate groups `pruning` memoises on a graph), whose
-entries are fixed by the values themselves.  The predecessor index is one
-list over the node ids: per node, the ids of its callers in edge order
-(`PredecessorIndex`, which reads as a node-keyed mapping).  A graph pruned
-by `CallGraph.pruned` inherits its parent's tables instead of rebuilding
-them: it shares the node-type set and, on first use, the node ids, and
-derives its predecessor index from the parent's by copying the list and
-replacing the entries of the pruned targets.  Analyses elsewhere in the
-package are pure functions over these values.  Construction is permissive;
-`validate_hierarchy` reports rule violations instead of raising, so callers
-(e.g. file loaders) decide how strict to be.
+threads; the only state added later is lazily built lookup tables, each
+fact in exactly one (the ancestor, descendant-cone and application-type
+memos and the children and declarer indexes of a TypeHierarchy; the
+adjacency and target indexes, the node-type set and the predecessor index
+of a CallGraph, plus the candidate groups `pruning` memoises on a graph),
+whose entries are fixed by the values themselves.  The predecessor index
+holds the graph's dense node ids and, per node, the ids of its callers in
+edge order (`PredecessorIndex`, which reads as a node-keyed mapping).  A
+graph pruned by `CallGraph.pruned` shares its parent's node-type set and,
+on first use, derives its predecessor index from the parent's, node ids
+included, by copying the list and replacing the entries of the pruned
+targets.  Analyses elsewhere in the package are pure functions over these
+values.  Construction is permissive; `validate_hierarchy` reports rule
+violations instead of raising, so callers (e.g. file loaders) decide how
+strict to be.
 
 A dangling parent, one that names no type of the hierarchy, is skipped by
 every walk: ancestor walks do not step to it, and the `children` index that
@@ -216,23 +216,16 @@ class TypeHierarchy:
 
         The first declarers above any type t are exactly the members of R(s)
         among t's reflexive ancestors, since whether a declarer is a root does
-        not depend on t.  Memoised per signature; every declarer's ancestors
-        are walked through the ancestor memo.
+        not depend on t.  Computed on each call (`find_origins` asks once per
+        signature), walking every declarer's ancestors through their memo.
         """
-        found = self._roots.get(sig)
-        if found is None:
-            declarers = set(self._declarers.get(sig, ()))
-            # a declarer is one of its own reflexive ancestors, so a root
-            # shares exactly one type with the declarers
-            found = self._roots[sig] = frozenset(
-                tid for tid in declarers
-                if len(declarers.intersection(self.reflexive_ancestors(tid))) == 1
-            )
-        return found
-
-    @cached_property
-    def _roots(self) -> dict[MethodSignature, frozenset[str]]:
-        return {}
+        declarers = set(self._declarers.get(sig, ()))
+        # a declarer is one of its own reflexive ancestors, so a root
+        # shares exactly one type with the declarers
+        return frozenset(
+            tid for tid in declarers
+            if len(declarers.intersection(self.reflexive_ancestors(tid))) == 1
+        )
 
     @cached_property
     def _declarers(self) -> Mapping[MethodSignature, list[str]]:
@@ -415,22 +408,10 @@ class CallGraph:
         return frozenset(n.defining_type for n in self.nodes)
 
     @cached_property
-    def node_ids(self) -> Mapping[MethodNode, int]:
-        """Dense node ids: node -> 0..node_count-1, keys in id order.
-
-        A graph made by `pruned` keeps its parent's node set and shares its
-        ids, built on first use by whichever graph of the family asks first.
-        """
-        derivation = vars(self).get("_derivation")
-        if derivation is not None:
-            return derivation[0].node_ids
-        return {n: i for i, n in enumerate(self.nodes)}
-
-    @cached_property
     def _target_ids(self) -> tuple[int, ...]:
         """The target's node id of each edge, in edge order: a graph pruned
         from this one finds the targets of its groups here."""
-        return tuple(map(self.node_ids.__getitem__, map(_target, self.edges)))
+        return tuple(map(self.predecessors.ids.__getitem__, map(_target, self.edges)))
 
     @cached_property
     def predecessors(self) -> PredecessorIndex:
@@ -440,7 +421,7 @@ class CallGraph:
         derives the index from the parent's: one copy of the source-id list
         in which only the targets of the pruned groups change.
         """
-        derivation = vars(self).get("_derivation")
+        derivation = vars(self).pop("_derivation", None)
         if derivation is None:
             return _predecessors_from_edges(self)
         parent, groups, keep = derivation
@@ -452,8 +433,6 @@ class CallGraph:
             sources[t] = () if keep is None else tuple(
                 compress(base.sources[t], [keep[i] for i in group])
             )
-        vars(self)["node_ids"] = base.ids
-        vars(self).pop("_derivation", None)
         return PredecessorIndex(base.nodes, base.ids, sources)
 
     def pruned(
@@ -465,8 +444,8 @@ class CallGraph:
         one target.  Without `keep` every edge of the groups goes; with it,
         a per-edge mask that is False only inside the groups, the masked
         edges go.  The result shares this graph's node-type set, and its
-        node ids and predecessor index come from this graph's on first use,
-        so a pruned graph that is never propagated builds neither.
+        predecessor index, node ids included, comes from this graph's on
+        first use, so a pruned graph that is never propagated builds no index.
         """
         mask = keep
         if mask is None:
@@ -516,10 +495,11 @@ class PredecessorIndex(Mapping[MethodNode, tuple[MethodNode, ...]]):
 
 
 def _predecessors_from_edges(cg: CallGraph) -> PredecessorIndex:
-    """`CallGraph.predecessors` built from the edges on the graph's node ids,
-    one source tuple per group of `target_positions` (a group lists every
-    edge into one target, in order)."""
-    ids = cg.node_ids
+    """`CallGraph.predecessors` built from the edges: the graph's nodes
+    numbered in iteration order, then one source tuple per group of
+    `target_positions` (a group lists every edge into one target, in order).
+    This is the one place node ids are made; pruned graphs share them."""
+    ids = {n: i for i, n in enumerate(cg.nodes)}
     edges = cg.edges
     sources: list[tuple[int, ...]] = [()] * len(ids)
     for by_type in cg.target_positions.values():

@@ -22,6 +22,7 @@ from .io import read_text_records, write_text_records
 from .model import (
     CallEdge,
     CallGraph,
+    GraphError,
     MethodSignature,
     TypeHierarchy,
     is_reflexive_descendant,
@@ -221,22 +222,8 @@ def prune_selective(
     )
 
 
-def save_exclusion_list(excl: ExclusionList, path: str, h: TypeHierarchy) -> None:
-    """Write `signature<TAB>origin fully-qualified name`, sorted, one per line.
-
-    The declared Top-N size rides along as a header so a reloaded list
-    reports the same size it was built with.
-    """
-    lines = (f"{sig.to_text()}\t{h.node(tid).fq_name}" for sig, tid in excl.sorted_pairs())
-    write_text_records(path, {"declared-size": excl.declared_size}, lines)
-
-
-def load_exclusion_list(path: str, h: TypeHierarchy) -> ExclusionList:
-    """Read an exclusion list back, resolving type names against `h`.
-
-    An unresolvable or ambiguous fully-qualified name is a hard error: a
-    silently dropped entry would quietly weaken the pruning.
-    """
+def _exclusion_parser(h: TypeHierarchy) -> Callable[[str], tuple[MethodSignature, str]]:
+    """The reader of one stripped exclusion-list line: (signature, type id in `h`)."""
     by_fq: dict[str, str | None] = {}
     for tid in h.sorted_ids():
         fq = h.types[tid].fq_name
@@ -256,5 +243,37 @@ def load_exclusion_list(path: str, h: TypeHierarchy) -> ExclusionList:
             raise ValueError(f"type name {fq!r} is ambiguous in this hierarchy")
         return sig, tid
 
-    headers, pairs = read_text_records(path, {"declared-size": 0}, parse)
+    return parse
+
+
+def save_exclusion_list(excl: ExclusionList, path: str, h: TypeHierarchy) -> None:
+    """Write `signature<TAB>origin fully-qualified name`, sorted, one per line.
+
+    The declared Top-N size rides along as a header so a reloaded list
+    reports the same size it was built with.  Each line must read back as
+    its entry, or GraphError is raised before the file is opened.
+    """
+    parse = _exclusion_parser(h)
+    pairs = excl.sorted_pairs()
+    lines = [f"{sig.to_text()}\t{h.node(tid).fq_name}" for sig, tid in pairs]
+    for line, entry in zip(lines, pairs):
+        # a type name may be shared, or hold a tab, a line break or a lone
+        # surrogate (which does not encode); a leading '#' makes a header
+        try:
+            line.encode("utf-8")
+            if "\n" in line or "\r" in line or line[0] == "#" or parse(line.strip()) != entry:
+                raise ValueError("it would read back as another entry")
+        except ValueError as exc:
+            fq = h.types[entry[1]].fq_name
+            raise GraphError(f"{path}: cannot save type name {fq!r}: {exc}") from None
+    write_text_records(path, {"declared-size": excl.declared_size}, lines)
+
+
+def load_exclusion_list(path: str, h: TypeHierarchy) -> ExclusionList:
+    """Read an exclusion list back, resolving type names against `h`.
+
+    An unresolvable or ambiguous fully-qualified name is a hard error: a
+    silently dropped entry would quietly weaken the pruning.
+    """
+    headers, pairs = read_text_records(path, {"declared-size": 0}, _exclusion_parser(h))
     return ExclusionList.from_pairs(pairs, headers.get("declared-size", len(pairs)))

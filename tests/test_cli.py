@@ -194,6 +194,33 @@ class TestPrune:
         ]) == 0
         assert first.read_bytes() == second.read_bytes()
 
+    @pytest.mark.parametrize("renamed, problem", [
+        ({"T3": "java.util.Iterator"},
+         "type name 'java.util.Iterator' is ambiguous in this hierarchy"),
+        ({"T1": "java.util\tIterator"},
+         "expected 'signature<TAB>type name', got 'next():void\\tjava.util\\tIterator'"),
+        ({"T1": "java.util.\ud800Iterator"},
+         "'utf-8' codec can't encode character '\\ud800' in position 22: "
+         "surrogates not allowed"),
+    ], ids=["shared-name", "tab", "lone-surrogate"])
+    def test_a_list_that_would_not_read_back_is_refused(
+        self, f1, f1_paths, tmp_path, capsys, renamed, problem
+    ):
+        # the Top-1 entry is next():void of T1; unrefused, its list was
+        # saved (exit 0) and then failed to load, or was cut short (exit 4)
+        types = {tid: replace(t, fq_name=renamed.get(tid, t.fq_name))
+                 for tid, t in f1.h.types.items()}
+        hp = tmp_path / "renamed.jsonl"
+        save_hierarchy(TypeHierarchy(types, f1.h.core_project_id), str(hp))
+        excl, out = tmp_path / "top1.excl", tmp_path / "pruned.jsonl"
+        assert main(["prune", str(hp), f1_paths[1], "--top-n", "1", "--out", str(out),
+                     "--save-exclusion", str(excl)]) == 3
+        fq = types["T1"].fq_name
+        assert capsys.readouterr().err == (
+            f"error: {excl}: cannot save type name {fq!r}: {problem}\n"
+        )
+        assert not excl.exists() and not out.exists()
+
     def test_selective_keep_all_is_identity(self, f1, f1_paths, tmp_path):
         hp, cp = f1_paths
         out = tmp_path / "kept.jsonl"

@@ -3,6 +3,7 @@
 import ast
 import subprocess
 import sys
+from itertools import chain
 from pathlib import Path
 
 import cgprune
@@ -40,9 +41,11 @@ def test_no_module_has_an_unused_import():
 
 
 def unread_private_names(sources: dict[str, str]) -> list[str]:
-    """The module-level private names of `sources` (file name -> source),
-    bound by a ``def``, ``class`` or assignment, that no module reads: not
-    as a name, an attribute or an imported name.  Dunders are not private."""
+    """The private names of `sources` (file name -> source) bound by a
+    ``def``, ``class`` or assignment at module level or in a class body
+    (methods, cached properties, class attributes) that no module reads:
+    not as a name, an attribute or an imported name.  Dunders are not
+    private."""
     trees = {name: ast.parse(source) for name, source in sources.items()}
     read = set()
     for tree in trees.values():
@@ -55,7 +58,8 @@ def unread_private_names(sources: dict[str, str]) -> list[str]:
                 read.update(alias.name for alias in node.names)
     unread = []
     for file, tree in trees.items():
-        for stmt in tree.body:
+        classes = [c.body for c in ast.walk(tree) if isinstance(c, ast.ClassDef)]
+        for stmt in chain(tree.body, *classes):
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 names = [stmt.name]
             elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
@@ -80,6 +84,26 @@ def test_the_check_sees_an_unread_private_name():
         "b.py": "import a\nfrom a import _Kept\na._f()\n",
     }
     assert unread_private_names(sources) == ["a.py: _unused (line 2)", "a.py: _Gone (line 6)"]
+
+
+def test_the_check_sees_an_unread_private_name_in_a_class_body():
+    sources = {
+        "a.py": (
+            "from functools import cached_property\n"
+            "class Kept:\n"
+            "    _limit = 3\n    _spare: int = 0\n"
+            "    def __init__(self):\n        self.n = self._limit\n"
+            "    @cached_property\n    def _roots(self):\n        return {}\n"
+            "    @cached_property\n    def _ancestors(self):\n        return {}\n"
+            "    def _walk(self):\n        return self._ancestors\n"
+            "    class _Inner:\n        def _deep(self):\n            pass\n"
+        ),
+        "b.py": "import a\na.Kept()._walk()\n",
+    }
+    assert unread_private_names(sources) == [
+        "a.py: _spare (line 4)", "a.py: _roots (line 8)",
+        "a.py: _Inner (line 15)", "a.py: _deep (line 16)",
+    ]
 
 
 def test_no_private_name_is_left_unread():

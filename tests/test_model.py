@@ -299,7 +299,7 @@ class TestDescendants:
             (make_f1_hierarchy(), "T3", {"T3": 0, "T1": 1, "T0": 2}),
             (diamond, "Bot", {"Bot": 0, "L": 1, "R": 1, "Top": 2}),
         ]:
-            # deduplicated, ordered by (depth, type id)
+            # deduplicated, in discovery order (breadth first, parents as listed)
             assert list(ancestor_depths(h, tid).items()) == list(depths.items())
             assert h.reflexive_ancestor_depths(tid) == depths
             assert set(h._ancestors) == {tid}

@@ -164,6 +164,30 @@ class TestFindOrigins:
         assert set(walked.values()) == {1}
         assert {t.defining_type for t in targets} <= walked.keys()
 
+    def test_one_root_declarer_call_per_signature(self, monkeypatch):
+        # the per-call table is the one root-declarer cache: the hierarchy
+        # keeps none, so a call per target would repeat its declarer walks
+        params = GenParams(type_count=120, seed=4)
+        h = generate_hierarchy(params)
+        cg = generate_call_graph_cha(h, params)
+        asked = Counter()
+        real = TypeHierarchy.root_declarers
+
+        def counting(self, signature):
+            asked[signature] += 1
+            return real(self, signature)
+
+        monkeypatch.setattr(TypeHierarchy, "root_declarers", counting)
+        signatures = {e.target.signature for e in cg.edges}
+        # several targets share each of many signatures
+        assert len({e.target for e in cg.edges}) > len(signatures)
+        # a fresh hierarchy, the same one reused, then another fresh one
+        for hierarchy in (h, h, generate_hierarchy(params)):
+            asked.clear()
+            find_origins(cg, hierarchy)
+            assert asked.keys() == signatures
+            assert set(asked.values()) == {1}
+
 
 class TestSharedOriginRefs:
     def test_one_object_per_origin_in_one_call(self):

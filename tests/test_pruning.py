@@ -14,6 +14,7 @@ from cgprune import (
     CallEdge,
     ExclusionList,
     FixedTableOracle,
+    GraphError,
     KeepAllOracle,
     MethodNode,
     PruneAllOracle,
@@ -284,6 +285,39 @@ class TestExclusionListFile:
         loaded = load_exclusion_list(str(path), f1.h)
         assert loaded.declared_size == 1
 
+    @pytest.mark.parametrize("renamed, problem", [
+        # T3 takes T1's name, which then names two types
+        ({"T3": "java.util.Iterator"},
+         "type name 'java.util.Iterator' is ambiguous in this hierarchy"),
+        # a tab splits the line into three fields
+        ({"T1": "java.util\tIterator"},
+         "expected 'signature<TAB>type name', got 'next():void\\tjava.util\\tIterator'"),
+        # a line break splits the record in two
+        ({"T1": "java.util.Iterator\nnext():void\tcom.app.a.MyIter"},
+         "it would read back as another entry"),
+        # stripped, the line names T2
+        ({"T1": "com.app.a.MyIter "}, "it would read back as another entry"),
+        # a lone surrogate does not encode as UTF-8
+        ({"T1": "java.util.\ud800Iterator"},
+         "'utf-8' codec can't encode character '\\ud800' in position 22: "
+         "surrogates not allowed"),
+    ], ids=["shared-name", "tab", "line-break", "trailing-space", "lone-surrogate"])
+    def test_a_list_that_would_not_read_back_is_refused(
+        self, f1, tmp_path, renamed, problem
+    ):
+        types = {tid: dataclasses.replace(t, fq_name=renamed.get(tid, t.fq_name))
+                 for tid, t in f1.h.types.items()}
+        h = TypeHierarchy(types, f1.h.core_project_id)
+        path = tmp_path / "excl.txt"
+        with pytest.raises(GraphError) as info:
+            save_exclusion_list(excl_of(("next", "T1")), str(path), h)
+        fq = h.types["T1"].fq_name
+        assert str(info.value) == f"{path}: cannot save type name {fq!r}: {problem}"
+        assert not path.exists()
+        # an entry whose name reads back is saved, shared names elsewhere or not
+        save_exclusion_list(excl_of(("run", "T4")), str(path), h)
+        assert load_exclusion_list(str(path), h) == excl_of(("run", "T4"))
+
 
 # Differential test of the indexed prune against `not_excluded`, one edge at
 # a time.  Exclusion lists may name several origin types per signature,
@@ -406,7 +440,7 @@ def assert_inherits_like_a_fresh_build(pruned, base, h, vulnerable):
     assert fresh.edges == pruned.edges
     assert_index_matches_edges(pruned)
     assert reverse_adjacency(pruned) == reverse_adjacency(fresh)
-    assert pruned.node_ids is base.node_ids
+    assert reverse_adjacency(pruned).ids is reverse_adjacency(base).ids
     assert pruned.node_types == fresh.node_types
     assert pruned.node_types is base.node_types
     assignment = VulnerabilityAssignment(vulnerable, seed=0, requested=len(vulnerable))
@@ -461,7 +495,7 @@ class TestPrunedGraphInheritsIndexes:
         assert m("T3", "next") not in reverse_adjacency(nested)
         for g in (nested, pruned, f1.cg):
             assert_index_matches_edges(g)
-            assert g.node_ids is f1.cg.node_ids
+            assert reverse_adjacency(g).ids is reverse_adjacency(f1.cg).ids
 
 
 # The candidate memo against the per-edge reference: exclusion lists drawn
