@@ -28,7 +28,8 @@ records, so files are byte-stable.
 `checked` and `checked_list` hold the one rule for every value from outside,
 here, in the pipeline config and in `GenParams`: it is exactly a JSON string,
 boolean, integer, number or object (a boolean is never a number) and lies in
-its range, or the error reads ``<what> must be <rule>, got <value!r>``.
+its range, and a string encodes as UTF-8 (no lone surrogate from a JSON
+escape), or the error reads ``<what> must <rule>, got <value!r>``.
 """
 
 from __future__ import annotations
@@ -194,9 +195,13 @@ def checked(what: str, value: T, kind: type, low: float | None = None,
     """`value`, if it is exactly a JSON `kind` (a `float` may be written as
     an integer) in [low, high]; else a TypeError for the kind or a ValueError
     for the range.  A lone `low` is 0 (non-negative) or, for integers, 1
-    (positive); NaN lies in no range."""
+    (positive); NaN lies in no range.  A string must encode as UTF-8: a
+    JSON escape such as ``\\ud800`` decodes to a lone surrogate, which no
+    writer could write out again."""
     if type(value) is not kind and not (kind is float and type(value) is int):
         raise TypeError(f"{what} must be {_KINDS[kind]}, got {value!r}")
+    if kind is str:
+        _check_text(what, value)
     if low is not None and not low <= value or high is not None and not value <= high:
         rule = f"in [{low}, {high}]" if high is not None else "positive" if low else "non-negative"
         raise ValueError(f"{what} must be {rule}, got {value!r}")
@@ -205,10 +210,21 @@ def checked(what: str, value: T, kind: type, low: float | None = None,
 
 def checked_list(what: str, value: object, kind: type) -> tuple:
     """`value` as a tuple, if it is a JSON array (or a tuple) of exactly
-    `kind` items; else a TypeError that names the kind: "a list of strings"."""
+    `kind` items; else a TypeError that names the kind: "a list of strings".
+    Strings must encode as UTF-8, as in `checked`."""
     if type(value) not in (list, tuple) or any(type(v) is not kind for v in value):
         raise TypeError(f"{what} must be a list of {_KINDS[kind].split()[1]}s, got {value!r}")
+    if kind is str:
+        for v in value:
+            _check_text(what, v)
     return tuple(value)
+
+
+def _check_text(what: str, value: str) -> None:
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValueError(f"{what} must encode as UTF-8, got {value!r}") from None
 
 
 def _typed(record: dict, key: str, kind: type, default: object = ...) -> object:

@@ -7,13 +7,12 @@ Each non-core method gets one of four levels from its outgoing edges:
 * 2 - leaves the hierarchy but stays within the defining project
 * 3 - calls out into another project
 
-Levels only ever escalate while scanning a method's edges, and a single
-out-of-project call settles the label at 3 immediately.  Level-1 evidence
-never downgrades an already-established level 2.  Edges are visited in the
-graph's canonical order so the result is independent of input order.  As
-applied, a call into the method's own hierarchy counts as level 1 only
-until a level-2 call has been seen; after one, such a call into another
-project counts as level 3, so the label can depend on the target types' ids.
+Each call into a non-core type has its own level: 1 if the target type is
+in the method's hierarchy, else 2 if it is in the method's project (or
+package, see `LocalnessOptions`), else 3.  Calls into core types count for
+nothing.  The label is the highest of these levels, so it depends neither
+on the order of the edges nor on the target types' ids, and the scan stops
+at the first level-3 call.
 """
 
 from __future__ import annotations
@@ -82,21 +81,28 @@ def categorize(
     h: TypeHierarchy,
     options: LocalnessOptions = DEFAULT_OPTIONS,
 ) -> int:
-    """Localness level of one method, from its outgoing edges only."""
-    if h.node(method.defining_type).is_core_lib:
+    """Localness level of one method, from its outgoing edges only: the
+    highest level of its calls into non-core types."""
+    own = method.defining_type
+    if h.node(own).is_core_lib:
         return 0
     label = 0
     for edge in cg.outgoing_edges(method):
         target_type = edge.target.defining_type
         if h.node(target_type).is_core_lib:
             continue
-        if label < 2 and same_hierarchy(h, method.defining_type, target_type, options):
-            label = 1
-        elif _same_scope(h, method.defining_type, target_type, options):
-            label = 2
-        else:
-            label = 3
-            break
+        if label < 2:
+            if same_hierarchy(h, own, target_type, options):
+                label = 1
+            elif _same_scope(h, own, target_type, options):
+                label = 2
+            else:
+                return 3
+        # at 2, only a call out of both the scope and the hierarchy counts
+        elif not _same_scope(h, own, target_type, options) and not same_hierarchy(
+            h, own, target_type, options
+        ):
+            return 3
     return label
 
 

@@ -16,12 +16,13 @@ whose entries are fixed by the values themselves.  The predecessor index
 holds the graph's dense node ids and, per node, the ids of its callers in
 edge order (`PredecessorIndex`, which reads as a node-keyed mapping).  A
 graph pruned by `CallGraph.pruned` shares its parent's node-type set and,
-on first use, derives its predecessor index from the parent's, node ids
-included, by copying the list and replacing the entries of the pruned
-targets.  Analyses elsewhere in the package are pure functions over these
-values.  Construction is permissive; `validate_hierarchy` reports rule
-violations instead of raising, so callers (e.g. file loaders) decide how
-strict to be.
+when the parent's predecessor index exists, gets its own at once, derived
+from it, node ids included, by copying the list and replacing the entries
+of the pruned targets; otherwise it builds its own from its edges when
+first asked.  A pruned graph holds no reference to its parent.  Analyses
+elsewhere in the package are pure functions over these values.
+Construction is permissive; `validate_hierarchy` reports rule violations
+instead of raising, so callers (e.g. file loaders) decide how strict to be.
 
 A dangling parent, one that names no type of the hierarchy, is skipped by
 every walk: ancestor walks do not step to it, and the `children` index that
@@ -415,25 +416,9 @@ class CallGraph:
 
     @cached_property
     def predecessors(self) -> PredecessorIndex:
-        """Target -> its sources, one per edge and in edge order, read-only.
-
-        A graph made by `pruned` holds its parent until first asked, then
-        derives the index from the parent's: one copy of the source-id list
-        in which only the targets of the pruned groups change.
-        """
-        derivation = vars(self).pop("_derivation", None)
-        if derivation is None:
-            return _predecessors_from_edges(self)
-        parent, groups, keep = derivation
-        base = parent.predecessors
-        targets = parent._target_ids
-        sources = base.sources.copy()
-        for group in groups:
-            t = targets[group[0]]
-            sources[t] = () if keep is None else tuple(
-                compress(base.sources[t], [keep[i] for i in group])
-            )
-        return PredecessorIndex(base.nodes, base.ids, sources)
+        """Target -> its sources, one per edge and in edge order, read-only:
+        built from the edges on first use, unless `pruned` handed it over."""
+        return _predecessors_from_edges(self)
 
     def pruned(
         self, groups: Sequence[tuple[int, ...]], keep: Sequence[bool] | None = None
@@ -443,9 +428,12 @@ class CallGraph:
         Each group is one of `target_positions`, so it holds every edge into
         one target.  Without `keep` every edge of the groups goes; with it,
         a per-edge mask that is False only inside the groups, the masked
-        edges go.  The result shares this graph's node-type set, and its
-        predecessor index, node ids included, comes from this graph's on
-        first use, so a pruned graph that is never propagated builds no index.
+        edges go.  The result shares this graph's node-type set.  If this
+        graph's predecessor index exists, the result's is derived from it
+        here: the same node ids and one copy of the source-id list in which
+        only the groups' targets change.  Otherwise the result builds its own
+        from its edges on first use, so a prune that is never propagated
+        builds no index.
         """
         mask = keep
         if mask is None:
@@ -454,7 +442,17 @@ class CallGraph:
                 for i in group:
                     mask[i] = False
         graph = CallGraph(nodes=self.nodes, edges=tuple(compress(self.edges, mask)))
-        vars(graph).update(node_types=self.node_types, _derivation=(self, groups, keep))
+        vars(graph)["node_types"] = self.node_types
+        base = vars(self).get("predecessors")
+        if base is not None:
+            targets = self._target_ids
+            sources = base.sources.copy()
+            for group in groups:
+                t = targets[group[0]]
+                sources[t] = () if keep is None else tuple(
+                    compress(base.sources[t], [keep[i] for i in group])
+                )
+            vars(graph)["predecessors"] = PredecessorIndex(base.nodes, base.ids, sources)
         return graph
 
 
@@ -681,8 +679,8 @@ def reflexive_descendants(h: TypeHierarchy, *type_ids: str) -> set[str]:
 def reverse_adjacency(cg: CallGraph) -> PredecessorIndex:
     """Predecessor view: target -> sources, one entry per edge and in edge
     order, so edge multiplicity is preserved exactly.  This is the graph's
-    cached, read-only `predecessors` index: built once per graph, or derived
-    from the parent's for a pruned graph."""
+    cached, read-only `predecessors` index: built once per graph, or handed
+    over by `CallGraph.pruned` from the parent's."""
     return cg.predecessors
 
 

@@ -194,11 +194,19 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "PipelineConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}: invalid JSON: {exc.msg}") from None
+        """The config of a UTF-8 JSON file; bytes that are not UTF-8 and bad
+        JSON fail as ``path:line:``, as in the input files."""
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        try:
+            data = json.loads(raw.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            line = raw.count(b"\n", 0, exc.start) + 1
+            raise ConfigError(
+                f"{path}:{line}: invalid UTF-8: byte 0x{raw[exc.start]:02x}"
+            ) from None
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from None
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
         return cls.from_mapping(data, base_dir=os.path.dirname(path) or ".")

@@ -92,7 +92,9 @@ class PruneResult:
 
     candidate_edges counts edges matching the exclusion list; pruned_edges
     counts those actually removed (equal in exhaustive mode).  oracle_failures
-    counts candidates kept because the oracle raised.
+    counts candidates kept because the oracle raised.  elapsed covers the
+    whole pass, the pruned graph's construction included, and with it the
+    derivation of its predecessor index when the input graph had one.
     """
 
     pruned_graph: CallGraph
@@ -184,8 +186,8 @@ def prune_selective(
     Candidates come in groups, one per target (`_candidate_groups`), and
     `CallGraph.pruned` builds the result from them: without an oracle each
     group goes whole; with one, a per-edge mask says which of its edges go.
-    The pruned graph thus derives its predecessor index from `cg`'s by
-    changing only the candidate targets.
+    When `cg` has its predecessor index, the pruned graph's is derived from
+    it here, by changing only the candidate targets' entries.
     """
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")

@@ -194,17 +194,19 @@ class TestPrune:
         ]) == 0
         assert first.read_bytes() == second.read_bytes()
 
-    @pytest.mark.parametrize("renamed, problem", [
+    @pytest.mark.parametrize("renamed, error", [
         ({"T3": "java.util.Iterator"},
+         "{excl}: cannot save type name 'java.util.Iterator': "
          "type name 'java.util.Iterator' is ambiguous in this hierarchy"),
         ({"T1": "java.util\tIterator"},
+         "{excl}: cannot save type name 'java.util\\tIterator': "
          "expected 'signature<TAB>type name', got 'next():void\\tjava.util\\tIterator'"),
+        # the hierarchy loader refuses this name before any list is built
         ({"T1": "java.util.\ud800Iterator"},
-         "'utf-8' codec can't encode character '\\ud800' in position 22: "
-         "surrogates not allowed"),
+         "{hp}:3: 'fq' must encode as UTF-8, got 'java.util.\\ud800Iterator'"),
     ], ids=["shared-name", "tab", "lone-surrogate"])
     def test_a_list_that_would_not_read_back_is_refused(
-        self, f1, f1_paths, tmp_path, capsys, renamed, problem
+        self, f1, f1_paths, tmp_path, capsys, renamed, error
     ):
         # the Top-1 entry is next():void of T1; unrefused, its list was
         # saved (exit 0) and then failed to load, or was cut short (exit 4)
@@ -215,10 +217,7 @@ class TestPrune:
         excl, out = tmp_path / "top1.excl", tmp_path / "pruned.jsonl"
         assert main(["prune", str(hp), f1_paths[1], "--top-n", "1", "--out", str(out),
                      "--save-exclusion", str(excl)]) == 3
-        fq = types["T1"].fq_name
-        assert capsys.readouterr().err == (
-            f"error: {excl}: cannot save type name {fq!r}: {problem}\n"
-        )
+        assert capsys.readouterr().err == f"error: {error.format(excl=excl, hp=hp)}\n"
         assert not excl.exists() and not out.exists()
 
     def test_selective_keep_all_is_identity(self, f1, f1_paths, tmp_path):
@@ -340,6 +339,20 @@ class TestPipeline:
         assert not (tmp_path / "r").exists()
 
 
+    @pytest.mark.parametrize("content, message", [
+        (b'{"corpus": ', "1: invalid JSON: Expecting value"),
+        (b'{\n "corpus": "x",\n}\n',
+         "3: invalid JSON: Expecting property name enclosed in double quotes"),
+        (b'{\n "corpus": "\xff"\n}\n', "2: invalid UTF-8: byte 0xff"),
+    ], ids=["truncated", "trailing-comma", "not-utf-8"])
+    def test_config_file_error_is_positioned(self, tmp_path, capsys, content, message):
+        cfg = tmp_path / "run.json"
+        cfg.write_bytes(content)
+        assert main(["pipeline", "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "r")]) == 3
+        assert capsys.readouterr().err == f"error: {cfg}:{message}\n"
+        assert not (tmp_path / "r").exists()
+
     def test_ill_typed_config_value_exits_3(self, f1_paths, tmp_path, capsys):
         cfg = tmp_path / "run.json"
         for key, value, message in [
@@ -354,6 +367,12 @@ class TestPipeline:
             ("sweep", [], "sweep must name at least one Top-N"),
             ("inputs", [{"id": "f1", "hierarchy": f1_paths[0], "callgraph": f1_paths[1]}] * 2,
              "graph ids must be distinct, got 'f1' more than once"),
+            # a JSON escape that decodes to a lone surrogate
+            ("corpus", "\ud800", "corpus must encode as UTF-8, got '\\ud800'"),
+            ("core_prefixes", ["com.\udcff"],
+             "core_prefixes must encode as UTF-8, got 'com.\\udcff'"),
+            ("inputs", [{"id": "g\ud800", "hierarchy": f1_paths[0], "callgraph": f1_paths[1]}],
+             "inputs[0].id must encode as UTF-8, got 'g\\ud800'"),
         ]:
             cfg.write_text(json.dumps({
                 "inputs": [{"hierarchy": f1_paths[0], "callgraph": f1_paths[1]}],
@@ -408,6 +427,32 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"error: {assignment}:2: header 'requested' must be non-negative, got -3\n"
         )
+
+    @pytest.mark.parametrize("which, old, new, message", [
+        (0, '"fq":"java.util.Iterator"', '"fq":"java.util.\\ud800Iterator"',
+         "'fq' must encode as UTF-8, got 'java.util.\\ud800Iterator'"),
+        (0, '"package":"java.util"', '"package":"java.\\udcffutil"',
+         "'package' must encode as UTF-8, got 'java.\\udcffutil'"),
+        (0, '"hasNext():void","next():void"', '"hasNext():void","next\\ud800():void"',
+         "'declares' must encode as UTF-8, got 'next\\ud800():void'"),
+        (1, '"recv":"T2"', '"recv":"T\\ud8002"',
+         "'recv' must encode as UTF-8, got 'T\\ud8002'"),
+    ], ids=["fq", "package", "declares", "recv"])
+    def test_lone_surrogate_in_a_field_is_validation_error(
+        self, f1_paths, tmp_path, capsys, which, old, new, message
+    ):
+        # a JSON escape decodes to a lone surrogate, which no writer could
+        # write out: each command fails at load and writes nothing
+        path = Path(f1_paths[which])
+        lines = path.read_text().splitlines(keepends=True)
+        [lineno] = [i for i, line in enumerate(lines, start=1) if old in line]
+        path.write_text("".join(lines).replace(old, new))
+        out = tmp_path / "out"
+        for command, *options in (["origins", "--top", "0"], ["derivatives", "--top", "0"],
+                                  ["localness"], ["prune", "--top-n", "1"]):
+            assert main([command, *f1_paths, *options, "--out", str(out)]) == 3, command
+            assert capsys.readouterr().err == f"error: {path}:{lineno}: {message}\n"
+            assert not out.exists()
 
     def test_malformed_exclusion_line_is_validation_error(
         self, f1_paths, tmp_path, capsys

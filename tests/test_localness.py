@@ -1,4 +1,4 @@
-"""Localness levels: the escalation walk over each method's outgoing edges.
+"""Localness levels: the highest per-edge level of each method's calls.
 
 The full-graph expectations for the fixture are pinned under the default
 options (extended hierarchy rule, project boundary).  Note m(T4,run): its
@@ -7,13 +7,18 @@ another project, which escalates to 3 with early exit; the level-3 dominance
 property below checks the same rule graph-wide.
 """
 
+import dataclasses
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import m, sig
 
 from cgprune import (
     CallEdge,
     LocalnessOptions,
+    MethodNode,
     TypeHierarchy,
     TypeNode,
     UnknownTypeError,
@@ -74,10 +79,6 @@ class TestCategorize:
     def test_no_outgoing_edges_is_0(self, f1):
         assert categorize(m("T5", "fmt"), f1.cg, f1.h) == 0
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "a same-hierarchy call into another project counts as level 1 only "
-        "until a level-2 call has been seen, so edge order decides the label"
-    ))
     def test_label_does_not_depend_on_target_type_ids(self):
         # A.f calls C.f (A's child, another project) and X.f (A's project,
         # another hierarchy); canonical order visits X first when it sorts
@@ -144,6 +145,78 @@ class TestLabelAll:
             rest = [e for e in f1.cg.edges if e != dropped]
             smaller = build_call_graph(f1.cg.nodes, rest)
             assert label_all(smaller, f1.h)[dropped.source] <= full[dropped.source]
+
+
+def reference_label(method, cg, h, options):
+    """The highest level among `method`'s calls into non-core types, each
+    call's level taken on its own: 1 into its hierarchy, else 2 into its
+    project (or package), else 3; 0 for a core method or no such call."""
+    own = h.node(method.defining_type)
+    if own.is_core_lib:
+        return 0
+    scope = "package_name" if options.package_boundary else "project_id"
+
+    def level(target_type):
+        if same_hierarchy(h, own.type_id, target_type, options):
+            return 1
+        return 2 if getattr(h.node(target_type), scope) == getattr(own, scope) else 3
+
+    return max((
+        level(e.target.defining_type) for e in cg.edges
+        if e.source == method and not h.node(e.target.defining_type).is_core_lib
+    ), default=0)
+
+
+@st.composite
+def relabelled_corpora(draw):
+    """(hierarchy, graph, options, a renaming of the type ids).  Types sit
+    in two projects of two packages each, some of them core; parents come
+    from the types before, so the hierarchy is acyclic."""
+    n = draw(st.integers(1, 8))
+    ids = [f"T{i}" for i in range(n)]
+    types = {}
+    for i, tid in enumerate(ids):
+        project = draw(st.sampled_from(["p1", "p2"]))
+        types[tid] = _type(
+            tid, parents=draw(st.lists(st.sampled_from(ids[:i]), max_size=2, unique=True))
+            if i else (),
+            declares=("f", "g"), project=project,
+            package=f"{project}.{draw(st.sampled_from('ab'))}",
+            core=draw(st.integers(0, 4)) == 0,
+        )
+    methods = st.builds(MethodNode, st.sampled_from(ids), st.sampled_from([sig("f"), sig("g")]))
+    edges = draw(st.lists(st.builds(CallEdge, methods, methods, st.sampled_from(ids)),
+                          max_size=25))
+    options = LocalnessOptions(draw(st.booleans()), draw(st.booleans()))
+    renaming = dict(zip(ids, draw(st.permutations(ids))))
+    return TypeHierarchy(types), build_call_graph([], edges), options, renaming
+
+
+def relabel(h, cg, renaming):
+    """The same corpus with every type id replaced through `renaming`."""
+    def node(n):
+        return MethodNode(renaming[n.defining_type], n.signature)
+
+    types = {
+        renaming[tid]: dataclasses.replace(
+            t, type_id=renaming[tid], parents=tuple(renaming[p] for p in t.parents)
+        )
+        for tid, t in h.types.items()
+    }
+    edges = [CallEdge(node(e.source), node(e.target), renaming[e.receiver_type])
+             for e in cg.edges]
+    return TypeHierarchy(types), build_call_graph(map(node, cg.nodes), edges), node
+
+
+class TestLabelIsTheHighestEdgeLevel:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(relabelled_corpora())
+    def test_labels_match_the_reference_and_ignore_type_ids(self, case):
+        h, cg, options, renaming = case
+        labels = label_all(cg, h, options)
+        assert labels == {n: reference_label(n, cg, h, options) for n in cg.nodes}
+        h2, cg2, node = relabel(h, cg, renaming)
+        assert label_all(cg2, h2, options) == {node(n): level for n, level in labels.items()}
 
 
 class TestSameHierarchy:

@@ -1,19 +1,23 @@
 """Pruning: exclusion-list matching, exhaustive and oracle-gated modes."""
 
 import dataclasses
+import gc
+import weakref
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    SIGS, hierarchies_with_graphs, m, make_f1_hierarchy, predecessor_lists, sig,
+    SIGS, hierarchies_with_graphs, m, make_f1_callgraph, make_f1_hierarchy,
+    predecessor_lists, sig,
 )
 
 from cgprune import (
     CallEdge,
     ExclusionList,
     FixedTableOracle,
+    GenParams,
     GraphError,
     KeepAllOracle,
     MethodNode,
@@ -28,6 +32,9 @@ from cgprune import (
     build_call_graph,
     build_exclusion_list,
     find_origins,
+    generate_call_graph_cha,
+    generate_hierarchy,
+    inject_artificial_cves,
     load_exclusion_list,
     not_excluded,
     origin_edge_frequencies,
@@ -383,13 +390,12 @@ ALL_APPLICATION = ProjectRoleMap(application_project_id="p")
 
 @st.composite
 def sweeps_with_marked_edges(draw):
-    """(hierarchy, graph, marked edges, vulnerable nodes, whether a graph
-    pruned from a pruned graph is checked before its parent)."""
+    """(hierarchy, graph, marked edges, vulnerable nodes)."""
     h, cg, _ = draw(hierarchies_with_graphs())
     marked = draw(st.frozensets(st.sampled_from(cg.edges))) if cg.edges else frozenset()
     nodes = cg.sorted_nodes()
     vulnerable = draw(st.frozensets(st.sampled_from(nodes))) if nodes else frozenset()
-    return h, cg, marked, vulnerable, draw(st.booleans())
+    return h, cg, marked, vulnerable
 
 
 class FailingOracle:
@@ -462,17 +468,16 @@ class TestPrunedGraphInheritsIndexes:
     )
     @given(case=sweeps_with_marked_edges())
     def test_derived_index_matches_a_fresh_build_at_every_n(self, mode, case):
-        h, cg, marked, vulnerable, nested_first = case
+        h, cg, marked, vulnerable = case
         assert_index_matches_edges(cg)
         table = origin_edge_frequencies(cg, find_origins(cg, h))
         full = build_exclusion_list(table, len(table.rows))
         for n in range(len(table.rows) + 1):
             pruned = prune_in_mode(mode, cg, build_exclusion_list(table, n), h, marked)
-            # pruned again at the full list; checked first, its index is
-            # derived from a parent whose own index is not derived yet
+            # pruned again at the full list: its index is derived from the
+            # one its parent was given when it was built
             nested = prune_in_mode(mode, pruned, full, h, marked)
-            graphs = [nested, pruned] if nested_first else [pruned, nested]
-            for g in graphs:
+            for g in (pruned, nested):
                 assert_inherits_like_a_fresh_build(g, cg, h, vulnerable)
         # deriving never changed the base graph's own index
         base_preds = reverse_adjacency(cg)
@@ -489,6 +494,8 @@ class TestPrunedGraphInheritsIndexes:
             oracle = FixedTableOracle({f1.edges["cs4"]: PruneDecision(True, 1.0)})
         else:
             oracle = FailingOracle({f1.edges["cs5"]})
+        # indexed first, so each pruned graph derives its index from its parent's
+        reverse_adjacency(f1.cg)
         pruned = prune_selective(f1.cg, run, f1.h, oracle, 0.5).pruned_graph
         assert reverse_adjacency(pruned)[m("T4", "run")] == (m("T3", "next"),)
         nested = prune_exhaustive(pruned, excl_of(("next", "T1")), f1.h).pruned_graph
@@ -496,6 +503,47 @@ class TestPrunedGraphInheritsIndexes:
         for g in (nested, pruned, f1.cg):
             assert_index_matches_edges(g)
             assert reverse_adjacency(g).ids is reverse_adjacency(f1.cg).ids
+
+
+class TestPrunedGraphsHoldNoParent:
+    """A pruned graph is whole when built: it holds no reference to its
+    parent, so a chain of prunes never walks back up to the root."""
+
+    @pytest.mark.parametrize("root_indexed", [True, False])
+    def test_a_deep_chain_of_prunes_propagates_like_a_fresh_build(self, root_indexed):
+        params = GenParams(type_count=60, seed=3)
+        h = generate_hierarchy(params)
+        cg = generate_call_graph_cha(h, params)
+        table = origin_edge_frequencies(cg, find_origins(cg, h))
+        if root_indexed:
+            reverse_adjacency(cg)
+        g = cg
+        for i in range(1500):
+            g = prune_exhaustive(g, build_exclusion_list(table, min(i, 20)), h).pruned_graph
+        top20 = build_exclusion_list(table, 20)
+        assert g.edges == prune_exhaustive(cg, top20, h).pruned_graph.edges
+        # the root's ids reach the last graph if and only if the root was indexed
+        assert ("predecessors" in vars(g)) is root_indexed
+        fresh = build_call_graph(g.nodes, g.edges)
+        assert (reverse_adjacency(g).ids is reverse_adjacency(cg).ids) is root_indexed
+        assert reverse_adjacency(g) == reverse_adjacency(fresh)
+        roles = ProjectRoleMap(application_project_id="p1")
+        assignment = inject_artificial_cves(cg, h, roles, 10, seed=0)
+        got, want = (propagate(x, assignment, roles, h) for x in (g, fresh))
+        assert got.reachable_pairs == want.reachable_pairs > 0
+        assert got.reachable_vuln_fraction == want.reachable_vuln_fraction
+
+    @pytest.mark.parametrize("parent_indexed", [True, False])
+    def test_a_dropped_parent_is_collected(self, f1, parent_indexed):
+        parent = make_f1_callgraph()
+        if parent_indexed:
+            reverse_adjacency(parent)
+        child = prune_exhaustive(parent, excl_of(("next", "T1")), f1.h).pruned_graph
+        ref = weakref.ref(parent)
+        del parent
+        gc.collect()
+        assert ref() is None
+        assert_index_matches_edges(child)
 
 
 # The candidate memo against the per-edge reference: exclusion lists drawn
