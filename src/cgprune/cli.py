@@ -391,11 +391,13 @@ _COMMANDS = {
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The `cgprune` argument parser.
 
-    Every subcommand is listed, so the top-level help and usage are whole,
-    but only `command`'s subparser gets its arguments and handler; when
-    `command` names no subcommand, every subparser does.  Building the ~60
-    arguments of all seven costs about twice one command's, and a one-shot
-    command pays it on every run.
+    When `command` names a subcommand, only its subparser is built, with its
+    arguments and handler: the six other `ArgumentParser`s, even without
+    arguments, cost more than building and parsing the one command, and a
+    one-shot command pays them on every run.  The top-level usage still
+    lists every subcommand, through the subparsers' `metavar`.  When
+    `command` names none, every subparser is built, so the top-level help
+    is whole.
     """
     parser = argparse.ArgumentParser(
         prog="cgprune",
@@ -405,22 +407,28 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     parser.add_argument(
         "--verbose", action="store_true", help="log stage progress to stderr"
     )
-    sub = parser.add_subparsers(dest="command", required=True)
     every = command not in _COMMANDS
-    for name, (help_text, add_arguments, handler) in _COMMANDS.items():
+    chosen = _COMMANDS if every else {command: _COMMANDS[command]}
+    # one subparser still shows the usage the full parser derives from its
+    # choices; the full parser sets no metavar, since its error for a
+    # missing subcommand names `command`
+    sub = parser.add_subparsers(dest="command", required=True, metavar=None if every
+                                else "{" + ",".join(_COMMANDS) + "}")
+    for name, (help_text, add_arguments, handler) in chosen.items():
         p = sub.add_parser(name, help=help_text)
-        if every or name == command:
-            add_arguments(p)
-            p.set_defaults(func=handler)
+        add_arguments(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # the top-level options take no value, so the first token that is not
-    # an option is the subcommand argparse will dispatch to
-    command = next((a for a in argv if not a.startswith("-")), None)
+    # The top-level options take no value, so the first token other than
+    # --verbose is the subcommand argparse will dispatch to, when it names
+    # one.  Any other token there, such as -h, --help or an abbreviation of
+    # either, gets the full parser, whose help lists every subcommand.
+    command = next((a for a in argv if a != "--verbose"), None)
     args = build_parser(command).parse_args(argv)
     # basicConfig does nothing once the root logger has a handler, so the
     # level is set on every call

@@ -52,6 +52,7 @@ from .model import (
     build_call_graph,
     HierarchyValidationError,
     make_edge,
+    make_type_node,
     validate_call_graph,
     validate_hierarchy,
 )
@@ -322,7 +323,7 @@ def load_hierarchy(path: str) -> TypeHierarchy:
         types[node.type_id] = node
 
     def type_record(record: dict) -> None:
-        add(TypeNode(
+        add(make_type_node(
             type_id=_typed(record, "id", str),
             fq_name=_typed(record, "fq", str),
             parents=tuple(_typed(record, "parents", list)),
@@ -333,7 +334,7 @@ def load_hierarchy(path: str) -> TypeHierarchy:
         ))
 
     def type_line(core, declares, fq, tid, package, parents, project) -> None:
-        add(TypeNode(
+        add(make_type_node(
             tid, fq, _strings(parents), frozenset(map(signature, _strings(declares))),
             project, package, core == "true",
         ))
@@ -410,7 +411,8 @@ def load_call_graph(path: str, h: TypeHierarchy) -> CallGraph:
         ))),
         ("node", _NODE_LINE, node),
     ])
-    cg = build_call_graph(nodes.values(), edges)
+    # `node` registered every endpoint, so the node set is closed
+    cg = build_call_graph(nodes, edges, closed=True)
     violations = validate_call_graph(cg, h)
     if violations:
         raise HierarchyValidationError(violations, path)

@@ -134,6 +134,33 @@ class TypeNode:
         return sig in self.declared
 
 
+# Frozen dataclasses set each field in `__init__` through a looked-up
+# `object.__setattr__`; the loaders' constructors call it directly.  They
+# set attributes one by one, never through `vars()`, so each object keeps
+# its attribute values inline, as the constructor leaves them: a `__dict__`
+# made per object would take about twice the memory.
+_new = object.__new__
+_setattr = object.__setattr__
+
+
+def make_type_node(
+    type_id: str, fq_name: str, parents: tuple[str, ...], declared: frozenset[MethodSignature],
+    project_id: str, package_name: str, is_core_lib: bool,
+) -> TypeNode:
+    """`TypeNode(...)` at about four fifths of the cost, for the hierarchy
+    loader, like `make_edge`.  It runs no `__post_init__`, so `TypeNode`
+    must define none (a test checks that)."""
+    node = _new(TypeNode)
+    _setattr(node, "type_id", type_id)
+    _setattr(node, "fq_name", fq_name)
+    _setattr(node, "parents", parents)
+    _setattr(node, "declared", declared)
+    _setattr(node, "project_id", project_id)
+    _setattr(node, "package_name", package_name)
+    _setattr(node, "is_core_lib", is_core_lib)
+    return node
+
+
 @dataclass(frozen=True)
 class TypeHierarchy:
     """All types of one analysis run, indexed by type id.
@@ -282,11 +309,21 @@ class MethodNode:
         signature: Callable[[str], MethodSignature] = MethodSignature.from_text,
     ) -> "MethodNode":
         """Parse a uid; `signature` turns its signature text into an object
-        (loaders pass a lookup that shares objects instead of parsing)."""
+        (loaders pass a lookup that shares objects instead of parsing).  The
+        node is the value `cls(type_id, sig)` gives, with the two fields and
+        the key and hash of `__post_init__` set directly, as `make_type_node`
+        sets a type's fields."""
         type_id, sep, sig_text = uid.partition("::")
         if not sep or not type_id:
             raise ValueError(f"malformed method node id: {uid!r}")
-        return cls(type_id, signature(sig_text))
+        sig = signature(sig_text)
+        node = _new(cls)
+        key = (type_id, sig._key)
+        _setattr(node, "defining_type", type_id)
+        _setattr(node, "signature", sig)
+        _setattr(node, "_key", key)
+        _setattr(node, "_hash", hash(key))
+        return node
 
     def __str__(self) -> str:
         return self.uid
@@ -509,6 +546,8 @@ def _predecessors_from_edges(cg: CallGraph) -> PredecessorIndex:
 def build_call_graph(
     nodes: Iterable[MethodNode],
     edges: Iterable[CallEdge],
+    *,
+    closed: bool = False,
 ) -> CallGraph:
     """Construct a CallGraph in canonical form.
 
@@ -518,6 +557,10 @@ def build_call_graph(
     (its `edge_sort_key` keys strictly increasing, as in every saved file)
     is taken as it is, since it is sorted and holds no duplicate; any other
     list is deduplicated and sorted.
+
+    `closed` is for `io.load_call_graph` alone, which registers every edge
+    endpoint among `nodes` as it reads the edge: the node set is then taken
+    as it is, not derived again from both ends of every edge.
     """
     edge_list = list(edges)
     if all(starmap(lt, pairwise(map(edge_sort_key, edge_list)))):
@@ -525,9 +568,12 @@ def build_call_graph(
     else:
         unique = list(dict.fromkeys(edge_list))
         unique.sort(key=edge_sort_key)
-    node_set = set(nodes)
-    node_set.update(map(_source, unique))
-    node_set.update(map(_target, unique))
+    if closed:
+        node_set = nodes
+    else:
+        node_set = set(nodes)
+        node_set.update(map(_source, unique))
+        node_set.update(map(_target, unique))
     return CallGraph(
         nodes=frozenset(node_set),
         edges=tuple(unique),

@@ -55,6 +55,17 @@ class OriginRef:
         return f"{h.node(self.origin_type).fq_name}.{self.signature.to_text()}"
 
 
+def _make_origin(origin_type: str, signature: MethodSignature) -> OriginRef:
+    """`OriginRef(origin_type, signature)` without its `__init__` and
+    `__post_init__`: the two fields and the hash set directly, as
+    `model.make_type_node` sets a type's fields."""
+    ref = object.__new__(OriginRef)
+    object.__setattr__(ref, "origin_type", origin_type)
+    object.__setattr__(ref, "signature", signature)
+    object.__setattr__(ref, "_hash", hash((origin_type, signature)))
+    return ref
+
+
 @dataclass(frozen=True)
 class OriginMap:
     """Origin of every distinct edge-target method of one call graph.
@@ -157,7 +168,7 @@ def find_origins(cg: CallGraph, h: TypeHierarchy) -> OriginMap:
             # graphs only); fall back to self-origin so the map stays total
             candidates = [node.defining_type]
         origins = [
-            refs.get(tid) or refs.setdefault(tid, OriginRef(tid, sig)) for tid in candidates
+            refs.get(tid) or refs.setdefault(tid, _make_origin(tid, sig)) for tid in candidates
         ]
         entries[node] = origins[0]
         if len(origins) > 1:

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: every subcommand through main(), plus exit codes."""
 
+import argparse
 import csv
 import json
 import logging
@@ -622,15 +623,18 @@ SUBCOMMANDS = ["gen", "origins", "derivatives", "localness", "prune", "vuln-sim"
 
 
 class TestParserText:
-    """`main` gives only the invoked subcommand its arguments; what it
-    prints must be what the fully built parser prints."""
+    """`main` builds only the invoked subcommand's parser; what it prints
+    must be what the fully built parser prints."""
 
     @pytest.mark.parametrize("argv", [
         ["--help"],
+        ["--help", "origins"],
+        ["--verbose", "-h", "prune"],
         *([command, "--help"] for command in SUBCOMMANDS),
         [],
         ["frobnicate"],
         ["--bogus", "origins", "h.jsonl", "cg.jsonl"],
+        ["origins", "h.jsonl", "cg.jsonl", "--bogus"],
         ["prune", "h.jsonl", "cg.jsonl", "--top-n", "1"],
         ["pipeline"],
     ])
@@ -656,6 +660,29 @@ class TestParserText:
                             lambda command=None: built.append(command) or full(command))
         assert main(["--verbose", "derivatives", *f1_paths, "--top", "1"]) == 0
         assert built == ["derivatives"]
+
+    @pytest.mark.parametrize("argv, code, parsers", [
+        (["origins", "H", "CG"], 0, 2),
+        (["--verbose", "prune", "H", "CG", "--top-n", "1", "--out", os.devnull], 0, 2),
+        (["--help"], 0, 1 + len(SUBCOMMANDS)),
+        (["--verbose", "-h", "prune"], 0, 1 + len(SUBCOMMANDS)),
+        (["frobnicate"], 2, 1 + len(SUBCOMMANDS)),
+    ])
+    def test_argument_parsers_built(self, argv, code, parsers, f1_paths, monkeypatch, capsys):
+        built = []
+        real = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        paths = dict(zip(("H", "CG"), f1_paths))
+        try:
+            exit_code = main([paths.get(a, a) for a in argv])
+        except SystemExit as exc:
+            exit_code = exc.code
+        assert (exit_code, len(built)) == (code, parsers)
 
     def test_every_subcommand_is_covered(self):
         assert "{" + ",".join(SUBCOMMANDS) + "}" in build_parser().format_usage()

@@ -216,6 +216,60 @@ class TestNodeSharing:
 _CG_HEADER = '{"kind":"header","schema":1,"content":"callgraph"}'
 
 
+_F = MethodSignature("f", ("int",), "V")
+_G = MethodSignature("g", (), "V")
+_ABC = TypeHierarchy({
+    tid: TypeNode(tid, f"x.{tid}", (), frozenset([_F, _G]), "p") for tid in "ABC"
+})
+_ABC_METHODS = st.builds(MethodNode, st.sampled_from("ABC"), st.sampled_from([_F, _G]))
+
+
+class TestClosedNodeSet:
+    """The loader registers every edge endpoint as it reads the edge and
+    hands that node set to `build_call_graph` as it is; it must be the
+    closure `build_call_graph` derives from node records and edges."""
+
+    def test_hand_written_file(self, tmp_path):
+        path = tmp_path / "cg.jsonl"
+        path.write_text("\n".join([
+            _CG_HEADER,
+            '{"kind":"node","id":"C::g():V"}',
+            '{"kind":"node","id":"A::f(int):V"}',
+            # B::g() and C::f(int) have no node line; the first edge, in the
+            # writer's key order, spells A::f with an empty parameter slot,
+            # and the second, in another order, goes to the decoder
+            '{"dst":"A::f(,int):V","kind":"edge","recv":"A","src":"B::g():V"}',
+            '{"kind":"edge","src":"A::f(int):V","dst":"C::f(int):V","recv":"C"}',
+        ]) + "\n")
+        loaded = load_call_graph(str(path), _ABC)
+        a, b = MethodNode("A", _F), MethodNode("B", _G)
+        c_f, c_g = MethodNode("C", _F), MethodNode("C", _G)
+        derived = build_call_graph([c_g, a], [CallEdge(b, a, "A"), CallEdge(a, c_f, "C")])
+        assert loaded.nodes == derived.nodes == {a, b, c_f, c_g}
+        assert loaded.edges == derived.edges
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(_ABC_METHODS, max_size=4),
+        st.lists(st.tuples(_ABC_METHODS, _ABC_METHODS, st.sampled_from("ABC")), max_size=10),
+        st.sets(_ABC_METHODS),
+    )
+    def test_save_reload_without_some_node_lines(self, isolated, triples, unlisted):
+        cg = build_call_graph(isolated, [CallEdge(*t) for t in triples])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cg.jsonl")
+            save_call_graph(cg, path)
+            lines = Path(path).read_text().splitlines(keepends=True)
+            listed = [n for n in cg.sorted_nodes() if n not in unlisted]
+            Path(path).write_text("".join(
+                line for line in lines if not any(f'"{n.uid}"' in line and '"node"' in line
+                                                  for n in unlisted)
+            ))
+            loaded = load_call_graph(path, _ABC)
+        assert loaded.nodes == build_call_graph(listed, cg.edges).nodes
+        assert loaded.edges == cg.edges
+
+
 class TestSignatureSharing:
     """Each signature text is parsed once per load, and call-graph nodes
     carry the hierarchy's signature objects."""
@@ -517,6 +571,30 @@ class TestWritersStayOnThePatternPath:
         assert loaded == h
         assert (graph.nodes, graph.edges) == (cg.nodes, cg.edges)
         assert decoded == [1, 1]
+
+    def test_loads_build_no_node_through_init(self, tmp_path, monkeypatch):
+        # the loaders set the attributes of types and method nodes directly
+        params = GenParams(type_count=120, seed=4)
+        h = generate_hierarchy(params)
+        cg = generate_call_graph_cha(h, params)
+        hp, cp = str(tmp_path / "h.jsonl"), str(tmp_path / "cg.jsonl")
+        save_hierarchy(h, hp)
+        save_call_graph(cg, cp)
+        inits = []
+        for cls in (TypeNode, MethodNode):
+            def counting(self, *args, _real=cls.__init__, **kwargs):
+                inits.append(type(self))
+                _real(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", counting)
+        decoded = _counting_decoder(monkeypatch)
+        loaded = load_hierarchy(hp)
+        graph = load_call_graph(cp, loaded)
+        assert decoded == [1, 1]
+        assert inits == []
+        assert loaded == h and (graph.nodes, graph.edges) == (cg.nodes, cg.edges)
+        replace(loaded.types["T000"])
+        MethodNode("T000", _G)
+        assert inits == [TypeNode, MethodNode]  # and the counters do count
 
     def test_non_ascii_name_is_decoded_and_round_trips(self, f1, tmp_path, monkeypatch):
         types = dict(f1.h.types, T5=replace(f1.h.types["T5"], fq_name="com.app.c.H\u00e9lper"))

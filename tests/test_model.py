@@ -29,6 +29,7 @@ from cgprune import (
     generate_call_graph_cha,
     generate_hierarchy,
     is_reflexive_descendant,
+    load_hierarchy,
     origin_edge_frequencies,
     prune_exhaustive,
     reflexive_descendants,
@@ -497,6 +498,61 @@ class TestMakeEdge:
         assert not hasattr(CallEdge, "__post_init__")
 
 
+def _assert_same_values(made: list, built: list) -> None:
+    """Each directly set object is the value its dataclass constructor
+    gives, down to its attributes, and orders like it where the class
+    orders."""
+    assert len(made) == len(built)
+    for a, b in zip(made, built):
+        assert type(a) is type(b)
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert pickle.loads(pickle.dumps(a)) == b
+        assert vars(a) == vars(b)
+    if type(made[0]).__dataclass_params__.order:
+        for (a, b), (x, y) in zip(itertools.product(made, repeat=2),
+                                  itertools.product(built, repeat=2)):
+            assert (a < b) == (x < y) and (a <= b) == (x <= y)
+
+
+class TestDirectConstructors:
+    """The loaders and `find_origins` set attributes directly instead of
+    calling the frozen dataclass `__init__`; the values must be the same."""
+
+    def test_type_node_as_the_loader_builds_it(self, tmp_path):
+        params = GenParams(type_count=40, seed=4)
+        h = generate_hierarchy(params)
+        # the pattern path and the decoder: a non-ASCII name leaves the first
+        types = dict(h.types, Z=TypeNode("Z", "x.Zé", ("T000",), frozenset(), "p"))
+        path = str(tmp_path / "h.jsonl")
+        save_hierarchy(TypeHierarchy(types, h.core_project_id), path)
+        loaded = list(load_hierarchy(path).types.values())
+        assert {t.is_core_lib for t in loaded} == {True, False}
+        _assert_same_values(loaded, [dataclasses.replace(t) for t in loaded])
+
+    def test_type_node_has_no_post_init(self):
+        # make_type_node skips __init__, so it would skip a __post_init__ too
+        assert not hasattr(TypeNode, "__post_init__")
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(method_uids(), min_size=1, max_size=6))
+    def test_method_node_from_uid(self, uids):
+        made = [MethodNode.from_uid(u) for u in uids]
+        built = []
+        for u in uids:
+            type_id, _, text = u.partition("::")
+            built.append(MethodNode(type_id, MethodSignature.from_text(text)))
+        _assert_same_values(made, built)
+
+    def test_origin_ref_from_find_origins(self):
+        params = GenParams(type_count=60, seed=4)
+        h = generate_hierarchy(params)
+        origins = find_origins(generate_call_graph_cha(h, params), h)
+        made = list({ref: None for refs in [origins.entries.values(),
+                                            *origins.ambiguous.values()] for ref in refs})
+        assert origins.ambiguous and len(made) > 10
+        _assert_same_values(made, [dataclasses.replace(ref) for ref in made])
+
+
 class TestReverseAdjacency:
     def test_f1_predecessors(self, f1):
         preds = reverse_adjacency(f1.cg)
@@ -578,7 +634,7 @@ class TestReverseAdjacency:
 
         assert built == []
         for g in graphs:
-            assert not {"node_ids", "predecessors"} & vars(g).keys()
+            assert "predecessors" not in vars(g)
 
 
 class TestValidateCallGraph:
