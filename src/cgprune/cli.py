@@ -27,7 +27,7 @@ from .io import (
     save_hierarchy,
 )
 from .localness import LocalnessOptions, label_all, localness_distribution
-from .model import CallGraph, GraphError, TypeHierarchy, sort_key
+from .model import CallGraph, GraphError, TypeHierarchy
 from .origins import (
     OriginRef,
     build_exclusion_list,
@@ -255,7 +255,7 @@ def cmd_vuln_sim(args: argparse.Namespace) -> int:
     )
     if args.compare_to:
         pruned_cg = load_call_graph(args.compare_to, h)
-        absent = min(assignment.vulnerable - pruned_cg.nodes, key=sort_key, default=None)
+        absent = min(assignment.vulnerable - pruned_cg.nodes, default=None)
         if absent is not None:
             print(f"error: {args.compare_to}: graph lacks vulnerable method "
                   f"{absent.uid} of the assignment", file=sys.stderr)

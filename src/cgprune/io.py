@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import replace
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
@@ -51,8 +50,6 @@ from .model import (
     TypeNode,
     build_call_graph,
     HierarchyValidationError,
-    make_edge,
-    make_type_node,
     validate_call_graph,
     validate_hierarchy,
 )
@@ -323,7 +320,7 @@ def load_hierarchy(path: str) -> TypeHierarchy:
         types[node.type_id] = node
 
     def type_record(record: dict) -> None:
-        add(make_type_node(
+        add(TypeNode(
             type_id=_typed(record, "id", str),
             fq_name=_typed(record, "fq", str),
             parents=tuple(_typed(record, "parents", list)),
@@ -334,7 +331,7 @@ def load_hierarchy(path: str) -> TypeHierarchy:
         ))
 
     def type_line(core, declares, fq, tid, package, parents, project) -> None:
-        add(make_type_node(
+        add(TypeNode(
             tid, fq, _strings(parents), frozenset(map(signature, _strings(declares))),
             project, package, core == "true",
         ))
@@ -401,12 +398,12 @@ def load_call_graph(path: str, h: TypeHierarchy) -> CallGraph:
     _read_jsonl(path, "callgraph", {
         "header": lambda record: None,
         "node": lambda record: node(record["id"]),
-        "edge": lambda record: edges.append(make_edge(
+        "edge": lambda record: edges.append(CallEdge(
             node(record["src"]), node(record["dst"]), _typed(record, "recv", str)
         )),
     }, [
         # a matched uid is a string: a known one needs only the dict lookup
-        ("edge", _EDGE_LINE, lambda dst, recv, src: edges.append(make_edge(
+        ("edge", _EDGE_LINE, lambda dst, recv, src: edges.append(CallEdge(
             by_uid.get(src) or node(src), by_uid.get(dst) or node(dst), recv
         ))),
         ("node", _NODE_LINE, node),
@@ -478,5 +475,5 @@ def apply_core_prefixes(h: TypeHierarchy, prefixes: list[str]) -> TypeHierarchy:
             for name in (t.fq_name, t.package_name)
         )
         if hit and not t.is_core_lib:
-            types[tid] = replace(t, project_id=h.core_project_id, is_core_lib=True)
+            types[tid] = t._replace(project_id=h.core_project_id, is_core_lib=True)
     return TypeHierarchy(types=types, core_project_id=h.core_project_id)

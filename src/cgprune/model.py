@@ -6,6 +6,11 @@ A CallGraph is a set of method nodes plus call edges; each edge carries
 the receiver type that was written at the call site in addition to the
 resolved target.
 
+The value types (`MethodSignature`, `TypeNode`, `MethodNode`, `CallEdge`)
+are named tuples: each is the tuple of its fields, so hashing, equality
+and order are the tuple's, computed in C, and a value equals any tuple,
+of whatever class, with the same fields.
+
 Everything here is immutable after construction and safe to share across
 threads; the only state added later is lazily built lookup tables, each
 fact in exactly one (the ancestor, descendant-cone and application-type
@@ -38,7 +43,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, pairwise, starmap
 from operator import attrgetter, lt
-from typing import AbstractSet, Callable, Iterable, KeysView, Mapping, Sequence
+from typing import AbstractSet, Callable, Iterable, KeysView, Mapping, NamedTuple, Sequence
 
 
 class GraphError(Exception):
@@ -71,35 +76,30 @@ class HierarchyValidationError(GraphError):
 _SIG_RE = re.compile(r"^([^()\s][^()]*)\((.*)\):(.+)$")
 
 
-@dataclass(frozen=True, order=True)
-class MethodSignature:
-    """Structural method signature: name, parameter types, return type.
-
-    Two signatures declared in unrelated types compare equal if all three
-    fields match; that equality is what drives origin finding and pruning.
-    """
-
+class _SignatureFields(NamedTuple):
     name: str
     param_types: tuple[str, ...] = ()
     return_type: str = "void"
 
-    def __post_init__(self) -> None:
-        if not self.name:
+
+class MethodSignature(_SignatureFields):
+    """Structural method signature: name, parameter types, return type.
+
+    Two signatures declared in unrelated types compare equal if all three
+    fields match; that equality is what drives origin finding and pruning.
+    A signature is a tuple of its fields, so it hashes, compares and orders
+    as that tuple does.  The constructor rejects an empty name; `_make` and
+    `_replace` build the tuple without that check.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, name: str, param_types: tuple[str, ...] = (), return_type: str = "void"
+    ) -> MethodSignature:
+        if not name:
             raise ValueError("signature name must be non-empty")
-        # The field tuple and its hash are kept once per object: signatures
-        # key the dicts and sets of every analysis, and `sort_key` sorts by
-        # the tuple.  Neither is a field, so equality, ordering and
-        # `dataclasses.replace` ignore them, and `__reduce__` leaves them out
-        # of pickles (string hashes differ between processes).
-        key = (self.name, self.param_types, self.return_type)
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return (type(self), (self.name, self.param_types, self.return_type))
+        return super().__new__(cls, name, param_types, return_type)
 
     def to_text(self) -> str:
         """Canonical one-token form, e.g. ``next():java.lang.Object``."""
@@ -118,8 +118,7 @@ class MethodSignature:
         return self.to_text()
 
 
-@dataclass(frozen=True)
-class TypeNode:
+class TypeNode(NamedTuple):
     """One type in the hierarchy with its declared method signatures."""
 
     type_id: str
@@ -132,33 +131,6 @@ class TypeNode:
 
     def declares(self, sig: MethodSignature) -> bool:
         return sig in self.declared
-
-
-# Frozen dataclasses set each field in `__init__` through a looked-up
-# `object.__setattr__`; the loaders' constructors call it directly.  They
-# set attributes one by one, never through `vars()`, so each object keeps
-# its attribute values inline, as the constructor leaves them: a `__dict__`
-# made per object would take about twice the memory.
-_new = object.__new__
-_setattr = object.__setattr__
-
-
-def make_type_node(
-    type_id: str, fq_name: str, parents: tuple[str, ...], declared: frozenset[MethodSignature],
-    project_id: str, package_name: str, is_core_lib: bool,
-) -> TypeNode:
-    """`TypeNode(...)` at about four fifths of the cost, for the hierarchy
-    loader, like `make_edge`.  It runs no `__post_init__`, so `TypeNode`
-    must define none (a test checks that)."""
-    node = _new(TypeNode)
-    _setattr(node, "type_id", type_id)
-    _setattr(node, "fq_name", fq_name)
-    _setattr(node, "parents", parents)
-    _setattr(node, "declared", declared)
-    _setattr(node, "project_id", project_id)
-    _setattr(node, "package_name", package_name)
-    _setattr(node, "is_core_lib", is_core_lib)
-    return node
 
 
 @dataclass(frozen=True)
@@ -277,25 +249,17 @@ class TypeHierarchy:
         return children
 
 
-@dataclass(frozen=True, order=True)
-class MethodNode:
-    """A defined method: the type that holds the body plus its signature."""
+class MethodNode(NamedTuple):
+    """A defined method: the type that holds the body plus its signature.
+
+    A node is the tuple of its two fields, so it equals an `OriginRef` with
+    the same fields, and both equal the plain tuple.  No container of the
+    package mixes nodes and origin refs: `OriginMap.entries` maps nodes to
+    refs, and the per-origin dicts are keyed by refs alone.
+    """
 
     defining_type: str
     signature: MethodSignature
-
-    def __post_init__(self) -> None:
-        # kept like MethodSignature's, for the same reasons; the hash equals
-        # hash((defining_type, signature)), since a signature hashes as its key
-        key = (self.defining_type, self.signature._key)
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return (type(self), (self.defining_type, self.signature))
 
     @property
     def uid(self) -> str:
@@ -309,35 +273,22 @@ class MethodNode:
         signature: Callable[[str], MethodSignature] = MethodSignature.from_text,
     ) -> "MethodNode":
         """Parse a uid; `signature` turns its signature text into an object
-        (loaders pass a lookup that shares objects instead of parsing).  The
-        node is the value `cls(type_id, sig)` gives, with the two fields and
-        the key and hash of `__post_init__` set directly, as `make_type_node`
-        sets a type's fields."""
+        (loaders pass a lookup that shares objects instead of parsing)."""
         type_id, sep, sig_text = uid.partition("::")
         if not sep or not type_id:
             raise ValueError(f"malformed method node id: {uid!r}")
-        sig = signature(sig_text)
-        node = _new(cls)
-        key = (type_id, sig._key)
-        _setattr(node, "defining_type", type_id)
-        _setattr(node, "signature", sig)
-        _setattr(node, "_key", key)
-        _setattr(node, "_hash", hash(key))
-        return node
+        return cls(type_id, signature(sig_text))
 
     def __str__(self) -> str:
         return self.uid
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class CallEdge:
+class CallEdge(NamedTuple):
     """One call edge: source method, resolved target method, receiver type.
 
     `receiver_type` is the static type written at the call site; the target
     is one concrete resolution of that call.  Edge identity is the full
-    (source, target, receiver) triple.  Edges are by far the most numerous
-    objects, so they carry slots instead of a per-object dict: every edge
-    scan then touches one object per edge, not two.
+    (source, target, receiver) triple, and edges order by it.
     """
 
     source: MethodNode
@@ -345,32 +296,8 @@ class CallEdge:
     receiver_type: str
 
 
-# Sort keys in exactly the generated dataclass order, compared as plain
-# tuples instead of through the generated `__lt__`/`__eq__` methods; the
-# generated order stays the reference the tests compare against.
-# `sort_key` serves MethodSignature (its field tuple) and MethodNode (its
-# defining type plus its signature's key).
-sort_key = attrgetter("_key")
-edge_sort_key = attrgetter("source._key", "target._key", "receiver_type")
-
 _source = attrgetter("source")
 _target = attrgetter("target")
-_set_source = CallEdge.source.__set__
-_set_target = CallEdge.target.__set__
-_set_receiver_type = CallEdge.receiver_type.__set__
-
-
-def make_edge(source: MethodNode, target: MethodNode, receiver_type: str) -> CallEdge:
-    """`CallEdge(source, target, receiver_type)` at about half the cost: the
-    frozen dataclass `__init__` sets each field through `object.__setattr__`,
-    while this sets the slots directly.  The loader and the CHA generator
-    build every edge with it.  It runs no `__post_init__`, so `CallEdge`
-    must define none (a test checks that)."""
-    edge = object.__new__(CallEdge)
-    _set_source(edge, source)
-    _set_target(edge, target)
-    _set_receiver_type(edge, receiver_type)
-    return edge
 
 
 @dataclass(frozen=True)
@@ -407,7 +334,7 @@ class CallGraph:
         return len(self.nodes)
 
     def sorted_nodes(self) -> list[MethodNode]:
-        return sorted(self.nodes, key=sort_key)
+        return sorted(self.nodes)
 
     @cached_property
     def outgoing(self) -> Mapping[MethodNode, tuple[CallEdge, ...]]:
@@ -454,7 +381,8 @@ class CallGraph:
     @cached_property
     def predecessors(self) -> PredecessorIndex:
         """Target -> its sources, one per edge and in edge order, read-only:
-        built from the edges on first use, unless `pruned` handed it over."""
+        built from the edges on first use, unless `pruned` derived it when
+        it built this graph."""
         return _predecessors_from_edges(self)
 
     def pruned(
@@ -553,21 +481,21 @@ def build_call_graph(
 
     Duplicate (source, target, receiver) triples are collapsed and counted.
     Edge endpoints are added to the node set if missing, so the endpoint
-    invariant holds by construction.  An edge list that is already canonical
-    (its `edge_sort_key` keys strictly increasing, as in every saved file)
-    is taken as it is, since it is sorted and holds no duplicate; any other
-    list is deduplicated and sorted.
+    invariant holds by construction.  Edges order as tuples, by source, then
+    target, then receiver type.  An edge list that is already canonical
+    (strictly increasing, as in every saved file) is taken as it is, since
+    it is sorted and holds no duplicate; any other list is deduplicated and
+    sorted.
 
     `closed` is for `io.load_call_graph` alone, which registers every edge
     endpoint among `nodes` as it reads the edge: the node set is then taken
     as it is, not derived again from both ends of every edge.
     """
     edge_list = list(edges)
-    if all(starmap(lt, pairwise(map(edge_sort_key, edge_list)))):
+    if all(starmap(lt, pairwise(edge_list))):
         unique = edge_list
     else:
-        unique = list(dict.fromkeys(edge_list))
-        unique.sort(key=edge_sort_key)
+        unique = sorted(dict.fromkeys(edge_list))
     if closed:
         node_set = nodes
     else:
@@ -725,8 +653,9 @@ def reflexive_descendants(h: TypeHierarchy, *type_ids: str) -> set[str]:
 def reverse_adjacency(cg: CallGraph) -> PredecessorIndex:
     """Predecessor view: target -> sources, one entry per edge and in edge
     order, so edge multiplicity is preserved exactly.  This is the graph's
-    cached, read-only `predecessors` index: built once per graph, or handed
-    over by `CallGraph.pruned` from the parent's."""
+    cached, read-only `predecessors` index: built from the edges once per
+    graph, or, for a graph made by `CallGraph.pruned` from a parent whose
+    index exists, derived from that index when the pruned graph is built."""
     return cg.predecessors
 
 
@@ -743,7 +672,7 @@ def validate_call_graph(cg: CallGraph, h: TypeHierarchy) -> list[Violation]:
         n for n in cg.nodes
         if (t := types.get(n.defining_type)) is None or n.signature not in t.declared
     ]
-    for n in sorted(bad, key=sort_key):
+    for n in sorted(bad):
         t = types.get(n.defining_type)
         if t is None:
             violations.append(

@@ -16,54 +16,30 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
-from .model import (
-    CallGraph,
-    MethodNode,
-    MethodSignature,
-    TypeHierarchy,
-    sort_key,
-)
+from .model import CallGraph, MethodNode, MethodSignature, TypeHierarchy
 
 _target = attrgetter("target")
 
 
-@dataclass(frozen=True, order=True)
-class OriginRef:
+class OriginRef(NamedTuple):
     """The first declaration of a signature: origin type plus the signature.
 
     `find_origins` builds one object per origin and shares it, so the dicts
-    and counters keyed by origins find their keys by identity.
+    and counters keyed by origins find their keys by identity.  A ref is the
+    tuple of its two fields, so it equals a `MethodNode` with the same
+    fields, and both equal the plain tuple.  No container of the package
+    mixes refs and nodes: `OriginMap.entries` maps nodes to refs, and the
+    per-origin dicts are keyed by refs alone.
     """
 
     origin_type: str
     signature: MethodSignature
 
-    def __post_init__(self) -> None:
-        # kept like MethodNode's: hash((origin_type, signature)), once
-        object.__setattr__(self, "_hash", hash((self.origin_type, self.signature)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return (type(self), (self.origin_type, self.signature))
-
     def render(self, h: TypeHierarchy) -> str:
         """Readable form: the origin type's fully-qualified name plus the signature."""
         return f"{h.node(self.origin_type).fq_name}.{self.signature.to_text()}"
-
-
-def _make_origin(origin_type: str, signature: MethodSignature) -> OriginRef:
-    """`OriginRef(origin_type, signature)` without its `__init__` and
-    `__post_init__`: the two fields and the hash set directly, as
-    `model.make_type_node` sets a type's fields."""
-    ref = object.__new__(OriginRef)
-    object.__setattr__(ref, "origin_type", origin_type)
-    object.__setattr__(ref, "signature", signature)
-    object.__setattr__(ref, "_hash", hash((origin_type, signature)))
-    return ref
 
 
 @dataclass(frozen=True)
@@ -81,7 +57,7 @@ class OriginMap:
     def derivatives(self) -> dict[OriginRef, list[MethodNode]]:
         """Nodes grouped by their origin, each group in canonical order."""
         groups: dict[OriginRef, list[MethodNode]] = {}
-        for node in sorted(self.entries, key=sort_key):
+        for node in sorted(self.entries):
             groups.setdefault(self.entries[node], []).append(node)
         return groups
 
@@ -146,7 +122,7 @@ def find_origins(cg: CallGraph, h: TypeHierarchy) -> OriginMap:
     it carries.  The call builds one `OriginRef` per (origin type,
     signature) and shares it among the entries and the ambiguous sets.
     """
-    targets = sorted(set(map(_target, cg.edges)), key=sort_key)
+    targets = sorted(set(map(_target, cg.edges)))
     entries: dict[MethodNode, OriginRef] = {}
     ambiguous: dict[MethodNode, tuple[OriginRef, ...]] = {}
     # signature -> (its root declarers, its OriginRef per origin type)
@@ -168,7 +144,7 @@ def find_origins(cg: CallGraph, h: TypeHierarchy) -> OriginMap:
             # graphs only); fall back to self-origin so the map stays total
             candidates = [node.defining_type]
         origins = [
-            refs.get(tid) or refs.setdefault(tid, _make_origin(tid, sig)) for tid in candidates
+            refs.get(tid) or refs.setdefault(tid, OriginRef(tid, sig)) for tid in candidates
         ]
         entries[node] = origins[0]
         if len(origins) > 1:
@@ -178,14 +154,7 @@ def find_origins(cg: CallGraph, h: TypeHierarchy) -> OriginMap:
 
 def _ranked(counts: Counter) -> tuple[tuple[OriginRef, int], ...]:
     """Descending by count; ties by (origin type, signature)."""
-    return tuple(
-        sorted(
-            counts.items(),
-            key=lambda item: (
-                -item[1], item[0].origin_type, sort_key(item[0].signature)
-            ),
-        )
-    )
+    return tuple(sorted(counts.items(), key=lambda item: (-item[1], item[0])))
 
 
 def origin_edge_frequencies(cg: CallGraph, origins: OriginMap) -> OriginFrequencyTable:

@@ -24,14 +24,13 @@ from dataclasses import dataclass
 
 from .io import checked, checked_list
 from .model import (
+    CallEdge,
     CallGraph,
     MethodNode,
     MethodSignature,
     TypeHierarchy,
     TypeNode,
     build_call_graph,
-    make_edge,
-    sort_key,
 )
 from .origins import OriginMap, OriginRef
 
@@ -183,7 +182,7 @@ def generate_call_graph_cha(h: TypeHierarchy, p: GenParams) -> CallGraph:
     methods = [
         MethodNode(tid, sig)
         for tid in h.sorted_ids()
-        for sig in sorted(h.types[tid].declared, key=sort_key)
+        for sig in sorted(h.types[tid].declared)
     ]
     # Every CHA target is a declared method, so edges point at the objects
     # in `methods`: one node object per method, not one per edge.
@@ -204,7 +203,7 @@ def generate_call_graph_cha(h: TypeHierarchy, p: GenParams) -> CallGraph:
         for _ in range(rng.randint(low, high)):
             site = rng.choice(methods)
             receiver = site.defining_type
-            edges.extend(make_edge(source, t, receiver) for t in targets(site))
+            edges.extend(CallEdge(source, t, receiver) for t in targets(site))
     return build_call_graph(methods, edges)
 
 

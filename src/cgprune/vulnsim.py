@@ -33,7 +33,6 @@ from .model import (
     UnknownTypeError,
     component_masks,
     reverse_adjacency,
-    sort_key,
 )
 
 
@@ -96,8 +95,7 @@ def inject_artificial_cves(
     if count <= 0:
         raise ValueError(f"count must be positive, got {count}")
     eligible = sorted(
-        (n for n in cg.nodes if roles.is_dependency(h, n, include_core=include_core)),
-        key=sort_key,
+        n for n in cg.nodes if roles.is_dependency(h, n, include_core=include_core)
     )
     if not eligible:
         raise NoEligibleNodesError(
@@ -186,7 +184,7 @@ def propagate(
         raise ValueError(f"repetitions must be positive, got {repetitions}")
     if warmup < 0:
         raise ValueError(f"warmup must be non-negative, got {warmup}")
-    missing = sorted(assignment.vulnerable - cg.nodes, key=sort_key)
+    missing = sorted(assignment.vulnerable - cg.nodes)
     if missing:
         raise ValueError(
             "assignment references nodes absent from the graph: "
@@ -201,7 +199,7 @@ def propagate(
     # ones first (node i owns bit i), then each caller as the walk over the
     # graph's int `sources` first meets it.  `order` maps local ids to graph
     # node ids and grows while the loop reads it.
-    vulnerable = sorted(assignment.vulnerable, key=sort_key)
+    vulnerable = sorted(assignment.vulnerable)
     k = len(vulnerable)
     order = list(map(preds.ids.__getitem__, vulnerable))
     local = {g: i for i, g in enumerate(order)}
@@ -246,7 +244,7 @@ def propagate(
         app_nodes = {graph_nodes[order[a]] for a in apps}
         for vuln in reached:
             _, next_hop = _reach_one(preds, vuln)
-            for app in sorted(app_nodes & next_hop.keys(), key=sort_key):
+            for app in sorted(app_nodes & next_hop.keys()):
                 path = [app]
                 while path[-1] != vuln:
                     path.append(next_hop[path[-1]])
@@ -298,7 +296,7 @@ def compare(base: ReachabilityResult, pruned: ReachabilityResult) -> DeltaReport
 def save_assignment(assignment: VulnerabilityAssignment, path: str) -> None:
     """Persist an assignment as one method uid per line plus seed headers."""
     headers = {"seed": assignment.seed, "requested": assignment.requested}
-    uids = (n.uid for n in sorted(assignment.vulnerable, key=sort_key))
+    uids = (n.uid for n in sorted(assignment.vulnerable))
     write_text_records(path, headers, uids)
 
 

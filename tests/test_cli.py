@@ -7,7 +7,6 @@ import logging
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -211,7 +210,7 @@ class TestPrune:
     ):
         # the Top-1 entry is next():void of T1; unrefused, its list was
         # saved (exit 0) and then failed to load, or was cut short (exit 4)
-        types = {tid: replace(t, fq_name=renamed.get(tid, t.fq_name))
+        types = {tid: t._replace(fq_name=renamed.get(tid, t.fq_name))
                  for tid, t in f1.h.types.items()}
         hp = tmp_path / "renamed.jsonl"
         save_hierarchy(TypeHierarchy(types, f1.h.core_project_id), str(hp))
@@ -468,7 +467,7 @@ class TestExitCodes:
         self, f1, f1_paths, tmp_path, capsys
     ):
         # T5 takes T4's fully qualified name, which then names two types
-        types = {**f1.h.types, "T5": replace(f1.h.types["T5"], fq_name="com.app.b.Service")}
+        types = {**f1.h.types, "T5": f1.h.types["T5"]._replace(fq_name="com.app.b.Service")}
         hp = tmp_path / "twins.jsonl"
         save_hierarchy(TypeHierarchy(types, f1.h.core_project_id), str(hp))
         excl = tmp_path / "excl.tsv"

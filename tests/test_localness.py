@@ -7,8 +7,6 @@ another project, which escalates to 3 with early exit; the level-3 dominance
 property below checks the same rule graph-wide.
 """
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -198,8 +196,8 @@ def relabel(h, cg, renaming):
         return MethodNode(renaming[n.defining_type], n.signature)
 
     types = {
-        renaming[tid]: dataclasses.replace(
-            t, type_id=renaming[tid], parents=tuple(renaming[p] for p in t.parents)
+        renaming[tid]: t._replace(
+            type_id=renaming[tid], parents=tuple(renaming[p] for p in t.parents)
         )
         for tid, t in h.types.items()
     }

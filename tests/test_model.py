@@ -1,6 +1,5 @@
 """Domain model: hierarchy validation, ancestor walks, graph construction."""
 
-import dataclasses
 import itertools
 from collections import Counter
 import os
@@ -19,6 +18,7 @@ from cgprune import (
     GenParams,
     MethodNode,
     MethodSignature,
+    OriginRef,
     PipelineConfig,
     TypeHierarchy,
     TypeNode,
@@ -29,7 +29,6 @@ from cgprune import (
     generate_call_graph_cha,
     generate_hierarchy,
     is_reflexive_descendant,
-    load_hierarchy,
     origin_edge_frequencies,
     prune_exhaustive,
     reflexive_descendants,
@@ -41,7 +40,7 @@ from cgprune import (
     validate_hierarchy,
 )
 from cgprune import cli, model, pruning
-from cgprune.model import ancestor_depths, edge_sort_key, make_edge, sort_key
+from cgprune.model import ancestor_depths
 
 
 def _type(tid, parents=(), declared=(), project="p", core=False, core_project="core"):
@@ -86,7 +85,7 @@ class TestMethodNode:
 
 
 class TestIdentity:
-    """Signatures and nodes cache their hash; it must follow their value."""
+    """A signature's or a node's hash follows its value."""
 
     def test_separately_built_equal_objects_hash_equal(self):
         one = MethodNode("T2", MethodSignature("get", ("int",), "V"))
@@ -100,8 +99,8 @@ class TestIdentity:
 
     def test_replace_rehashes(self):
         node = MethodNode("T2", MethodSignature("get", ("int",), "V"))
-        moved = dataclasses.replace(node, defining_type="T3")
-        renamed = dataclasses.replace(node.signature, name="put")
+        moved = node._replace(defining_type="T3")
+        renamed = node.signature._replace(name="put")
         assert moved == MethodNode("T3", node.signature)
         assert hash(moved) == hash(MethodNode("T3", node.signature))
         assert renamed == MethodSignature("put", ("int",), "V")
@@ -414,8 +413,48 @@ def nodes_and_edges(draw):
     return nodes, edges
 
 
+def _flat_signature(s):
+    return (s.name, s.param_types, s.return_type)
+
+
+def _flat_node(n):
+    return (n.defining_type, *_flat_signature(n.signature))
+
+
+# each value type's order spelled out field by field, signatures flattened
+_FLAT_KEYS = {
+    MethodSignature: _flat_signature,
+    MethodNode: _flat_node,
+    OriginRef: lambda r: (r.origin_type, *_flat_signature(r.signature)),
+    CallEdge: lambda e: (*_flat_node(e.source), *_flat_node(e.target), e.receiver_type),
+}
+
+# each value as plain nested tuples of its fields
+_PLAIN = {
+    MethodSignature: _flat_signature,
+    MethodNode: lambda n: (n.defining_type, _flat_signature(n.signature)),
+    OriginRef: lambda r: (r.origin_type, _flat_signature(r.signature)),
+    CallEdge: lambda e: (
+        _PLAIN[MethodNode](e.source), _PLAIN[MethodNode](e.target), e.receiver_type
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "cls", [MethodSignature, TypeNode, MethodNode, CallEdge, OriginRef],
+    ids=lambda cls: cls.__name__,
+)
+def test_value_types_hash_compare_and_order_in_c(cls):
+    # tuple's own slots, not Python methods, and no per-object __dict__
+    assert cls.__hash__ is tuple.__hash__
+    assert cls.__eq__ is tuple.__eq__
+    assert cls.__lt__ is tuple.__lt__
+    assert cls.__slots__ == ()
+    assert cls.__dictoffset__ == 0
+
+
 class TestCanonicalOrder:
-    """The key functions against the generated dataclass order, the oracle."""
+    """Tuple order against explicit field keys, the oracle."""
 
     @settings(max_examples=300, deadline=None)
     @given(nodes_and_edges())
@@ -430,16 +469,22 @@ class TestCanonicalOrder:
 
     @settings(max_examples=300, deadline=None)
     @given(nodes_and_edges())
-    def test_keys_compare_like_the_dataclasses(self, case):
+    def test_order_and_hash_are_the_fields(self, case):
         nodes, edges = case
-        pairs = list(itertools.product(nodes, repeat=2))
-        pairs += [(a.signature, b.signature) for a, b in pairs]
-        for a, b in pairs:
-            assert (sort_key(a) < sort_key(b)) == (a < b)
-            assert (sort_key(a) == sort_key(b)) == (a == b)
-        for a, b in itertools.product(edges, repeat=2):
-            assert (edge_sort_key(a) < edge_sort_key(b)) == (a < b)
-            assert (edge_sort_key(a) == edge_sort_key(b)) == (a == b)
+        groups = {
+            MethodSignature: [n.signature for n in nodes],
+            MethodNode: nodes,
+            OriginRef: [OriginRef(n.defining_type, n.signature) for n in nodes],
+            CallEdge: edges,
+        }
+        for cls, values in groups.items():
+            key, plain = _FLAT_KEYS[cls], _PLAIN[cls]
+            assert sorted(values) == sorted(values, key=key)
+            for a, b in itertools.product(values, repeat=2):
+                assert (a < b) == (key(a) < key(b))
+                assert (a == b) == (key(a) == key(b))
+            for v in values:
+                assert hash(v) == hash(plain(v))
 
     @pytest.mark.parametrize("shape", ["canonical", "adjacent duplicate", "swapped pair"])
     @settings(max_examples=150, deadline=None)
@@ -472,85 +517,8 @@ class TestCanonicalOrder:
     def test_non_canonical_spelling_is_one_value(self):
         one = MethodNode.from_uid("T::f(,int):V")
         two = MethodNode.from_uid("T::f(int):V")
-        assert one == two and sort_key(one) == sort_key(two)
+        assert one == two
         assert build_call_graph([one, two], []).node_count == 1
-
-
-class TestMakeEdge:
-    """`make_edge` sets the slots directly; it must give the value the
-    dataclass constructor gives."""
-
-    @settings(max_examples=100, deadline=None)
-    @given(nodes_and_edges())
-    def test_same_value_as_the_constructor(self, case):
-        _, edges = case
-        made = [make_edge(e.source, e.target, e.receiver_type) for e in edges]
-        for a, b in zip(made, edges):
-            assert type(a) is CallEdge
-            assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
-            assert pickle.loads(pickle.dumps(a)) == b
-        for (a, b), (x, y) in zip(itertools.product(made, repeat=2),
-                                  itertools.product(edges, repeat=2)):
-            assert (a < b) == (x < y) and (a <= b) == (x <= y)
-
-    def test_call_edge_has_no_post_init(self):
-        # make_edge skips __init__, so it would skip a __post_init__ too
-        assert not hasattr(CallEdge, "__post_init__")
-
-
-def _assert_same_values(made: list, built: list) -> None:
-    """Each directly set object is the value its dataclass constructor
-    gives, down to its attributes, and orders like it where the class
-    orders."""
-    assert len(made) == len(built)
-    for a, b in zip(made, built):
-        assert type(a) is type(b)
-        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
-        assert pickle.loads(pickle.dumps(a)) == b
-        assert vars(a) == vars(b)
-    if type(made[0]).__dataclass_params__.order:
-        for (a, b), (x, y) in zip(itertools.product(made, repeat=2),
-                                  itertools.product(built, repeat=2)):
-            assert (a < b) == (x < y) and (a <= b) == (x <= y)
-
-
-class TestDirectConstructors:
-    """The loaders and `find_origins` set attributes directly instead of
-    calling the frozen dataclass `__init__`; the values must be the same."""
-
-    def test_type_node_as_the_loader_builds_it(self, tmp_path):
-        params = GenParams(type_count=40, seed=4)
-        h = generate_hierarchy(params)
-        # the pattern path and the decoder: a non-ASCII name leaves the first
-        types = dict(h.types, Z=TypeNode("Z", "x.Zé", ("T000",), frozenset(), "p"))
-        path = str(tmp_path / "h.jsonl")
-        save_hierarchy(TypeHierarchy(types, h.core_project_id), path)
-        loaded = list(load_hierarchy(path).types.values())
-        assert {t.is_core_lib for t in loaded} == {True, False}
-        _assert_same_values(loaded, [dataclasses.replace(t) for t in loaded])
-
-    def test_type_node_has_no_post_init(self):
-        # make_type_node skips __init__, so it would skip a __post_init__ too
-        assert not hasattr(TypeNode, "__post_init__")
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(method_uids(), min_size=1, max_size=6))
-    def test_method_node_from_uid(self, uids):
-        made = [MethodNode.from_uid(u) for u in uids]
-        built = []
-        for u in uids:
-            type_id, _, text = u.partition("::")
-            built.append(MethodNode(type_id, MethodSignature.from_text(text)))
-        _assert_same_values(made, built)
-
-    def test_origin_ref_from_find_origins(self):
-        params = GenParams(type_count=60, seed=4)
-        h = generate_hierarchy(params)
-        origins = find_origins(generate_call_graph_cha(h, params), h)
-        made = list({ref: None for refs in [origins.entries.values(),
-                                            *origins.ambiguous.values()] for ref in refs})
-        assert origins.ambiguous and len(made) > 10
-        _assert_same_values(made, [dataclasses.replace(ref) for ref in made])
 
 
 class TestReverseAdjacency:

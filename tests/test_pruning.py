@@ -1,6 +1,5 @@
 """Pruning: exclusion-list matching, exhaustive and oracle-gated modes."""
 
-import dataclasses
 import gc
 import weakref
 
@@ -152,7 +151,7 @@ class TestPruneExhaustive:
         # hand-built only: loaded and generated hierarchies have no dangling
         # parents.  Cones walk the children index, which leaves GHOST out.
         types = dict(f1.h.types)
-        types["T2"] = dataclasses.replace(types["T2"], parents=("T1", "GHOST"))
+        types["T2"] = types["T2"]._replace(parents=("T1", "GHOST"))
         h = TypeHierarchy(types, f1.h.core_project_id)
         result = prune_exhaustive(f1.cg, excl_of(("next", "T1")), h)
         assert result.pruned_edges == 2
@@ -312,7 +311,7 @@ class TestExclusionListFile:
     def test_a_list_that_would_not_read_back_is_refused(
         self, f1, tmp_path, renamed, problem
     ):
-        types = {tid: dataclasses.replace(t, fq_name=renamed.get(tid, t.fq_name))
+        types = {tid: t._replace(fq_name=renamed.get(tid, t.fq_name))
                  for tid, t in f1.h.types.items()}
         h = TypeHierarchy(types, f1.h.core_project_id)
         path = tmp_path / "excl.txt"
@@ -600,7 +599,7 @@ class TestCandidateMemo:
             if r % 2:
                 check(excl, h)
             fresh = TypeHierarchy({
-                tid: dataclasses.replace(t, parents=parents[tid])
+                tid: t._replace(parents=parents[tid])
                 for tid, t in h.types.items()
             })
             check(excl, fresh)
