@@ -402,10 +402,12 @@ def load_call_graph(path: str, h: TypeHierarchy) -> CallGraph:
             node(record["src"]), node(record["dst"]), _typed(record, "recv", str)
         )),
     }, [
-        # a matched uid is a string: a known one needs only the dict lookup
-        ("edge", _EDGE_LINE, lambda dst, recv, src: edges.append(CallEdge(
+        # a matched uid is a string: a known one needs only the dict lookup;
+        # `tuple.__new__` skips the generated `CallEdge.__new__` frame, which
+        # checks nothing
+        ("edge", _EDGE_LINE, lambda dst, recv, src: edges.append(tuple.__new__(CallEdge, (
             by_uid.get(src) or node(src), by_uid.get(dst) or node(dst), recv
-        ))),
+        )))),
         ("node", _NODE_LINE, node),
     ])
     # `node` registered every endpoint, so the node set is closed

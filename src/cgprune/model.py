@@ -16,16 +16,18 @@ threads; the only state added later is lazily built lookup tables, each
 fact in exactly one (the ancestor, descendant-cone and application-type
 memos and the children and declarer indexes of a TypeHierarchy; the
 adjacency and target indexes, the node-type set and the predecessor index
-of a CallGraph, plus the candidate groups `pruning` memoises on a graph),
-whose entries are fixed by the values themselves.  The predecessor index
-holds the graph's dense node ids and, per node, the ids of its callers in
-edge order (`PredecessorIndex`, which reads as a node-keyed mapping).  A
-graph pruned by `CallGraph.pruned` shares its parent's node-type set and,
-when the parent's predecessor index exists, gets its own at once, derived
-from it, node ids included, by copying the list and replacing the entries
-of the pruned targets; otherwise it builds its own from its edges when
-first asked.  A pruned graph holds no reference to its parent.  Analyses
-elsewhere in the package are pure functions over these values.
+of a CallGraph, plus the candidate bitset and groups `pruning` memoises on
+a graph per exclusion pair), whose entries are fixed by the values
+themselves.  The predecessor index holds the graph's dense node ids and,
+per node, the ids of its callers in edge order (`PredecessorIndex`, which
+reads as a node-keyed mapping).  `CallGraph.pruned` takes the edges to
+drop as an int bitset, one bit per edge, and keeps the others with one
+`compress` in C.  The graph it builds shares its parent's node-type set
+and, when the parent's predecessor index exists, gets its own at once,
+derived from it, node ids included, by copying the list and replacing the
+entries of the pruned targets; otherwise it builds its own from its edges
+when first asked.  A pruned graph holds no reference to its parent.
+Analyses elsewhere in the package are pure functions over these values.
 Construction is permissive; `validate_hierarchy` reports rule violations
 instead of raising, so callers (e.g. file loaders) decide how strict to be.
 
@@ -181,8 +183,9 @@ class TypeHierarchy:
     def descendant_cone(self, type_id: str) -> frozenset[str]:
         """`reflexive_descendants(self, type_id)`, memoised per type.
 
-        Pruning unions the cones of every origin type listed for a signature,
-        at every Top-N; keyed per type, overlapping origin sets share them.
+        Pruning asks for the cone of each (signature, origin type) pair it
+        has not memoised yet; keyed per type, pairs that share an origin type
+        share its cone.
         """
         found = self._cones.get(type_id)
         if found is None:
@@ -298,6 +301,8 @@ class CallEdge(NamedTuple):
 
 _source = attrgetter("source")
 _target = attrgetter("target")
+# a removed-edge bitset's binary digits, lowest first, to a keep selector
+_KEPT = bytes.maketrans(b"01", b"\x01\x00")
 
 
 @dataclass(frozen=True)
@@ -386,27 +391,26 @@ class CallGraph:
         return _predecessors_from_edges(self)
 
     def pruned(
-        self, groups: Sequence[tuple[int, ...]], keep: Sequence[bool] | None = None
+        self, removed: int, groups: Iterable[tuple[int, ...]], whole: bool = True
     ) -> CallGraph:
-        """This graph on the same nodes without some edges of `groups`.
+        """This graph on the same nodes without the edges set in `removed`.
 
-        Each group is one of `target_positions`, so it holds every edge into
-        one target.  Without `keep` every edge of the groups goes; with it,
-        a per-edge mask that is False only inside the groups, the masked
-        edges go.  The result shares this graph's node-type set.  If this
-        graph's predecessor index exists, the result's is derived from it
-        here: the same node ids and one copy of the source-id list in which
-        only the groups' targets change.  Otherwise the result builds its own
-        from its edges on first use, so a prune that is never propagated
-        builds no index.
+        `removed` is a bitset over `edges`: bit i set drops edge i.  Each of
+        `groups` is one of `target_positions`, so it holds every edge into
+        one target; together they hold every removed edge, and a group may
+        come twice.  With `whole` every edge of the groups is in `removed`;
+        without it a group may keep some or all of its edges.  The kept
+        edges are one `compress` over a byte selector made from the bitset
+        in C, so no Python runs per removed edge.  The result shares this
+        graph's node-type set.  If this graph's predecessor index exists,
+        the result's is derived from it here: the same node ids and one copy
+        of the source-id list in which only the groups' targets change, to
+        nothing when `whole`.  Otherwise the result builds its own from its
+        edges on first use, so a prune that is never propagated builds no
+        index.
         """
-        mask = keep
-        if mask is None:
-            mask = [True] * len(self.edges)
-            for group in groups:
-                for i in group:
-                    mask[i] = False
-        graph = CallGraph(nodes=self.nodes, edges=tuple(compress(self.edges, mask)))
+        keep = bin(removed)[:1:-1].ljust(len(self.edges), "0").encode("ascii").translate(_KEPT)
+        graph = CallGraph(nodes=self.nodes, edges=tuple(compress(self.edges, keep)))
         vars(graph)["node_types"] = self.node_types
         base = vars(self).get("predecessors")
         if base is not None:
@@ -414,8 +418,8 @@ class CallGraph:
             sources = base.sources.copy()
             for group in groups:
                 t = targets[group[0]]
-                sources[t] = () if keep is None else tuple(
-                    compress(base.sources[t], [keep[i] for i in group])
+                sources[t] = () if whole else tuple(
+                    compress(base.sources[t], map(keep.__getitem__, group))
                 )
             vars(graph)["predecessors"] = PredecessorIndex(base.nodes, base.ids, sources)
         return graph

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress, count
 from typing import Callable, Mapping, Protocol
 
 from .io import read_text_records, write_text_records
@@ -90,11 +90,13 @@ class FixedTableOracle:
 class PruneResult:
     """Outcome of one pruning pass.
 
-    candidate_edges counts edges matching the exclusion list; pruned_edges
-    counts those actually removed (equal in exhaustive mode).  oracle_failures
-    counts candidates kept because the oracle raised.  elapsed covers the
-    whole pass, the pruned graph's construction included, and with it the
-    derivation of its predecessor index when the input graph had one.
+    candidate_edges counts edges matching the exclusion list, each once
+    even when it lies in the cones of two listed origin types (the set bits
+    of the candidate bitset); pruned_edges counts those actually removed
+    (equal in exhaustive mode).  oracle_failures counts candidates kept
+    because the oracle raised.  elapsed covers the whole pass: the memo
+    lookups, the oracle's calls, the pruned graph's construction and, when
+    the input graph had its predecessor index, the derived one.
     """
 
     pruned_graph: CallGraph
@@ -135,38 +137,50 @@ def prune_exhaustive(
     return prune_selective(cg, excl, h, None)
 
 
-def _candidate_groups(
+def _candidate_bits(
     cg: CallGraph, excl: ExclusionList, h: TypeHierarchy
-) -> list[tuple[int, ...]]:
-    """The groups of `cg.target_positions` the exclusion list matches: each
-    lists the positions in `cg.edges` of every edge into one candidate target.
+) -> tuple[int, list[tuple[int, ...]]]:
+    """The edges the exclusion list matches: a bitset over `cg.edges` (bit i
+    set for a candidate edge i) and the groups of `cg.target_positions` that
+    hold them, each listing the positions of every edge into one candidate
+    target.
 
     Only the listed signatures are looked up in the graph's target index,
-    and their target types are intersected with the union of the origin
-    types' descendant cones, memoised per type by the hierarchy.  A cone
-    holds only known types, so edges into a type the hierarchy lacks are
-    never candidates.
+    and their target types are intersected with each origin type's
+    descendant cone, memoised per type by the hierarchy.  A cone holds only
+    known types, so edges into a type the hierarchy lacks are never
+    candidates.
 
-    The groups of each (signature, origin types) entry are memoised on the
-    graph for the hierarchy they were first found with; the memo holds that
-    hierarchy and starts afresh when asked with another one.  A Top-N sweep
-    thus unions cones only for the entries that changed since the last N.
+    The bitset and groups of each (signature, origin type) pair are memoised
+    on the graph, by signature and then by origin type, for the hierarchy
+    they were first found with; the memo holds that hierarchy and starts
+    afresh when asked with another one.  A Top-N step thus walks a cone only
+    for the pairs new since the last N, and ORs one int per listed pair, so
+    an edge in two overlapping cones counts once.  Its group then comes
+    twice, which `CallGraph.pruned` allows.
     """
     memo = vars(cg).get("_candidate_memo")
     if memo is None or memo[0] is not h:
         memo = vars(cg)["_candidate_memo"] = (h, {})
     found = memo[1]
-    index = cg.target_positions
+    bits = 0
     groups: list[tuple[int, ...]] = []
-    for entry in excl.by_signature.items():
-        matched = found.get(entry)
-        if matched is None:
-            sig, origin_types = entry
-            cone = set().union(*map(h.descendant_cone, origin_types))
-            by_type = index.get(sig, {})
-            matched = found[entry] = tuple([by_type[t] for t in cone.intersection(by_type)])
-        groups.extend(matched)
-    return groups
+    for sig, origin_types in excl.by_signature.items():
+        per_type = found.get(sig)
+        if per_type is None:
+            per_type = found[sig] = {}
+        for origin in origin_types:
+            pair = per_type.get(origin)
+            if pair is None:
+                by_type = cg.target_positions.get(sig, {})
+                cone = h.descendant_cone(origin)
+                matched = tuple([by_type[t] for t in cone.intersection(by_type)])
+                # the groups are disjoint, so the sum sets each bit once
+                pair_bits = sum(map((1).__lshift__, chain.from_iterable(matched)))
+                pair = per_type[origin] = (pair_bits, matched)
+            bits |= pair[0]
+            groups.extend(pair[1])
+    return bits, groups
 
 
 def prune_selective(
@@ -183,40 +197,40 @@ def prune_selective(
     raised.  The oracle sees the candidates one at a time, in edge order.
     Without an oracle (`None`) every candidate is dropped.
 
-    Candidates come in groups, one per target (`_candidate_groups`), and
-    `CallGraph.pruned` builds the result from them: without an oracle each
-    group goes whole; with one, a per-edge mask says which of its edges go.
-    When `cg` has its predecessor index, the pruned graph's is derived from
-    it here, by changing only the candidate targets' entries.
+    Candidates come as one bitset over the edges plus the groups that hold
+    them, one per target (`_candidate_bits`).  Without an oracle the whole
+    bitset goes; with one, the oracle judges the edge of each set bit, and
+    the condemned edges make a second bitset.  Either way `CallGraph.pruned`
+    builds the result from the removed-edge bitset and the groups.  When
+    `cg` has its predecessor index, the pruned graph's is derived from it
+    there, by changing only the candidate targets' entries.
     """
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
     start = time.perf_counter()
-    groups = _candidate_groups(cg, excl, h)
-    candidates = sum(map(len, groups))
+    bits, groups = _candidate_bits(cg, excl, h)
     failures = 0
     if oracle is None:
-        pruned_graph = cg.pruned(groups)
-        pruned = candidates
+        removed = bits
     else:
         edges = cg.edges
-        keep = [True] * len(edges)
-        pruned = 0
-        for i in sorted(chain.from_iterable(groups)):
+        removed = 0
+        # the positions of the set bits, lowest first: edge order
+        for i in compress(count(), map("1".__eq__, bin(bits)[:1:-1])):
             try:
                 decision = oracle.decide(edges[i])
             except Exception:
                 failures += 1
                 continue
             if decision.prune and decision.confidence > threshold:
-                keep[i] = False
-                pruned += 1
-        pruned_graph = cg.pruned(groups, keep)
+                removed |= 1 << i
+    pruned_graph = cg.pruned(removed, groups, whole=oracle is None)
     elapsed = time.perf_counter() - start
+    pruned = removed.bit_count()
     ratio = pruned / cg.edge_count if cg.edge_count else 0.0
     return PruneResult(
         pruned_graph=pruned_graph,
-        candidate_edges=candidates,
+        candidate_edges=bits.bit_count(),
         pruned_edges=pruned,
         reduction_ratio=ratio,
         elapsed=elapsed,

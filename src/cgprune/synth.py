@@ -203,7 +203,8 @@ def generate_call_graph_cha(h: TypeHierarchy, p: GenParams) -> CallGraph:
         for _ in range(rng.randint(low, high)):
             site = rng.choice(methods)
             receiver = site.defining_type
-            edges.extend(CallEdge(source, t, receiver) for t in targets(site))
+            # as `CallEdge(...)`, without the generated `__new__` frame
+            edges.extend(tuple.__new__(CallEdge, (source, t, receiver)) for t in targets(site))
     return build_call_graph(methods, edges)
 
 

@@ -185,6 +185,21 @@ def test_writers_match_json_dumps(graph, tmp_path):
     assert load_call_graph(cp, loaded).edges == cg.edges
 
 
+def test_loaded_and_generated_edges_are_call_edges(tmp_path):
+    # both build edges with `tuple.__new__`, past the generated `__new__`
+    h, generated = _generated_graph()
+    path = str(tmp_path / "cg.jsonl")
+    save_call_graph(generated, path)
+    loaded = load_call_graph(path, h)
+    assert loaded.edges == generated.edges
+    for cg in (generated, loaded):
+        assert cg.edges
+        for e in cg.edges:
+            built = CallEdge(e.source, e.target, e.receiver_type)
+            assert type(e) is CallEdge
+            assert e == built and hash(e) == hash(built)
+
+
 class TestNodeSharing:
     def test_edge_endpoints_are_the_node_objects(self, f1, tmp_path):
         path = tmp_path / "cg.jsonl"

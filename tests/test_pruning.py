@@ -147,6 +147,16 @@ class TestPruneExhaustive:
         assert result.pruned_graph.edges == (e,)
         assert result.candidate_edges == 0
 
+    @pytest.mark.parametrize("oracle", [None, PruneAllOracle()], ids=["exhaustive", "selective"])
+    def test_overlapping_cones_of_one_signature_count_each_edge_once(self, f1, oracle):
+        # T2's cone lies inside T1's: both hold the edge into T2's next
+        reverse_adjacency(f1.cg)  # the pruned graphs derive theirs
+        alone = prune_selective(f1.cg, excl_of(("next", "T1")), f1.h, oracle)
+        both = prune_selective(f1.cg, excl_of(("next", "T1"), ("next", "T2")), f1.h, oracle)
+        assert both.candidate_edges == both.pruned_edges == 2
+        assert both.pruned_graph.edges == alone.pruned_graph.edges
+        assert_index_matches_edges(both.pruned_graph)
+
     def test_dangling_parent_of_target_type_is_ignored(self, f1):
         # hand-built only: loaded and generated hierarchies have no dangling
         # parents.  Cones walk the children index, which leaves GHOST out.
@@ -608,7 +618,7 @@ class TestCandidateMemo:
         for excl in lists:  # one hierarchy throughout: the memo answers
             check(excl, h)
 
-    def test_a_sweep_step_unions_cones_for_the_changed_entry_only(self, f1, monkeypatch):
+    def test_a_sweep_step_walks_cones_for_new_pairs_only(self, f1, monkeypatch):
         asked = []
         real = TypeHierarchy.descendant_cone
 
@@ -620,11 +630,19 @@ class TestCandidateMemo:
         prune_exhaustive(f1.cg, excl_of(("next", "T1"), ("run", "T4")), f1.h)
         assert sorted(asked) == ["T1", "T4"]
         asked.clear()
+        # run's entry changes, but only the added pair is new
         prune_exhaustive(f1.cg, excl_of(("next", "T1"), ("run", "T4"), ("run", "T0")), f1.h)
-        assert sorted(asked) == ["T0", "T4"]
+        assert asked == ["T0"]
         asked.clear()
-        prune_exhaustive(f1.cg, excl_of(("next", "T1"), ("run", "T4")), f1.h)
+        for pairs in ([("next", "T1"), ("run", "T4"), ("run", "T0")],  # repeated
+                      [("next", "T1"), ("run", "T4")],  # shrunk
+                      [("run", "T0")]):  # a pair on its own, memoised with others
+            prune_exhaustive(f1.cg, excl_of(*pairs), f1.h)
         assert asked == []
+        memo = vars(f1.cg)["_candidate_memo"][1]
+        assert {s.name: sorted(by_type) for s, by_type in memo.items()} == {
+            "next": ["T1"], "run": ["T0", "T4"],
+        }
         # another hierarchy, even an equal one, starts the memo afresh
         prune_exhaustive(f1.cg, excl_of(("next", "T1"), ("run", "T4")), make_f1_hierarchy())
         assert sorted(asked) == ["T1", "T4"]

@@ -96,3 +96,23 @@ def test_traced_propagate_opens_one_reverse_adjacency_child(spans):
     assert [s.name for s in recorded] == ["vulnsim.propagate", "model.reverse_adjacency"]
     assert recorded[0].parent is None
     assert recorded[1].parent == 0
+
+
+def test_a_traced_sweep_opens_one_prune_and_one_propagate_span_per_top_n(spans):
+    # `pruning.prune_s` and `vulnsim.propagate_s` sum these spans, so each
+    # must stay one call per Top-N (plus the base propagation)
+    sweep = [0, 1, 2, 3]
+    config = PipelineConfig.from_mapping({
+        "synthetic": {"count": 1, "params": {"type_count": 20, "seed": 1}},
+        "sweep": sweep, "cve_count": 2, "warmup": 0, "repetitions": 1,
+    })
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        report = run_pipeline(config)
+    finally:
+        tracer.uninstall()
+    assert not report.errors
+    names = [s.name for s in tracer.take()]
+    assert names.count("pruning.prune_exhaustive") == len(sweep)
+    assert names.count("vulnsim.propagate") == len(sweep) + 1
