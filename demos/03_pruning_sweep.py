@@ -58,7 +58,7 @@ print(f"\nselective(prune-all, threshold 0) == exhaustive: "
 with tempfile.TemporaryDirectory() as d:
     path = Path(d) / "top5.excl"
     save_exclusion_list(excl, str(path), h)
-    print(f"\nsaved exclusion list ({excl.pair_count()} pairs):")
+    print(f"\nsaved exclusion list ({len(excl.origins)} origins):")
     print("  " + "\n  ".join(path.read_text().splitlines()[:4]))
     reloaded = load_exclusion_list(str(path), h)
-    assert reloaded.by_signature == excl.by_signature
+    assert reloaded == excl

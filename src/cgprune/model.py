@@ -17,7 +17,7 @@ fact in exactly one (the ancestor, descendant-cone and application-type
 memos and the children and declarer indexes of a TypeHierarchy; the
 adjacency and target indexes, the node-type set and the predecessor index
 of a CallGraph, plus the candidate bitset and groups `pruning` memoises on
-a graph per exclusion pair), whose entries are fixed by the values
+a graph per listed origin), whose entries are fixed by the values
 themselves.  The predecessor index holds the graph's dense node ids and,
 per node, the ids of its callers in edge order (`PredecessorIndex`, which
 reads as a node-keyed mapping).  `CallGraph.pruned` takes the edges to
@@ -183,9 +183,8 @@ class TypeHierarchy:
     def descendant_cone(self, type_id: str) -> frozenset[str]:
         """`reflexive_descendants(self, type_id)`, memoised per type.
 
-        Pruning asks for the cone of each (signature, origin type) pair it
-        has not memoised yet; keyed per type, pairs that share an origin type
-        share its cone.
+        Pruning asks for the cone of each origin it has not memoised yet;
+        keyed per type, origins that share a type share its cone.
         """
         found = self._cones.get(type_id)
         if found is None:

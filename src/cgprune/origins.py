@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from .model import CallGraph, MethodNode, MethodSignature, TypeHierarchy
 
@@ -78,34 +78,14 @@ class OriginFrequencyTable:
 
 @dataclass(frozen=True)
 class ExclusionList:
-    """Origins whose derivatives are pruning candidates, grouped by signature.
+    """The origins whose derivatives are pruning candidates.
 
     `declared_size` is the Top-N the list was built from, which can exceed
-    the number of entries when the frequency table is shorter than N.
+    the number of origins when the frequency table is shorter than N.
     """
 
-    by_signature: Mapping[MethodSignature, frozenset[str]]
+    origins: frozenset[OriginRef]
     declared_size: int
-
-    def pair_count(self) -> int:
-        return sum(len(types) for types in self.by_signature.values())
-
-    @classmethod
-    def from_pairs(
-        cls, pairs: Iterable[tuple[MethodSignature, str]], declared_size: int
-    ) -> "ExclusionList":
-        """Group (signature, origin type) pairs by signature."""
-        grouped: dict[MethodSignature, set[str]] = {}
-        for sig, tid in pairs:
-            grouped.setdefault(sig, set()).add(tid)
-        return cls({sig: frozenset(types) for sig, types in grouped.items()}, declared_size)
-
-    def sorted_pairs(self) -> list[tuple[MethodSignature, str]]:
-        return sorted(
-            (sig, tid)
-            for sig, types in self.by_signature.items()
-            for tid in types
-        )
 
 
 def find_origins(cg: CallGraph, h: TypeHierarchy) -> OriginMap:
@@ -188,9 +168,7 @@ def unique_derivative_counts(
 
 
 def build_exclusion_list(table: OriginFrequencyTable, n: int) -> ExclusionList:
-    """Group the first min(n, len(rows)) frequency rows by signature."""
+    """The origins of the first min(n, len(rows)) frequency rows."""
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    return ExclusionList.from_pairs(
-        ((origin.signature, origin.origin_type) for origin, _count in table.rows[:n]), n
-    )
+    return ExclusionList(frozenset([origin for origin, _count in table.rows[:n]]), n)

@@ -159,10 +159,16 @@ class PipelineConfig:
         def resolve(p: str) -> str:
             return p if os.path.isabs(p) else os.path.join(base_dir, p)
 
+        def known_keys(where: str, item: Mapping, known: set[str]) -> None:
+            unknown = sorted(set(item) - known)
+            if unknown:
+                raise ValueError(f"{where}: unknown key {', '.join(map(repr, unknown))}")
+
         inputs = []
         synthetic = None
         try:
             for i, item in enumerate(checked_list("inputs", data.get("inputs", []), dict)):
+                known_keys(f"inputs[{i}]", item, {"id", "hierarchy", "callgraph"})
                 entry = {"id": item.get("id", f"g{i:03d}")}
                 try:
                     entry.update((k, item[k]) for k in ("hierarchy", "callgraph"))
@@ -179,6 +185,7 @@ class PipelineConfig:
                     raise TypeError(
                         f"synthetic must be an object with an object 'params', got {spec!r}"
                     )
+                known_keys("synthetic", spec, {"count", "params"})
                 sites = params.get("call_sites_per_method")
                 if type(sites) is list:  # a JSON array; the field is a pair
                     params = {**params, "call_sites_per_method": tuple(sites)}

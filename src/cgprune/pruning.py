@@ -1,11 +1,13 @@
 """Edge pruning against an exclusion list of high-frequency origins.
 
-An edge is a candidate when its target's signature appears in the exclusion
-list and the target's defining type descends (reflexively) from one of the
-listed origin types.  Exhaustive mode drops every candidate; selective mode
-asks a decision oracle per candidate and only drops those it condemns with
-confidence strictly above a threshold.  Nodes are never removed, so node-set
-metrics stay comparable before and after.
+An exclusion list is a set of origins.  An edge is a candidate when its
+target derives from one of them: the same signature, on a type that
+descends (reflexively) from the origin's type.  The candidate edges of each
+origin are found once per graph and hierarchy and then memoised.
+Exhaustive mode drops every candidate; selective mode asks a decision
+oracle per candidate and only drops those it condemns with confidence
+strictly above a threshold.  Nodes are never removed, so node-set metrics
+stay comparable before and after.
 
 The exclusion list travels as a small tab-separated text file so runs can be
 repeated on other machines byte for byte.
@@ -16,6 +18,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import chain, compress, count
+from operator import attrgetter
 from typing import Callable, Mapping, Protocol
 
 from .io import read_text_records, write_text_records
@@ -27,7 +30,7 @@ from .model import (
     TypeHierarchy,
     is_reflexive_descendant,
 )
-from .origins import ExclusionList
+from .origins import ExclusionList, OriginRef
 
 
 @dataclass(frozen=True)
@@ -116,13 +119,12 @@ def not_excluded(
     """True when an edge with this target survives the exclusion list.
 
     Signature match alone is not enough: the target's type must also descend
-    from one of the origin types listed for that signature.
+    from the type of a listed origin with that signature.
     """
-    origin_types = excl.by_signature.get(target_sig)
-    if not origin_types:
-        return True
     return not any(
-        is_reflexive_descendant(h, origin, target_type) for origin in origin_types
+        is_reflexive_descendant(h, origin.origin_type, target_type)
+        for origin in excl.origins
+        if origin.signature == target_sig
     )
 
 
@@ -145,19 +147,17 @@ def _candidate_bits(
     hold them, each listing the positions of every edge into one candidate
     target.
 
-    Only the listed signatures are looked up in the graph's target index,
-    and their target types are intersected with each origin type's
-    descendant cone, memoised per type by the hierarchy.  A cone holds only
-    known types, so edges into a type the hierarchy lacks are never
-    candidates.
+    An origin's candidates are the target types of its signature in the
+    graph's target index that lie in its type's descendant cone.  A cone
+    holds only known types, so edges into a type the hierarchy lacks are
+    never candidates.
 
-    The bitset and groups of each (signature, origin type) pair are memoised
-    on the graph, by signature and then by origin type, for the hierarchy
-    they were first found with; the memo holds that hierarchy and starts
-    afresh when asked with another one.  A Top-N step thus walks a cone only
-    for the pairs new since the last N, and ORs one int per listed pair, so
-    an edge in two overlapping cones counts once.  Its group then comes
-    twice, which `CallGraph.pruned` allows.
+    One entry per origin, its bitset and groups, is memoised on the graph
+    for the hierarchy it was first found with; the memo holds that
+    hierarchy and starts afresh when asked with another one.  A Top-N step
+    thus walks a cone only for the origins new since the last N, and ORs
+    one int per listed origin, so an edge in two overlapping cones counts
+    once.  Its group then comes twice, which `CallGraph.pruned` allows.
     """
     memo = vars(cg).get("_candidate_memo")
     if memo is None or memo[0] is not h:
@@ -165,21 +165,18 @@ def _candidate_bits(
     found = memo[1]
     bits = 0
     groups: list[tuple[int, ...]] = []
-    for sig, origin_types in excl.by_signature.items():
-        per_type = found.get(sig)
-        if per_type is None:
-            per_type = found[sig] = {}
-        for origin in origin_types:
-            pair = per_type.get(origin)
-            if pair is None:
-                by_type = cg.target_positions.get(sig, {})
-                cone = h.descendant_cone(origin)
-                matched = tuple([by_type[t] for t in cone.intersection(by_type)])
-                # the groups are disjoint, so the sum sets each bit once
-                pair_bits = sum(map((1).__lshift__, chain.from_iterable(matched)))
-                pair = per_type[origin] = (pair_bits, matched)
-            bits |= pair[0]
-            groups.extend(pair[1])
+    for origin in excl.origins:
+        entry = found.get(origin)
+        if entry is None:
+            by_type = cg.target_positions.get(origin.signature, {})
+            cone = h.descendant_cone(origin.origin_type)
+            matched = tuple([by_type[t] for t in cone.intersection(by_type)])
+            # the groups are disjoint, so the sum sets each bit once
+            entry = found[origin] = (
+                sum(map((1).__lshift__, chain.from_iterable(matched))), matched
+            )
+        bits |= entry[0]
+        groups.extend(entry[1])
     return bits, groups
 
 
@@ -238,15 +235,15 @@ def prune_selective(
     )
 
 
-def _exclusion_parser(h: TypeHierarchy) -> Callable[[str], tuple[MethodSignature, str]]:
-    """The reader of one stripped exclusion-list line: (signature, type id in `h`)."""
+def _exclusion_parser(h: TypeHierarchy) -> Callable[[str], OriginRef]:
+    """The reader of one stripped exclusion-list line: the origin it names in `h`."""
     by_fq: dict[str, str | None] = {}
     for tid in h.sorted_ids():
         fq = h.types[tid].fq_name
         # None marks a duplicate name; only an error if it is referenced
         by_fq[fq] = None if fq in by_fq else tid
 
-    def parse(line: str) -> tuple[MethodSignature, str]:
+    def parse(line: str) -> OriginRef:
         parts = line.split("\t")
         if len(parts) != 2:
             raise ValueError(f"expected 'signature<TAB>type name', got {line!r}")
@@ -257,7 +254,7 @@ def _exclusion_parser(h: TypeHierarchy) -> Callable[[str], tuple[MethodSignature
         tid = by_fq[fq]
         if tid is None:
             raise ValueError(f"type name {fq!r} is ambiguous in this hierarchy")
-        return sig, tid
+        return OriginRef(tid, sig)
 
     return parse
 
@@ -270,17 +267,17 @@ def save_exclusion_list(excl: ExclusionList, path: str, h: TypeHierarchy) -> Non
     its entry, or GraphError is raised before the file is opened.
     """
     parse = _exclusion_parser(h)
-    pairs = excl.sorted_pairs()
-    lines = [f"{sig.to_text()}\t{h.node(tid).fq_name}" for sig, tid in pairs]
-    for line, entry in zip(lines, pairs):
+    origins = sorted(excl.origins, key=attrgetter("signature", "origin_type"))
+    lines = [f"{o.signature.to_text()}\t{h.node(o.origin_type).fq_name}" for o in origins]
+    for line, origin in zip(lines, origins):
         # a type name may be shared, or hold a tab, a line break or a lone
         # surrogate (which does not encode); a leading '#' makes a header
         try:
             line.encode("utf-8")
-            if "\n" in line or "\r" in line or line[0] == "#" or parse(line.strip()) != entry:
+            if "\n" in line or "\r" in line or line[0] == "#" or parse(line.strip()) != origin:
                 raise ValueError("it would read back as another entry")
         except ValueError as exc:
-            fq = h.types[entry[1]].fq_name
+            fq = h.types[origin.origin_type].fq_name
             raise GraphError(f"{path}: cannot save type name {fq!r}: {exc}") from None
     write_text_records(path, {"declared-size": excl.declared_size}, lines)
 
@@ -291,5 +288,5 @@ def load_exclusion_list(path: str, h: TypeHierarchy) -> ExclusionList:
     An unresolvable or ambiguous fully-qualified name is a hard error: a
     silently dropped entry would quietly weaken the pruning.
     """
-    headers, pairs = read_text_records(path, {"declared-size": 0}, _exclusion_parser(h))
-    return ExclusionList.from_pairs(pairs, headers.get("declared-size", len(pairs)))
+    headers, origins = read_text_records(path, {"declared-size": 0}, _exclusion_parser(h))
+    return ExclusionList(frozenset(origins), headers.get("declared-size", len(origins)))

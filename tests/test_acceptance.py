@@ -18,6 +18,7 @@ from cgprune import (
     FixedTableOracle,
     GenParams,
     KeepAllOracle,
+    OriginRef,
     ProjectRoleMap,
     PruneAllOracle,
     PruneDecision,
@@ -104,7 +105,7 @@ def test_f1_exactness():
 
     table = origin_edge_frequencies(cg, origins)
     excl = build_exclusion_list(table, 1)
-    assert excl.sorted_pairs() == [(sig("next"), "T1")]
+    assert excl.origins == {OriginRef("T1", sig("next"))}
     result = prune_exhaustive(cg, excl, h)
     assert (cg.edge_count, result.pruned_graph.edge_count) == (7, 5)
     assert set(cg.edges) - set(result.pruned_graph.edges) == \

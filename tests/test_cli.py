@@ -373,6 +373,12 @@ class TestPipeline:
              "core_prefixes must encode as UTF-8, got 'com.\\udcff'"),
             ("inputs", [{"id": "g\ud800", "hierarchy": f1_paths[0], "callgraph": f1_paths[1]}],
              "inputs[0].id must encode as UTF-8, got 'g\\ud800'"),
+            # an unknown key inside an object is an error too
+            ("synthetic", {"cout": 3, "params": {"type_count": 10}},
+             "synthetic: unknown key 'cout'"),
+            ("inputs", [{"id": "a", "hierarchy": f1_paths[0], "callgraph": f1_paths[1],
+                         "core_prefix": ["x"]}],
+             "inputs[0]: unknown key 'core_prefix'"),
         ]:
             cfg.write_text(json.dumps({
                 "inputs": [{"hierarchy": f1_paths[0], "callgraph": f1_paths[1]}],

@@ -311,18 +311,19 @@ class TestBuildExclusionList:
     def test_f1_top_1(self, f1):
         table = origin_edge_frequencies(f1.cg, find_origins(f1.cg, f1.h))
         excl = build_exclusion_list(table, 1)
-        assert excl.by_signature == {sig("next"): frozenset({"T1"})}
+        assert excl.origins == {OriginRef("T1", sig("next"))}
         assert excl.declared_size == 1
 
     def test_n_zero_is_empty(self, f1):
         table = origin_edge_frequencies(f1.cg, find_origins(f1.cg, f1.h))
         excl = build_exclusion_list(table, 0)
-        assert excl.by_signature == {}
+        assert excl.origins == frozenset()
 
     def test_prefix_saturates_at_table_length(self, f1):
         table = origin_edge_frequencies(f1.cg, find_origins(f1.cg, f1.h))
         excl = build_exclusion_list(table, 1000)
-        assert excl.pair_count() == len(table.rows)
+        assert excl.origins == {origin for origin, _count in table.rows}
+        assert len(excl.origins) == len(table.rows)
         assert excl.declared_size == 1000
 
     def test_same_signature_origins_group(self):
@@ -339,7 +340,7 @@ class TestBuildExclusionList:
         ])
         table = origin_edge_frequencies(cg, find_origins(cg, h))
         excl = build_exclusion_list(table, 2)
-        assert excl.by_signature == {sig("f"): frozenset({"A", "C"})}
+        assert excl.origins == {OriginRef("A", sig("f")), OriginRef("C", sig("f"))}
 
     def test_negative_n_rejected(self, f1):
         table = origin_edge_frequencies(f1.cg, find_origins(f1.cg, f1.h))

@@ -70,6 +70,21 @@ class TestConfig:
                 {"synthetic": {"count": 1, "params": {}}, "sweeep": [1]}
             )
 
+    @pytest.mark.parametrize("data, message", [
+        ({"synthetic": {"cout": 3, "params": {}}}, "synthetic: unknown key 'cout'"),
+        ({"synthetic": {"count": 1, "params": {}, "seeds": [1], "Count": 2}},
+         "synthetic: unknown key 'Count', 'seeds'"),
+        ({"inputs": [{"id": "a", "hierarchy": "h", "callgraph": "c", "core_prefix": ["x"]}]},
+         "inputs[0]: unknown key 'core_prefix'"),
+        ({"inputs": [{"hierarchy": "h", "callgraph": "c"},
+                     {"hierarchy": "h", "callgrph": "c", "callgraph": "c"}]},
+         "inputs[1]: unknown key 'callgrph'"),
+    ], ids=["synthetic", "synthetic-two", "input", "second-input"])
+    def test_unknown_nested_keys_rejected(self, data, message):
+        with pytest.raises(ConfigError) as info:
+            PipelineConfig.from_mapping(data)
+        assert str(info.value) == message
+
     def test_bad_mode_rejected(self):
         with pytest.raises(ConfigError, match="mode"):
             PipelineConfig.from_mapping(

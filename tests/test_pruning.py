@@ -1,6 +1,8 @@
 """Pruning: exclusion-list matching, exhaustive and oracle-gated modes."""
 
 import gc
+import os
+import tempfile
 import weakref
 
 import pytest
@@ -20,6 +22,7 @@ from cgprune import (
     GraphError,
     KeepAllOracle,
     MethodNode,
+    OriginRef,
     PruneAllOracle,
     ProjectRoleMap,
     PruneDecision,
@@ -46,11 +49,9 @@ from cgprune import (
 
 
 def excl_of(*pairs: tuple[str, str], size: int | None = None) -> ExclusionList:
-    by_sig: dict = {}
-    for name, tid in pairs:
-        by_sig.setdefault(sig(name), set()).add(tid)
+    """The list of the origins given as (signature name, origin type id)."""
     return ExclusionList(
-        by_signature={s: frozenset(ts) for s, ts in by_sig.items()},
+        origins=frozenset(OriginRef(tid, sig(name)) for name, tid in pairs),
         declared_size=size if size is not None else len(pairs),
     )
 
@@ -335,18 +336,41 @@ class TestExclusionListFile:
         assert load_exclusion_list(str(path), h) == excl_of(("run", "T4"))
 
 
+class TestExclusionListProperties:
+    """On drawn graphs, whose type names are unique: a Top-N list holds the
+    origins of the first N frequency rows, and a saved list reads back equal."""
+
+    @settings(
+        max_examples=200, derandomize=True, database=None, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(hierarchies_with_graphs())
+    def test_top_n_origins_and_file_round_trip(self, case):
+        h, cg, _ = case
+        assert len({t.fq_name for t in h.types.values()}) == len(h.types)
+        table = origin_edge_frequencies(cg, find_origins(cg, h))
+        refs = [origin for origin, _count in table.rows]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "excl.txt")
+            for n in range(len(refs) + 3):
+                excl = build_exclusion_list(table, n)
+                assert excl.origins == frozenset(refs[:n])
+                assert excl.declared_size == n
+                save_exclusion_list(excl, path, h)
+                assert load_exclusion_list(path, h) == excl
+
+
 # Differential test of the indexed prune against `not_excluded`, one edge at
 # a time.  Exclusion lists may name several origin types per signature,
 # origin types that declare nothing, and a signature that no edge targets.
 @st.composite
 def graphs_with_exclusion_lists(draw):
     h, cg, type_ids = draw(hierarchies_with_graphs())
-    by_signature = {}
+    origins = set()
     for name in (*SIGS, "ghost"):
-        origins = draw(st.frozensets(st.sampled_from(type_ids), max_size=3))
-        if origins:
-            by_signature[sig(name)] = origins
-    excl = ExclusionList(by_signature=by_signature, declared_size=len(by_signature))
+        types = draw(st.frozensets(st.sampled_from(type_ids), max_size=3))
+        origins.update(OriginRef(tid, sig(name)) for tid in types)
+    excl = ExclusionList(origins=frozenset(origins), declared_size=len(origins))
     condemned = draw(st.frozensets(st.sampled_from(type_ids)))
     return cg, h, excl, condemned
 
@@ -573,12 +597,11 @@ def memo_rounds(draw):
     f_sets = draw(st.lists(st.sampled_from([a, a | b, b]), min_size=2, max_size=6))
     lists, fresh_parents = [], []
     for f_set in f_sets:
-        by_signature = {}
+        origins = set()
         for name in draw(st.permutations(("f", "g", "h", "ghost"))):
-            origins = f_set if name == "f" else draw(st.frozensets(types, max_size=3))
-            if origins:
-                by_signature[sig(name)] = origins
-        lists.append(ExclusionList(by_signature, len(by_signature)))
+            origin_types = f_set if name == "f" else draw(st.frozensets(types, max_size=3))
+            origins.update(OriginRef(tid, sig(name)) for tid in origin_types)
+        lists.append(ExclusionList(frozenset(origins), len(origins)))
         fresh_parents.append({
             tid: tuple(draw(st.lists(st.sampled_from(type_ids[:i]), max_size=3, unique=True)))
             if i else ()
@@ -630,19 +653,20 @@ class TestCandidateMemo:
         prune_exhaustive(f1.cg, excl_of(("next", "T1"), ("run", "T4")), f1.h)
         assert sorted(asked) == ["T1", "T4"]
         asked.clear()
-        # run's entry changes, but only the added pair is new
+        # run gains an origin type, and only that origin is new
         prune_exhaustive(f1.cg, excl_of(("next", "T1"), ("run", "T4"), ("run", "T0")), f1.h)
         assert asked == ["T0"]
         asked.clear()
         for pairs in ([("next", "T1"), ("run", "T4"), ("run", "T0")],  # repeated
                       [("next", "T1"), ("run", "T4")],  # shrunk
-                      [("run", "T0")]):  # a pair on its own, memoised with others
+                      [("run", "T0")]):  # an origin on its own, memoised with others
             prune_exhaustive(f1.cg, excl_of(*pairs), f1.h)
         assert asked == []
         memo = vars(f1.cg)["_candidate_memo"][1]
-        assert {s.name: sorted(by_type) for s, by_type in memo.items()} == {
-            "next": ["T1"], "run": ["T0", "T4"],
-        }
+        assert sorted(memo) == [
+            OriginRef("T0", sig("run")), OriginRef("T1", sig("next")),
+            OriginRef("T4", sig("run")),
+        ]
         # another hierarchy, even an equal one, starts the memo afresh
         prune_exhaustive(f1.cg, excl_of(("next", "T1"), ("run", "T4")), make_f1_hierarchy())
         assert sorted(asked) == ["T1", "T4"]

@@ -1,5 +1,5 @@
 """README's Layout block names real code: every `Class.attribute` it cites
-exists in the package."""
+exists in the package; and its Quick start block runs."""
 
 import re
 from importlib import import_module
@@ -43,3 +43,12 @@ def test_every_cited_attribute_exists():
         if found is None or not hasattr(found, attr):
             missing.append(f"{cls}.{attr}")
     assert missing == []
+
+
+def test_quick_start_runs(capsys):
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"^## Quick start\n\n```python\n(.*?)^```", text, re.M | re.S)
+    assert block is not None, "README has no Quick start Python block"
+    exec(compile(block.group(1), "README.md", "exec"), {})
+    printed = capsys.readouterr().out
+    assert re.fullmatch(r"[1-9]\d* edges removed, \d+\.\d% of the graph\n", printed)

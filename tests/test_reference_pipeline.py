@@ -91,9 +91,7 @@ def _graph(config: PipelineConfig, index: int, graph_id: str, roles, options):
     oracle = ORACLES[config.oracle]() if config.mode == "selective" else None
     records = []
     for n in config.sweep:
-        excl = ExclusionList.from_pairs(
-            ((origin.signature, origin.origin_type) for origin, _ in rows[:n]), n
-        )
+        excl = ExclusionList(frozenset(origin for origin, _ in rows[:n]), n)
         kept = []
         for e in cg.edges:
             if not_excluded(excl, e.target.signature, e.target.defining_type, h):

@@ -15,6 +15,7 @@ from cgprune import (
     MethodNode,
     MethodSignature,
     NoEligibleNodesError,
+    OriginRef,
     ProjectRoleMap,
     PruneDecision,
     RecordFormatError,
@@ -339,14 +340,13 @@ def pruned_graphs_with_vulnerable_sets(draw):
     part of their edges."""
     cg, vulnerable = draw(graphs_with_vulnerable_sets())
     type_ids = st.sampled_from(sorted(DIFF_H.types))
-    by_signature = {
-        s: draw(st.frozensets(type_ids, min_size=1))
-        for s in sorted({n.signature for n in cg.nodes})
-        if draw(st.booleans())
-    }
+    origins = set()
+    for s in sorted({n.signature for n in cg.nodes}):
+        if draw(st.booleans()):
+            origins.update(OriginRef(t, s) for t in draw(st.frozensets(type_ids, min_size=1)))
     condemned = draw(st.frozensets(st.sampled_from(cg.edges)))
     pruned = prune_selective(
-        cg, ExclusionList(by_signature, len(by_signature)), DIFF_H,
+        cg, ExclusionList(frozenset(origins), len(origins)), DIFF_H,
         FixedTableOracle({e: PruneDecision(True, 1.0) for e in condemned}), 0.5,
     ).pruned_graph
     return pruned, vulnerable
