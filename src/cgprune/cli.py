@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import logging
 import os
 import sys
@@ -216,6 +217,11 @@ def cmd_prune(args: argparse.Namespace) -> int:
         result = prune_exhaustive(cg, excl, h)
     else:
         result = prune_selective(cg, excl, h, ORACLES[args.oracle](), args.threshold)
+    # a missing target directory fails, with the error `open` gives, before
+    # either file is written
+    for path in (args.save_exclusion, args.out):
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     if args.save_exclusion:
         save_exclusion_list(excl, args.save_exclusion, h)
     save_call_graph(result.pruned_graph, args.out)
@@ -241,6 +247,15 @@ def cmd_vuln_sim(args: argparse.Namespace) -> int:
         assignment = inject_artificial_cves(
             cg, h, roles, args.cves, args.seed, include_core=args.include_core
         )
+    # read and check every input before the assignment file is written
+    pruned_cg = None
+    if args.compare_to:
+        pruned_cg = load_call_graph(args.compare_to, h)
+        absent = min(assignment.vulnerable - pruned_cg.nodes, default=None)
+        if absent is not None:
+            print(f"error: {args.compare_to}: graph lacks vulnerable method "
+                  f"{absent.uid} of the assignment", file=sys.stderr)
+            return 3
     if args.assignment_out:
         save_assignment(assignment, args.assignment_out)
     base = propagate(
@@ -253,13 +268,7 @@ def cmd_vuln_sim(args: argparse.Namespace) -> int:
         f"fraction {base.reachable_vuln_fraction:.4f}, "
         f"elapsed {base.elapsed:.4f}s"
     )
-    if args.compare_to:
-        pruned_cg = load_call_graph(args.compare_to, h)
-        absent = min(assignment.vulnerable - pruned_cg.nodes, default=None)
-        if absent is not None:
-            print(f"error: {args.compare_to}: graph lacks vulnerable method "
-                  f"{absent.uid} of the assignment", file=sys.stderr)
-            return 3
+    if pruned_cg is not None:
         pruned = propagate(
             pruned_cg, assignment, roles, h,
             warmup=args.warmup, repetitions=args.repetitions,

@@ -21,6 +21,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from itertools import compress, repeat
 from typing import Mapping, Sequence
 
 from .io import read_text_records, write_text_records
@@ -53,16 +54,20 @@ class ProjectRoleMap:
     def _is_application_type(self, t: TypeNode) -> bool:
         return t.project_id == self.application_project_id and not t.is_core_lib
 
+    def _is_dependency_type(self, t: TypeNode, include_core: bool) -> bool:
+        if self._is_application_type(t):
+            return False
+        return include_core or not t.is_core_lib
+
     def is_application(self, h: TypeHierarchy, node: MethodNode) -> bool:
         return self._is_application_type(h.node(node.defining_type))
 
     def is_dependency(
         self, h: TypeHierarchy, node: MethodNode, include_core: bool = False
     ) -> bool:
-        t = h.node(node.defining_type)
-        if self._is_application_type(t):
-            return False
-        return include_core or not t.is_core_lib
+        """One node's role; `inject_artificial_cves` decides it once per
+        defining type, and the tests use this as its reference."""
+        return self._is_dependency_type(h.node(node.defining_type), include_core)
 
 
 @dataclass(frozen=True)
@@ -88,15 +93,18 @@ def inject_artificial_cves(
 ) -> VulnerabilityAssignment:
     """Sample `count` dependency methods (without replacement) as vulnerable.
 
-    Eligible nodes are ordered canonically before sampling, so equal graphs
-    and seeds give equal assignments no matter how the graph was assembled.
-    Asking for more than exist yields all of them rather than failing.
+    Eligibility is decided once per defining type.  Eligible nodes are
+    ordered canonically before sampling, so equal graphs and seeds give
+    equal assignments no matter how the graph was assembled.  Asking for
+    more than exist yields all of them rather than failing.
     """
     if count <= 0:
         raise ValueError(f"count must be positive, got {count}")
-    eligible = sorted(
-        n for n in cg.nodes if roles.is_dependency(h, n, include_core=include_core)
-    )
+    eligible_types = {
+        t for t in cg.node_types
+        if roles._is_dependency_type(h.node(t), include_core)
+    }
+    eligible = sorted(n for n in cg.nodes if n.defining_type in eligible_types)
     if not eligible:
         raise NoEligibleNodesError(
             f"no dependency nodes outside project "
@@ -164,21 +172,27 @@ def propagate(
 
     The nodes that reach a vulnerable node, found by walking the graph's
     integer predecessor index (`reverse_adjacency`), get dense local ids and
-    callee lists, and each vulnerable node one bit of a Python int; one
-    pass, a Tarjan walk from the application nodes (`model.component_masks`),
-    then gives each the set of vulnerable nodes it reaches.  Application
-    nodes are those whose type is in the hierarchy's memoised set of the
-    project's types.  The pass follows the reverse-reachable part, not the
-    graph's size.  A pair is an application node plus a vulnerable node in
-    its set, other than itself: a node never pairs with itself, even when
-    it lies on a cycle or calls itself.  That matters for assignments loaded
-    from a file, which may name application nodes.
+    callee lists, and each vulnerable node one bit of a Python int, in the
+    assignment's own iteration order: every result is a bit count or a set,
+    so the order changes none of them.  One pass, a Tarjan walk from the
+    application nodes (`model.component_masks`), then gives each the set of
+    vulnerable nodes it reaches.  Application nodes are those whose type is
+    in the hierarchy's memoised set of the project's types.  The pass
+    follows the reverse-reachable part, not the graph's size, and no Python
+    loop in it runs once per vulnerable node.  A pair is an application
+    node plus a vulnerable node in its set, other than itself: a node never
+    pairs with itself, even when it lies on a cycle or calls itself.  The
+    pass applies that self-pair rule while it counts, to the application
+    nodes that are vulnerable.  That matters for assignments loaded from a
+    file, which may name application nodes.
 
-    The pass runs `warmup` unmeasured times, then `repetitions` measured
-    times; `elapsed` is the mean time of one measured pass, the whole walk
-    and pair counting included.  Counts are identical across runs (the pass is
-    deterministic), so only time is averaged.  Witness paths, when asked
-    for, come from one breadth-first search per reached vulnerable node.
+    The local index is built once per call; the pass runs `warmup`
+    unmeasured times, then `repetitions` measured times.  `elapsed` is the
+    mean time of one measured pass: building the masks, the whole walk and
+    the pair counting with its self-pair rule.  Counts are identical across
+    runs (the pass is deterministic), so only time is averaged.  Witness
+    paths, when asked for, come from one breadth-first search per reached
+    vulnerable node.
     """
     if repetitions <= 0:
         raise ValueError(f"repetitions must be positive, got {repetitions}")
@@ -190,19 +204,19 @@ def propagate(
             "assignment references nodes absent from the graph: "
             + ", ".join(n.uid for n in missing)
         )
-    unknown = cg.node_types - h.types.keys()
-    if unknown:
-        raise UnknownTypeError(min(unknown))
+    if not cg.node_types <= h.types.keys():
+        raise UnknownTypeError(min(cg.node_types - h.types.keys()))
     preds = reverse_adjacency(cg)
     sources, graph_nodes = preds.sources, preds.nodes
     # Only nodes that reach a vulnerable node get a local id: the vulnerable
-    # ones first (node i owns bit i), then each caller as the walk over the
-    # graph's int `sources` first meets it.  `order` maps local ids to graph
-    # node ids and grows while the loop reads it.
-    vulnerable = sorted(assignment.vulnerable)
+    # ones first, in the assignment's iteration order (node i owns bit i),
+    # then each caller as the walk over the graph's int `sources` first
+    # meets it.  `order` maps local ids to graph node ids and grows while
+    # the loop reads it.
+    vulnerable = list(assignment.vulnerable)
     k = len(vulnerable)
     order = list(map(preds.ids.__getitem__, vulnerable))
-    local = {g: i for i, g in enumerate(order)}
+    local = dict(zip(order, range(k)))
     callees: list[list[int]] = [[] for _ in order]
     for t, g in enumerate(order):
         for s in sources[g]:
@@ -217,15 +231,16 @@ def propagate(
     apps = [i for i, g in enumerate(order) if graph_nodes[g].defining_type in app_types]
 
     def run() -> tuple[int, int]:
-        mask = [1 << i for i in range(k)] + [0] * (len(order) - k)
+        mask = [*map((1).__lshift__, range(k)), *repeat(0, len(order) - k)]
         component_masks(callees, mask, apps)
-        for i in range(k):
-            mask[i] ^= 1 << i  # the self-pair rule
         pairs = 0
         reached = 0
         for a in apps:
-            pairs += mask[a].bit_count()
-            reached |= mask[a]
+            bits = mask[a]
+            if a < k:  # a vulnerable application node: the self-pair rule
+                bits ^= 1 << a
+            pairs += bits.bit_count()
+            reached |= bits
         return pairs, reached
 
     for _ in range(warmup):
@@ -236,20 +251,21 @@ def propagate(
         pairs, reached_bits = run()
         times.append(time.perf_counter() - t0)
     elapsed = sum(times) / len(times)
-    reached = [v for i, v in enumerate(vulnerable) if reached_bits >> i & 1]
+    # bit i stands for vulnerable[i]; bin() writes the highest bit first
+    reached = list(compress(vulnerable, map(int, bin(reached_bits)[:1:-1])))
 
     witnesses = None
     if collect_witnesses:
         witnesses = {}
         app_nodes = {graph_nodes[order[a]] for a in apps}
-        for vuln in reached:
+        for vuln in sorted(reached):
             _, next_hop = _reach_one(preds, vuln)
             for app in sorted(app_nodes & next_hop.keys()):
                 path = [app]
                 while path[-1] != vuln:
                     path.append(next_hop[path[-1]])
                 witnesses[(app, vuln)] = tuple(path)
-    fraction = len(reached) / len(vulnerable) if vulnerable else 0.0
+    fraction = len(reached) / k if k else 0.0
     return ReachabilityResult(
         reachable_pairs=pairs,
         reachable_vuln_fraction=fraction,

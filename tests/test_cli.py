@@ -220,6 +220,18 @@ class TestPrune:
         assert capsys.readouterr().err == f"error: {error.format(excl=excl, hp=hp)}\n"
         assert not excl.exists() and not out.exists()
 
+    def test_missing_out_directory_leaves_no_exclusion_list(
+        self, f1_paths, tmp_path, capsys
+    ):
+        # the list used to be saved before the pruned graph failed to open
+        excl, out = tmp_path / "ex.tsv", tmp_path / "nodir" / "p.jsonl"
+        assert main(["prune", *f1_paths, "--top-n", "1", "--out", str(out),
+                     "--save-exclusion", str(excl)]) == 4
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{out}'\n"
+        )
+        assert not excl.exists() and not out.exists()
+
     def test_selective_keep_all_is_identity(self, f1, f1_paths, tmp_path):
         hp, cp = f1_paths
         out = tmp_path / "kept.jsonl"
@@ -534,12 +546,26 @@ class TestExitCodes:
             f1.cg.nodes - {gone},
             [e for e in f1.cg.edges if gone not in (e.source, e.target)],
         ), str(other))
+        saved = tmp_path / "a.txt"
         assert main(["vuln-sim", *f1_paths, "--app-project", "app", "--cves", "1",
-                     "--compare-to", str(other)]) == 3
+                     "--assignment-out", str(saved), "--compare-to", str(other)]) == 3
         assert capsys.readouterr().err == (
             f"error: {other}: graph lacks vulnerable method T3::next():void "
             "of the assignment\n"
         )
+        # the graph is checked before the assignment is written
+        assert not saved.exists()
+
+    def test_missing_compare_to_graph_leaves_no_assignment_file(
+        self, f1_paths, tmp_path, capsys
+    ):
+        saved, missing = tmp_path / "a.txt", tmp_path / "missing.jsonl"
+        assert main(["vuln-sim", *f1_paths, "--app-project", "app", "--cves", "1",
+                     "--assignment-out", str(saved), "--compare-to", str(missing)]) == 4
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{missing}'\n"
+        )
+        assert not saved.exists()
 
     def test_no_eligible_dependency_method_is_validation_error(self, f1_paths, capsys):
         # with org.lib reclassified as core, every method is application or core

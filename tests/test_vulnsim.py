@@ -1,6 +1,9 @@
 """CVE injection and reachability over call graph components, base versus pruned."""
 
+import random
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -12,6 +15,7 @@ from cgprune import (
     CallEdge,
     ExclusionList,
     FixedTableOracle,
+    GenParams,
     MethodNode,
     MethodSignature,
     NoEligibleNodesError,
@@ -26,6 +30,8 @@ from cgprune import (
     VulnerabilityAssignment,
     build_call_graph,
     compare,
+    generate_call_graph_cha,
+    generate_hierarchy,
     inject_artificial_cves,
     load_assignment,
     propagate,
@@ -87,6 +93,33 @@ class TestInjectArtificialCves:
     def test_non_positive_count_rejected(self, f1):
         with pytest.raises(ValueError):
             inject_artificial_cves(f1.cg, f1.h, ROLES, 0, 0)
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(
+        graph_seed=st.integers(0, 10_000), types=st.integers(5, 60),
+        project=st.integers(0, 3), count=st.integers(1, 120),
+        seed=st.integers(-2**40, 2**40), include_core=st.booleans(),
+    )
+    def test_equals_a_per_node_reference_on_generated_graphs(
+        self, graph_seed, types, project, count, seed, include_core
+    ):
+        # eligibility is decided once per defining type; the reference asks
+        # is_dependency about each node, sorts, then samples
+        params = GenParams(type_count=types, seed=graph_seed)
+        h = generate_hierarchy(params)
+        cg = generate_call_graph_cha(h, params)
+        roles = ProjectRoleMap(application_project_id=f"p{project}")
+        eligible = sorted(
+            n for n in cg.nodes if roles.is_dependency(h, n, include_core=include_core)
+        )
+        if not eligible:
+            with pytest.raises(NoEligibleNodesError):
+                inject_artificial_cves(cg, h, roles, count, seed, include_core)
+            return
+        expected = random.Random(seed).sample(eligible, min(count, len(eligible)))
+        assert inject_artificial_cves(cg, h, roles, count, seed, include_core) == (
+            VulnerabilityAssignment(frozenset(expected), seed=seed, requested=count)
+        )
 
     def test_sample_is_without_replacement(self, f1):
         a = inject_artificial_cves(f1.cg, f1.h, ROLES, 5, 7, include_core=True)
@@ -308,9 +341,9 @@ DIFF_H = TypeHierarchy({
 
 
 @st.composite
-def graphs_with_vulnerable_sets(draw):
+def graphs_with_vulnerable_sets(draw, linked_counts=st.integers(2, 12), min_vulnerable=1):
     type_ids = st.sampled_from(sorted(DIFF_H.types))
-    linked = draw(st.integers(2, 12))
+    linked = draw(linked_counts)
     # the last two nodes get no edges
     types = draw(st.lists(type_ids, min_size=linked + 2, max_size=linked + 2))
     nodes = [MethodNode(t, MethodSignature(f"m{i}")) for i, t in enumerate(types)]
@@ -321,7 +354,7 @@ def graphs_with_vulnerable_sets(draw):
         st.tuples(endpoint, endpoint, st.sampled_from(["A0", "L0"])),
         min_size=linked, max_size=3 * linked,
     ))
-    vulnerable = draw(st.sets(st.integers(0, len(nodes) - 1), min_size=1))
+    vulnerable = draw(st.sets(st.integers(0, len(nodes) - 1), min_size=min_vulnerable))
     # one vulnerable node calling another: the pass meets a caller that
     # already owns a bit
     linked_vulnerable = sorted(v for v in vulnerable if v < linked)
@@ -333,12 +366,23 @@ def graphs_with_vulnerable_sets(draw):
 
 
 @st.composite
-def pruned_graphs_with_vulnerable_sets(draw):
+def many_vulnerable_with_application_cycles(draw):
+    """At least 64 vulnerable nodes, so the masks span several int digits,
+    plus a drawn cycle through some vulnerable application nodes."""
+    cg, vulnerable = draw(graphs_with_vulnerable_sets(st.integers(70, 90), min_vulnerable=64))
+    apps = sorted(n for n in vulnerable if ROLES.is_application(DIFF_H, n))
+    cycle = draw(st.permutations(apps))[:draw(st.integers(0, min(6, len(apps))))]
+    edges = [CallEdge(s, t, "A0") for s, t in zip(cycle, cycle[1:] + cycle[:1])]
+    return build_call_graph(cg.nodes, [*cg.edges, *edges]), vulnerable
+
+
+@st.composite
+def pruned_graphs_with_vulnerable_sets(draw, cases=graphs_with_vulnerable_sets()):
     """A drawn graph pruned selectively: some signatures list drawn origin
     types (DIFF_H is flat, so each cone is its type alone), and the oracle
     condemns a drawn subset of the candidates, so some targets lose only
     part of their edges."""
-    cg, vulnerable = draw(graphs_with_vulnerable_sets())
+    cg, vulnerable = draw(cases)
     type_ids = st.sampled_from(sorted(DIFF_H.types))
     origins = set()
     for s in sorted({n.signature for n in cg.nodes}):
@@ -386,13 +430,39 @@ class TestBitParallelPassMatchesPerVulnerableBfs:
         # the pass reads the index the pruned graph derives from its parent's
         self.check(*case)
 
+    @settings(
+        max_examples=40, derandomize=True, database=None, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(many_vulnerable_with_application_cycles(), st.booleans())
+    def test_same_with_masks_of_several_digits(self, case, through_file):
+        self.check(*case, through_file=through_file)
+
+    @settings(
+        max_examples=40, derandomize=True, database=None, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        pruned_graphs_with_vulnerable_sets(many_vulnerable_with_application_cycles()),
+        st.booleans(),
+    )
+    def test_same_with_masks_of_several_digits_on_pruned_graphs(self, case, through_file):
+        self.check(*case, through_file=through_file)
+
     @staticmethod
-    def check(cg, vulnerable):
+    def check(cg, vulnerable, through_file=False):
         expected = per_vulnerable_bfs(cg, vulnerable)
         reached = {vuln for _, vuln in expected}
+        assignment = VulnerabilityAssignment(vulnerable, seed=0, requested=len(vulnerable))
+        if through_file:
+            # a loaded assignment may name application nodes
+            with tempfile.TemporaryDirectory() as tmp:
+                path = str(Path(tmp) / "vuln.txt")
+                save_assignment(assignment, path)
+                assignment = load_assignment(path, cg)
+            assert assignment.vulnerable == vulnerable
         result = propagate(
-            cg, VulnerabilityAssignment(vulnerable, seed=0, requested=len(vulnerable)),
-            ROLES, DIFF_H, warmup=1, repetitions=2, collect_witnesses=True,
+            cg, assignment, ROLES, DIFF_H, warmup=1, repetitions=2, collect_witnesses=True,
         )
         assert result.reachable_pairs == len(expected)
         assert result.reached_vulnerable == reached
