@@ -18,7 +18,6 @@ from .model import (
     UnknownTypeError,
     Violation,
     build_call_graph,
-    is_reflexive_descendant,
     reflexive_descendants,
     reverse_adjacency,
     validate_call_graph,
@@ -43,14 +42,12 @@ from .localness import (
     same_hierarchy,
 )
 from .pruning import (
-    FixedTableOracle,
     KeepAllOracle,
     PruneAllOracle,
     PruneDecision,
     PruneDecisionOracle,
     PruneResult,
     load_exclusion_list,
-    not_excluded,
     prune_exhaustive,
     prune_selective,
     save_exclusion_list,
@@ -69,7 +66,6 @@ from .vulnsim import (
 )
 from .synth import (
     GenParams,
-    brute_force_origins,
     cha_targets,
     generate_call_graph_cha,
     generate_hierarchy,

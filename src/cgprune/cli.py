@@ -240,6 +240,8 @@ def cmd_prune(args: argparse.Namespace) -> int:
 
 def cmd_vuln_sim(args: argparse.Namespace) -> int:
     h, cg = _load_inputs(args)
+    if not h.application_types(args.app_project):
+        raise GraphError(f"project {args.app_project!r} has no application type")
     roles = ProjectRoleMap(application_project_id=args.app_project)
     if args.assignment_in:
         assignment = load_assignment(args.assignment_in, cg)

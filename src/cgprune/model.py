@@ -197,9 +197,9 @@ class TypeHierarchy:
 
     def application_types(self, project_id: str) -> frozenset[str]:
         """The types of `project_id` that are not core-library types,
-        memoised per project: `vulnsim.propagate` flags application nodes by
-        this set on every call.  `ProjectRoleMap.is_application` applies the
-        same rule one type at a time and serves the tests as its reference."""
+        memoised per project.  This is the one rule for application code:
+        `vulnsim.propagate` flags application nodes by this set, and
+        `inject_artificial_cves` samples only outside it."""
         found = self._application_types.get(project_id)
         if found is None:
             found = self._application_types[project_id] = frozenset(
@@ -619,16 +619,6 @@ def ancestor_depths(h: TypeHierarchy, type_id: str) -> dict[str, int]:
                 depths[p] = depth
                 queue.append(p)
     return depths
-
-
-def is_reflexive_descendant(h: TypeHierarchy, ancestor: str, type_id: str) -> bool:
-    """True iff `type_id` is `ancestor` itself or transitively extends it.
-
-    Walks afresh instead of reading the ancestor memo: `pruning.not_excluded`,
-    the pruning reference, must not share the fast path's memo.
-    """
-    h.node(ancestor)
-    return ancestor in ancestor_depths(h, type_id)
 
 
 def reflexive_descendants(h: TypeHierarchy, *type_ids: str) -> set[str]:

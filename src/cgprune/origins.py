@@ -68,10 +68,6 @@ class OriginFrequencyTable:
 
     rows: tuple[tuple[OriginRef, int], ...]
 
-    @property
-    def total_edges(self) -> int:
-        return sum(count for _, count in self.rows)
-
     def top(self, n: int) -> tuple[tuple[OriginRef, int], ...]:
         return self.rows[: max(n, 0)]
 

@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass
 from itertools import chain, compress, count
 from operator import attrgetter
-from typing import Callable, Mapping, Protocol
+from typing import Callable, Protocol
 
 from .io import read_text_records, write_text_records
 from .model import (
@@ -28,7 +28,6 @@ from .model import (
     GraphError,
     MethodSignature,
     TypeHierarchy,
-    is_reflexive_descendant,
 )
 from .origins import ExclusionList, OriginRef
 
@@ -79,16 +78,6 @@ ORACLES: dict[str, Callable[[], PruneDecisionOracle]] = {
 }
 
 
-class FixedTableOracle:
-    """Replays decisions from a prepared edge table; unknown edges are kept."""
-
-    def __init__(self, table: Mapping[CallEdge, PruneDecision]) -> None:
-        self.table = dict(table)
-
-    def decide(self, edge: CallEdge) -> PruneDecision:
-        return self.table.get(edge, _KEEP)
-
-
 @dataclass(frozen=True)
 class PruneResult:
     """Outcome of one pruning pass.
@@ -108,24 +97,6 @@ class PruneResult:
     reduction_ratio: float
     elapsed: float
     oracle_failures: int = 0
-
-
-def not_excluded(
-    excl: ExclusionList,
-    target_sig: MethodSignature,
-    target_type: str,
-    h: TypeHierarchy,
-) -> bool:
-    """True when an edge with this target survives the exclusion list.
-
-    Signature match alone is not enough: the target's type must also descend
-    from the type of a listed origin with that signature.
-    """
-    return not any(
-        is_reflexive_descendant(h, origin.origin_type, target_type)
-        for origin in excl.origins
-        if origin.signature == target_sig
-    )
 
 
 def prune_exhaustive(

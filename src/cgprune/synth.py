@@ -1,4 +1,4 @@
-"""Synthetic corpora: seeded hierarchies, CHA-expanded call graphs, oracle.
+"""Synthetic corpora: seeded hierarchies and CHA-expanded call graphs.
 
 The generator builds layered hierarchies (a type's parents always have
 smaller indices, so cycles are impossible by construction) with a core slice
@@ -11,10 +11,6 @@ from GenParams, with the hierarchy and call-graph streams decoupled so either
 can be regenerated alone.  Interchange files remain the portability contract;
 the named PRNG just makes seeds reproducible across machines running this
 implementation.
-
-`brute_force_origins` is the reference oracle for origin analysis.  It
-shares only the domain types with the fast implementation and re-derives
-everything by exhaustive ancestor enumeration.
 """
 
 from __future__ import annotations
@@ -32,7 +28,6 @@ from .model import (
     TypeNode,
     build_call_graph,
 )
-from .origins import OriginMap, OriginRef
 
 # distinct streams for hierarchy and call-graph generation from one seed
 _CALLGRAPH_SEED_OFFSET = 0x9E3779B9
@@ -207,49 +202,3 @@ def generate_call_graph_cha(h: TypeHierarchy, p: GenParams) -> CallGraph:
             edges.extend(tuple.__new__(CallEdge, (source, t, receiver)) for t in targets(site))
     return build_call_graph(methods, edges)
 
-
-def _reflexive_ancestor_depths(h: TypeHierarchy, type_id: str) -> dict[str, int]:
-    # independent of model.ancestor_depths on purpose: the oracle must not
-    # inherit a traversal bug from the code under test
-    depths = {type_id: 0}
-    frontier = [type_id]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for tid in frontier:
-            for parent in h.node(tid).parents:
-                if parent not in depths and parent in h.types:
-                    depths[parent] = d
-                    nxt.append(parent)
-        frontier = nxt
-    return depths
-
-
-def brute_force_origins(cg: CallGraph, h: TypeHierarchy) -> OriginMap:
-    """Reference origin analysis by exhaustive enumeration.
-
-    For each distinct edge target: list every reflexive ancestor declaring
-    the signature, discard those with a declaring strict ancestor, then pick
-    the (depth, type id) minimum.  Quadratic and proud of it.
-    """
-    entries: dict[MethodNode, OriginRef] = {}
-    ambiguous: dict[MethodNode, tuple[OriginRef, ...]] = {}
-    for node in sorted({e.target for e in cg.edges}):
-        sig = node.signature
-        depths = _reflexive_ancestor_depths(h, node.defining_type)
-        declarers = [tid for tid in depths if h.node(tid).declares(sig)]
-        minimal = []
-        for tid in declarers:
-            above = _reflexive_ancestor_depths(h, tid)
-            if not any(
-                h.node(a).declares(sig) for a in above if a != tid
-            ):
-                minimal.append(tid)
-        if not minimal:
-            minimal = [node.defining_type]
-        minimal.sort(key=lambda tid: (depths[tid], tid))
-        entries[node] = OriginRef(minimal[0], sig)
-        if len(minimal) > 1:
-            ambiguous[node] = tuple(OriginRef(tid, sig) for tid in minimal)
-    return OriginMap(entries=entries, ambiguous=ambiguous)

@@ -30,7 +30,6 @@ from .model import (
     GraphError,
     MethodNode,
     TypeHierarchy,
-    TypeNode,
     UnknownTypeError,
     component_masks,
     reverse_adjacency,
@@ -45,29 +44,12 @@ class NoEligibleNodesError(GraphError):
 class ProjectRoleMap:
     """Splits a graph's methods into application code and dependencies.
 
-    Application nodes belong to the named project; dependency nodes are
-    everything else, with core-library nodes excluded unless asked for.
+    Application nodes are those whose type is in
+    `TypeHierarchy.application_types` of the named project; dependency nodes
+    are everything else, with core-library nodes excluded unless asked for.
     """
 
     application_project_id: str
-
-    def _is_application_type(self, t: TypeNode) -> bool:
-        return t.project_id == self.application_project_id and not t.is_core_lib
-
-    def _is_dependency_type(self, t: TypeNode, include_core: bool) -> bool:
-        if self._is_application_type(t):
-            return False
-        return include_core or not t.is_core_lib
-
-    def is_application(self, h: TypeHierarchy, node: MethodNode) -> bool:
-        return self._is_application_type(h.node(node.defining_type))
-
-    def is_dependency(
-        self, h: TypeHierarchy, node: MethodNode, include_core: bool = False
-    ) -> bool:
-        """One node's role; `inject_artificial_cves` decides it once per
-        defining type, and the tests use this as its reference."""
-        return self._is_dependency_type(h.node(node.defining_type), include_core)
 
 
 @dataclass(frozen=True)
@@ -93,16 +75,20 @@ def inject_artificial_cves(
 ) -> VulnerabilityAssignment:
     """Sample `count` dependency methods (without replacement) as vulnerable.
 
-    Eligibility is decided once per defining type.  Eligible nodes are
-    ordered canonically before sampling, so equal graphs and seeds give
-    equal assignments no matter how the graph was assembled.  Asking for
-    more than exist yields all of them rather than failing.
+    Eligibility is decided once per defining type: a type is eligible when
+    it is not in the project's `TypeHierarchy.application_types`, and is not
+    core unless `include_core` is set.  Eligible nodes are ordered
+    canonically before sampling, so equal graphs and seeds give equal
+    assignments no matter how the graph was assembled.  Asking for more
+    than exist yields all of them rather than failing.
     """
     if count <= 0:
         raise ValueError(f"count must be positive, got {count}")
+    app_types = h.application_types(roles.application_project_id)
+    # an unknown type is not in `app_types`, so `h.node` raises for it
     eligible_types = {
         t for t in cg.node_types
-        if roles._is_dependency_type(h.node(t), include_core)
+        if t not in app_types and (not h.node(t).is_core_lib or include_core)
     }
     eligible = sorted(n for n in cg.nodes if n.defining_type in eligible_types)
     if not eligible:
@@ -318,7 +304,8 @@ def save_assignment(assignment: VulnerabilityAssignment, path: str) -> None:
 
 def load_assignment(path: str, cg: CallGraph | None = None) -> VulnerabilityAssignment:
     """Read an assignment file back; headers are optional and default to 0.
-    With `cg`, a line naming a method absent from it is a RecordFormatError."""
+    With `cg`, a line naming a method absent from it is a RecordFormatError.
+    A file that names no method is a GraphError: nothing would be analysed."""
     def parse(line: str) -> MethodNode:
         node = MethodNode.from_uid(line)
         if cg is not None and node not in cg.nodes:
@@ -326,6 +313,8 @@ def load_assignment(path: str, cg: CallGraph | None = None) -> VulnerabilityAssi
         return node
 
     headers, nodes = read_text_records(path, {"seed": None, "requested": 0}, parse)
+    if not nodes:
+        raise GraphError(f"{path}: assignment names no method")
     vulnerable = frozenset(nodes)
     return VulnerabilityAssignment(
         vulnerable=vulnerable,

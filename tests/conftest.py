@@ -135,16 +135,6 @@ def hierarchies_with_graphs(draw) -> tuple[TypeHierarchy, CallGraph, list[str]]:
     return TypeHierarchy(types), build_call_graph([], edges), type_ids
 
 
-def predecessor_lists(cg: CallGraph) -> dict[MethodNode, list[MethodNode]]:
-    """Reference predecessor index, built from `cg.edges` alone: target ->
-    sources, one per edge and in edge order.  The tests compare the model's
-    cached and derived indexes against it, so it shares no code with them."""
-    preds: dict[MethodNode, list[MethodNode]] = {}
-    for e in cg.edges:
-        preds.setdefault(e.target, []).append(e.source)
-    return preds
-
-
 # --- acceptance-criterion reporting -----------------------------------------
 
 _ACCEPTANCE: dict[int, tuple[str, str]] = {}

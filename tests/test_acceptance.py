@@ -15,7 +15,6 @@ import pytest
 
 from cgprune import (
     CallEdge,
-    FixedTableOracle,
     GenParams,
     KeepAllOracle,
     OriginRef,
@@ -31,7 +30,6 @@ from cgprune import (
     generate_hierarchy,
     inject_artificial_cves,
     label_all,
-    not_excluded,
     origin_edge_frequencies,
     propagate,
     prune_exhaustive,
@@ -41,9 +39,9 @@ from cgprune import (
 )
 from cgprune.cli import main
 from cgprune.pipeline import TIMING_COLUMNS
-from cgprune.synth import brute_force_origins
 
 from conftest import f1_edges, m, make_f1_callgraph, make_f1_hierarchy, sig
+from reference import FixedTableOracle, brute_force_origins, is_application, not_excluded
 
 SWEEP = (0, 1, 2, 5, 10)
 
@@ -213,7 +211,7 @@ def test_reachability_anti_monotonicity(corpus):
         assert len(result.witnesses) == result.reachable_pairs
         adjacency = {(e.source, e.target) for e in graph.edges}
         for (app, vuln), path in result.witnesses.items():
-            assert roles.is_application(h, app)
+            assert is_application(roles, h, app)
             assert vuln in result.vulnerable
             assert path[0] == app and path[-1] == vuln
             for a, b in zip(path, path[1:]):
@@ -282,7 +280,8 @@ def test_top1_reduction_equals_frequency_fraction():
     table = origin_edge_frequencies(cg, origins)
     ((top_origin, count),) = table.top(1)
     assert (top_origin.origin_type, top_origin.signature) == ("B", sig("hot"))
-    f = count / table.total_edges
+    assert sum(n for _, n in table.rows) == cg.edge_count
+    f = count / cg.edge_count
 
     result = prune_exhaustive(cg, build_exclusion_list(table, 1), h)
     assert result.reduction_ratio == f

@@ -536,6 +536,30 @@ class TestExitCodes:
             f"error: {assignment}:3: method 'T3::gone():void' is not in the call graph\n"
         )
 
+    def test_assignment_naming_no_method_is_validation_error(
+        self, f1_paths, tmp_path, capsys
+    ):
+        assignment, saved = tmp_path / "cves.txt", tmp_path / "a.txt"
+        assignment.write_text("# seed: 0\n")
+        assert main(["vuln-sim", *f1_paths, "--app-project", "app",
+                     "--assignment-in", str(assignment), "--assignment-out", str(saved),
+                     "--compare-to", f1_paths[1]]) == 3
+        assert capsys.readouterr() == (
+            "", f"error: {assignment}: assignment names no method\n"
+        )
+        assert not saved.exists()
+
+    def test_application_project_without_types_is_validation_error(
+        self, f1_paths, tmp_path, capsys
+    ):
+        saved = tmp_path / "a.txt"
+        assert main(["vuln-sim", *f1_paths, "--app-project", "nosuch", "--cves", "1",
+                     "--assignment-out", str(saved)]) == 3
+        assert capsys.readouterr() == (
+            "", "error: project 'nosuch' has no application type\n"
+        )
+        assert not saved.exists()
+
     def test_compare_to_graph_lacking_a_vulnerable_method_is_validation_error(
         self, f1, f1_paths, tmp_path, capsys
     ):

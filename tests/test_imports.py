@@ -1,4 +1,5 @@
-"""Import hygiene: what the package's modules import, and what that costs."""
+"""Import hygiene: what the package's modules import, and what that costs,
+and what the tests' reference implementations may import from the package."""
 
 import ast
 import subprocess
@@ -58,20 +59,33 @@ def unread_private_names(sources: dict[str, str]) -> list[str]:
                 read.update(alias.name for alias in node.names)
     unread = []
     for file, tree in trees.items():
-        classes = [c.body for c in ast.walk(tree) if isinstance(c, ast.ClassDef)]
-        for stmt in chain(tree.body, *classes):
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                names = [stmt.name]
-            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-            else:
-                continue
-            unread += [
-                f"{file}: {name} (line {stmt.lineno})" for name in names
-                if name.startswith("_") and not name.endswith("__") and name not in read
-            ]
+        unread += [
+            f"{file}: {name} (line {line})" for name, line in bound_names(with_class_bodies(tree))
+            if name.startswith("_") and not name.endswith("__") and name not in read
+        ]
     return unread
+
+
+def with_class_bodies(tree: ast.Module):
+    """The module-level statements of `tree`, then those of every class body."""
+    classes = [c.body for c in ast.walk(tree) if isinstance(c, ast.ClassDef)]
+    return chain(tree.body, *classes)
+
+
+def bound_names(stmts) -> list[tuple[str, int]]:
+    """(name, line) for each name that a ``def``, ``class`` or assignment
+    among `stmts` binds."""
+    found = []
+    for stmt in stmts:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        found += [(name, stmt.lineno) for name in names]
+    return found
 
 
 def test_the_check_sees_an_unread_private_name():
@@ -109,6 +123,86 @@ def test_the_check_sees_an_unread_private_name_in_a_class_body():
 def test_no_private_name_is_left_unread():
     package = sorted(Path(cgprune.__file__).parent.glob("*.py"))
     assert unread_private_names({p.name: p.read_text(encoding="utf-8") for p in package}) == []
+
+
+# What `tests/reference.py` may import from the package: value types,
+# containers and errors, never a memo, cone, walk or index of a fast path.
+REFERENCE_MAY_IMPORT = frozenset({
+    "CallEdge", "CallGraph", "ExclusionList", "GraphError", "LocalnessOptions",
+    "MethodNode", "MethodSignature", "OriginMap", "OriginRef", "ProjectRoleMap",
+    "PruneDecision", "TypeHierarchy", "TypeNode", "UnknownTypeError",
+})
+
+REFERENCE = Path(__file__).with_name("reference.py")
+
+
+def package_imports_outside(source: str, allowed: frozenset[str]) -> list[str]:
+    """The package names `source` imports that are not in `allowed`: each
+    name of a ``from cgprune... import``, and every ``import cgprune...``,
+    which reaches the whole package."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [
+                f"{alias.name} (line {node.lineno})" for alias in node.names
+                if alias.name.partition(".")[0] == "cgprune"
+            ]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "cgprune":
+            found += [
+                f"{alias.name} (line {node.lineno})" for alias in node.names
+                if alias.name not in allowed
+            ]
+    return found
+
+
+def names_defined_twice(reference: str, sources: dict[str, str]) -> list[str]:
+    """The names `reference` binds at module level that a module of
+    `sources` (file name -> source) binds at module level or in a class
+    body, such as a method."""
+    mine = {name for name, _ in bound_names(ast.parse(reference).body)}
+    twice = []
+    for file, source in sources.items():
+        twice += [
+            f"{file}: {name} (line {line})"
+            for name, line in bound_names(with_class_bodies(ast.parse(source))) if name in mine
+        ]
+    return twice
+
+
+def test_the_check_sees_a_reference_import_of_a_fast_path():
+    source = (
+        "from cgprune import CallGraph, reflexive_descendants\n"
+        "from cgprune.model import ancestor_depths\n"
+        "import cgprune.origins\nimport json\n"
+        "from cgprune import model as m\n"
+    )
+    assert package_imports_outside(source, frozenset({"CallGraph"})) == [
+        "reflexive_descendants (line 1)", "ancestor_depths (line 2)",
+        "cgprune.origins (line 3)", "model (line 5)",
+    ]
+
+
+def test_the_reference_imports_only_value_types_containers_and_errors():
+    source = REFERENCE.read_text(encoding="utf-8")
+    assert "from cgprune import" in source
+    assert package_imports_outside(source, REFERENCE_MAY_IMPORT) == []
+
+
+def test_the_check_sees_a_reference_defined_in_the_package():
+    reference = "def oracle():\n    pass\nclass Table:\n    def decide(self):\n        pass\n"
+    sources = {
+        "a.py": "class Roles:\n    def oracle(self):\n        pass\n",
+        "b.py": "Table = dict\ndef decide():\n    pass\n",
+    }
+    assert names_defined_twice(reference, sources) == [
+        "a.py: oracle (line 2)", "b.py: Table (line 1)",
+    ]
+
+
+def test_no_reference_is_defined_in_the_package():
+    package = sorted(Path(cgprune.__file__).parent.glob("*.py"))
+    reference = REFERENCE.read_text(encoding="utf-8")
+    assert names_defined_twice(reference, {p.name: p.read_text(encoding="utf-8") for p in package}) == []
 
 
 def test_cli_import_loads_no_numeric_tower():

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import m, sig
+from reference import reference_label
 
 from cgprune import (
     CallEdge,
@@ -143,26 +144,6 @@ class TestLabelAll:
             rest = [e for e in f1.cg.edges if e != dropped]
             smaller = build_call_graph(f1.cg.nodes, rest)
             assert label_all(smaller, f1.h)[dropped.source] <= full[dropped.source]
-
-
-def reference_label(method, cg, h, options):
-    """The highest level among `method`'s calls into non-core types, each
-    call's level taken on its own: 1 into its hierarchy, else 2 into its
-    project (or package), else 3; 0 for a core method or no such call."""
-    own = h.node(method.defining_type)
-    if own.is_core_lib:
-        return 0
-    scope = "package_name" if options.package_boundary else "project_id"
-
-    def level(target_type):
-        if same_hierarchy(h, own.type_id, target_type, options):
-            return 1
-        return 2 if getattr(h.node(target_type), scope) == getattr(own, scope) else 3
-
-    return max((
-        level(e.target.defining_type) for e in cg.edges
-        if e.source == method and not h.node(e.target.defining_type).is_core_lib
-    ), default=0)
 
 
 @st.composite

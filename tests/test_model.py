@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import f1_edges, m, make_f1_hierarchy, sig
+from reference import is_reflexive_descendant
 
 from cgprune import (
     CallEdge,
@@ -28,7 +29,6 @@ from cgprune import (
     find_origins,
     generate_call_graph_cha,
     generate_hierarchy,
-    is_reflexive_descendant,
     origin_edge_frequencies,
     prune_exhaustive,
     reflexive_descendants,

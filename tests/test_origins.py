@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from conftest import SIGS, hierarchies_with_graphs, m, sig
+from reference import brute_force_origins
 
 from cgprune import (
     CallEdge,
@@ -16,7 +17,6 @@ from cgprune import (
     TypeHierarchy,
     TypeNode,
     UnknownTypeError,
-    brute_force_origins,
     build_call_graph,
     build_exclusion_list,
     find_origins,
@@ -275,7 +275,7 @@ class TestOriginEdgeFrequencies:
 
     def test_counts_conserve_edges(self, f1):
         table = origin_edge_frequencies(f1.cg, find_origins(f1.cg, f1.h))
-        assert table.total_edges == f1.cg.edge_count
+        assert sum(count for _, count in table.rows) == f1.cg.edge_count
 
     def test_empty_graph_empty_table(self, f1):
         cg = build_call_graph([], [])

@@ -10,14 +10,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    SIGS, hierarchies_with_graphs, m, make_f1_callgraph, make_f1_hierarchy,
-    predecessor_lists, sig,
+    SIGS, hierarchies_with_graphs, m, make_f1_callgraph, make_f1_hierarchy, sig,
 )
+from reference import FixedTableOracle, not_excluded, predecessor_lists
 
 from cgprune import (
     CallEdge,
     ExclusionList,
-    FixedTableOracle,
     GenParams,
     GraphError,
     KeepAllOracle,
@@ -38,7 +37,6 @@ from cgprune import (
     generate_hierarchy,
     inject_artificial_cves,
     load_exclusion_list,
-    not_excluded,
     origin_edge_frequencies,
     prune_exhaustive,
     propagate,

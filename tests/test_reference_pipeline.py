@@ -1,8 +1,8 @@
 """End-to-end oracle: `run_pipeline` plus `write_report_json` against a slow
 pipeline built from the reference implementations.
 
-The reference finds origins by `synth.brute_force_origins`, prunes by
-filtering every edge through `pruning.not_excluded`, counts reachability
+The reference finds origins by `reference.brute_force_origins`, prunes by
+filtering every edge through `reference.not_excluded`, counts reachability
 with one breadth-first search per vulnerable method (`vulnsim._reach_one`),
 aggregates with `statistics.fmean`/`statistics.pstdev`, and writes its
 payload with `json.dumps`.  Localness labelling and CVE injection have no
@@ -29,14 +29,16 @@ from cgprune.pipeline import (
     run_pipeline,
     write_report_json,
 )
-from cgprune.pruning import ORACLES, not_excluded
-from cgprune.synth import brute_force_origins, generate_call_graph_cha, generate_hierarchy
+from cgprune.pruning import ORACLES
+from cgprune.synth import generate_call_graph_cha, generate_hierarchy
 from cgprune.vulnsim import (
     NoEligibleNodesError,
     ProjectRoleMap,
     _reach_one,
     inject_artificial_cves,
 )
+
+from reference import brute_force_origins, is_application, not_excluded
 
 
 def _reachability(edges, vulnerable, h, roles) -> tuple[int, float]:
@@ -49,7 +51,7 @@ def _reachability(edges, vulnerable, h, roles) -> tuple[int, float]:
     pairs = reached = 0
     for vuln in vulnerable:
         visited, _ = _reach_one(preds, vuln)
-        apps = sum(1 for n in visited if n != vuln and roles.is_application(h, n))
+        apps = sum(1 for n in visited if n != vuln and is_application(roles, h, n))
         pairs += apps
         reached += apps > 0
     return pairs, reached / len(vulnerable) if vulnerable else 0.0

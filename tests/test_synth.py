@@ -3,13 +3,13 @@
 import pytest
 
 from conftest import m, sig
+from reference import brute_force_origins
 
 from cgprune import (
     CallEdge,
     GenParams,
     TypeHierarchy,
     TypeNode,
-    brute_force_origins,
     build_call_graph,
     cha_targets,
     find_origins,

@@ -6,16 +6,17 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
-from conftest import m, predecessor_lists
+from conftest import m
+from reference import FixedTableOracle, is_application, is_dependency, predecessor_lists
 
 from cgprune import (
     CallEdge,
     ExclusionList,
-    FixedTableOracle,
     GenParams,
+    GraphError,
     MethodNode,
     MethodSignature,
     NoEligibleNodesError,
@@ -47,20 +48,20 @@ ROLES = ProjectRoleMap(application_project_id="app")
 
 class TestRoles:
     def test_application_nodes(self, f1):
-        apps = {n for n in f1.cg.nodes if ROLES.is_application(f1.h, n)}
+        apps = {n for n in f1.cg.nodes if is_application(ROLES, f1.h, n)}
         assert apps == {
             m("T2", "next"), m("T2", "helper"),
             m("T4", "run"), m("T4", "use"), m("T5", "fmt"),
         }
 
     def test_dependency_excludes_core_by_default(self, f1):
-        deps = {n for n in f1.cg.nodes if ROLES.is_dependency(f1.h, n)}
+        deps = {n for n in f1.cg.nodes if is_dependency(ROLES, f1.h, n)}
         assert deps == {m("T3", "next")}
 
     def test_dependency_with_core_included(self, f1):
         deps = {
             n for n in f1.cg.nodes
-            if ROLES.is_dependency(f1.h, n, include_core=True)
+            if is_dependency(ROLES, f1.h, n, include_core=True)
         }
         assert m("T0", "hashCode") in deps
         assert m("T3", "next") in deps
@@ -110,7 +111,7 @@ class TestInjectArtificialCves:
         cg = generate_call_graph_cha(h, params)
         roles = ProjectRoleMap(application_project_id=f"p{project}")
         eligible = sorted(
-            n for n in cg.nodes if roles.is_dependency(h, n, include_core=include_core)
+            n for n in cg.nodes if is_dependency(roles, h, n, include_core=include_core)
         )
         if not eligible:
             with pytest.raises(NoEligibleNodesError):
@@ -125,7 +126,7 @@ class TestInjectArtificialCves:
         a = inject_artificial_cves(f1.cg, f1.h, ROLES, 5, 7, include_core=True)
         eligible = {
             n for n in f1.cg.nodes
-            if ROLES.is_dependency(f1.h, n, include_core=True)
+            if is_dependency(ROLES, f1.h, n, include_core=True)
         }
         assert len(a.vulnerable) == min(5, len(eligible))
         assert a.vulnerable <= eligible
@@ -214,7 +215,7 @@ class TestPropagate:
         )
         assignment = load_assignment(str(path))
         assert assignment.vulnerable == {run}
-        assert ROLES.is_application(f1.h, run)
+        assert is_application(ROLES, f1.h, run)
         result = propagate(cg, assignment, ROLES, f1.h, collect_witnesses=True)
         assert result.reachable_pairs == 2
         assert result.reached_vulnerable == {run}
@@ -321,6 +322,16 @@ class TestAssignmentFile:
         loaded = load_assignment(str(path))
         assert (loaded.seed, loaded.requested) == (-3, 1)
 
+    @pytest.mark.parametrize("text", ["", "# seed: 3\n# requested: 2\n\n"])
+    def test_file_naming_no_method_is_an_error(self, tmp_path, text):
+        # an empty in-memory assignment stays valid (see TestPropagate);
+        # an empty file is a mistake that would analyse nothing
+        path = tmp_path / "vuln.txt"
+        path.write_text(text)
+        with pytest.raises(GraphError) as info:
+            load_assignment(str(path))
+        assert str(info.value) == f"{path}: assignment names no method"
+
     def test_non_integer_requested_header_positioned(self, tmp_path):
         path = tmp_path / "vuln.txt"
         path.write_text("# seed: 3\n# requested: 2.5\nT3::next():void\n")
@@ -370,7 +381,7 @@ def many_vulnerable_with_application_cycles(draw):
     """At least 64 vulnerable nodes, so the masks span several int digits,
     plus a drawn cycle through some vulnerable application nodes."""
     cg, vulnerable = draw(graphs_with_vulnerable_sets(st.integers(70, 90), min_vulnerable=64))
-    apps = sorted(n for n in vulnerable if ROLES.is_application(DIFF_H, n))
+    apps = sorted(n for n in vulnerable if is_application(ROLES, DIFF_H, n))
     cycle = draw(st.permutations(apps))[:draw(st.integers(0, min(6, len(apps))))]
     edges = [CallEdge(s, t, "A0") for s, t in zip(cycle, cycle[1:] + cycle[:1])]
     return build_call_graph(cg.nodes, [*cg.edges, *edges]), vulnerable
@@ -400,7 +411,7 @@ def per_vulnerable_bfs(cg, vulnerable):
     """Reference: one reverse BFS per vulnerable node, as `_reach_one` runs it,
     over predecessor lists the tests build from the edges, not the model's."""
     preds = predecessor_lists(cg)
-    apps = {n for n in cg.nodes if ROLES.is_application(DIFF_H, n)}
+    apps = {n for n in cg.nodes if is_application(ROLES, DIFF_H, n)}
     witnesses = {}
     for vuln in sorted(vulnerable):
         visited, next_hop = _reach_one(preds, vuln)
@@ -410,6 +421,12 @@ def per_vulnerable_bfs(cg, vulnerable):
                 path.append(next_hop[path[-1]])
             witnesses[(app, vuln)] = tuple(path)
     return witnesses
+
+
+# Every phase but shrinking: an example of the many-vulnerable strategy holds
+# up to ~90 nodes, ~270 edges and 64+ vulnerable nodes, and shrinking a
+# failing one runs for minutes before the test reports.
+UNSHRUNK = [phase for phase in Phase if phase is not Phase.shrink]
 
 
 class TestBitParallelPassMatchesPerVulnerableBfs:
@@ -432,7 +449,7 @@ class TestBitParallelPassMatchesPerVulnerableBfs:
 
     @settings(
         max_examples=40, derandomize=True, database=None, deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
+        suppress_health_check=[HealthCheck.too_slow], phases=UNSHRUNK,
     )
     @given(many_vulnerable_with_application_cycles(), st.booleans())
     def test_same_with_masks_of_several_digits(self, case, through_file):
@@ -440,7 +457,7 @@ class TestBitParallelPassMatchesPerVulnerableBfs:
 
     @settings(
         max_examples=40, derandomize=True, database=None, deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
+        suppress_health_check=[HealthCheck.too_slow], phases=UNSHRUNK,
     )
     @given(
         pruned_graphs_with_vulnerable_sets(many_vulnerable_with_application_cycles()),
