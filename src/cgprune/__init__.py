@@ -18,7 +18,6 @@ from .model import (
     UnknownTypeError,
     Violation,
     build_call_graph,
-    reflexive_descendants,
     reverse_adjacency,
     validate_call_graph,
     validate_hierarchy,

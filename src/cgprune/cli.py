@@ -125,7 +125,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
             max_parents_per_type=args.max_parents,
             signature_pool_size=args.sig_pool,
             override_probability=args.override_prob,
-            call_sites_per_method=tuple(args.call_sites),
+            call_sites_per_method=args.call_sites,
             project_count=args.projects,
             core_type_fraction=args.core_fraction,
             seed=args.seed,
@@ -291,8 +291,8 @@ def cmd_vuln_sim(args: argparse.Namespace) -> int:
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
     config = PipelineConfig.from_file(args.config)
-    report = run_pipeline(config)
     os.makedirs(args.out_dir, exist_ok=True)
+    report = run_pipeline(config)
     write_report_csv(report, os.path.join(args.out_dir, "report.csv"))
     write_aggregates_csv(report, os.path.join(args.out_dir, "aggregates.csv"))
     write_report_json(report, os.path.join(args.out_dir, "report.json"))

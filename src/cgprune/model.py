@@ -31,11 +31,14 @@ Analyses elsewhere in the package are pure functions over these values.
 Construction is permissive; `validate_hierarchy` reports rule violations
 instead of raising, so callers (e.g. file loaders) decide how strict to be.
 
-A dangling parent, one that names no type of the hierarchy, is skipped by
-every walk: ancestor walks do not step to it, and the `children` index that
-descendant cones walk leaves it out.  So a hand-built hierarchy with one
-behaves as if that parent were not listed; `validate_hierarchy` still
-reports it, and the file loaders reject it.
+A TypeHierarchy has one memoised walk per direction: `reflexive_ancestors`
+goes up the parent lists and keeps each ancestor's depth, for origin
+finding and localness; `descendant_cone` goes down the `children` index to
+the types a call may dispatch to, for CHA and pruning.  A dangling parent,
+one that names no type of the hierarchy, is skipped by both: the ancestor
+walk does not step to it, and the `children` index leaves it out.  So a
+hand-built hierarchy with one behaves as if that parent were not listed;
+`validate_hierarchy` still reports it, and the file loaders reject it.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, pairwise, starmap
 from operator import attrgetter, lt
-from typing import AbstractSet, Callable, Iterable, KeysView, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, KeysView, Mapping, NamedTuple, Sequence
 
 
 class GraphError(Exception):
@@ -159,21 +162,28 @@ class TypeHierarchy:
     def sorted_ids(self) -> list[str]:
         return sorted(self.types)
 
-    def reflexive_ancestors(self, type_id: str) -> AbstractSet[str]:
+    def reflexive_ancestors(self, type_id: str) -> KeysView[str]:
         """`type_id` plus every type it transitively extends.
 
-        Memoised per type on first request; origin finding, localness and
-        pruning all ask for the same sets many times over.  The set is the
-        key view of the type's `reflexive_ancestor_depths`.
+        On a miss, one breadth-first walk up the parent lists maps each
+        reflexive ancestor, in discovery order, to its minimal parent-edge
+        distance (self = 0); a type keeps the depth it is first seen at, so
+        cyclic input ends.  The memo holds, per type asked for, the key view
+        of that dict, and its `.mapping` is the depth map, read-only.
         """
         found = self._ancestors.get(type_id)
         if found is None:
-            found = self._ancestors[type_id] = ancestor_depths(self, type_id).keys()
+            self.node(type_id)
+            depths = {type_id: 0}
+            queue = [type_id]
+            for tid in queue:
+                depth = depths[tid] + 1
+                for p in self.types[tid].parents:
+                    if p not in depths and p in self.types:
+                        depths[p] = depth
+                        queue.append(p)
+            found = self._ancestors[type_id] = depths.keys()
         return found
-
-    def reflexive_ancestor_depths(self, type_id: str) -> Mapping[str, int]:
-        """`ancestor_depths(self, type_id)` from the same memo, read-only."""
-        return self.reflexive_ancestors(type_id).mapping
 
     @cached_property
     def _ancestors(self) -> dict[str, KeysView[str]]:
@@ -181,14 +191,25 @@ class TypeHierarchy:
         return {}
 
     def descendant_cone(self, type_id: str) -> frozenset[str]:
-        """`reflexive_descendants(self, type_id)`, memoised per type.
+        """`type_id` plus every type that transitively extends it: the
+        descendant cone of CHA dispatch.
 
-        Pruning asks for the cone of each origin it has not memoised yet;
-        keyed per type, origins that share a type share its cone.
+        On a miss, one breadth-first walk down the `children` index; the
+        memo holds the cone of each type asked for.  Pruning asks for the
+        cone of each origin it has not memoised yet, so origins that share
+        a type share its cone.
         """
         found = self._cones.get(type_id)
         if found is None:
-            found = self._cones[type_id] = frozenset(reflexive_descendants(self, type_id))
+            self.node(type_id)
+            seen = {type_id}
+            queue = [type_id]
+            for tid in queue:
+                for c in self.children[tid]:
+                    if c not in seen:
+                        seen.add(c)
+                        queue.append(c)
+            found = self._cones[type_id] = frozenset(seen)
         return found
 
     @cached_property
@@ -601,46 +622,6 @@ def component_masks(
                     if low[v] < low[u]:
                         low[u] = low[v]
     return order
-
-
-def ancestor_depths(h: TypeHierarchy, type_id: str) -> dict[str, int]:
-    """Minimal parent-edge distance to each reflexive ancestor (self = 0).
-
-    One breadth-first walk, keys in discovery order.  Never loops on cyclic
-    input; a type keeps the depth it is first seen at, its minimal one.
-    """
-    h.node(type_id)
-    depths = {type_id: 0}
-    queue = [type_id]
-    for tid in queue:
-        depth = depths[tid] + 1
-        for p in h.types[tid].parents:
-            if p not in depths and p in h.types:
-                depths[p] = depth
-                queue.append(p)
-    return depths
-
-
-def reflexive_descendants(h: TypeHierarchy, *type_ids: str) -> set[str]:
-    """Every root plus every type that transitively extends one of them.
-
-    This is the descendant cone of CHA dispatch; it walks the hierarchy's
-    cached `children` index.
-    """
-    children = h.children
-    for tid in type_ids:
-        h.node(tid)
-    seen = set(type_ids)
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for tid in frontier:
-            for c in children[tid]:
-                if c not in seen:
-                    seen.add(c)
-                    nxt.append(c)
-        frontier = nxt
-    return seen
 
 
 def reverse_adjacency(cg: CallGraph) -> PredecessorIndex:

@@ -109,7 +109,7 @@ def find_origins(cg: CallGraph, h: TypeHierarchy) -> OriginMap:
         if found is None:
             found = per_signature[sig] = (h.root_declarers(sig), {})
         roots, refs = found
-        depths = h.reflexive_ancestor_depths(node.defining_type)
+        depths = h.reflexive_ancestors(node.defining_type).mapping
         minimal = roots.intersection(depths)
         if len(minimal) > 1:
             candidates = sorted(minimal, key=lambda tid: (depths[tid], tid))

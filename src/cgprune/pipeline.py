@@ -186,9 +186,6 @@ class PipelineConfig:
                         f"synthetic must be an object with an object 'params', got {spec!r}"
                     )
                 known_keys("synthetic", spec, {"count", "params"})
-                sites = params.get("call_sites_per_method")
-                if type(sites) is list:  # a JSON array; the field is a pair
-                    params = {**params, "call_sites_per_method": tuple(sites)}
                 try:
                     params = GenParams(**params)
                 except (TypeError, ValueError) as exc:
@@ -374,6 +371,10 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
             top = [origin for origin, _ in top_rows]
             dist = localness_distribution(origins, labels, top)
             stage = "inject"
+            if not h.application_types(config.application_project):
+                raise GraphError(
+                    f"project {config.application_project!r} has no application type"
+                )
             assignment = inject_artificial_cves(
                 cg, h, roles, config.cve_count, config.cve_seed + index,
                 include_core=config.include_core_cves,

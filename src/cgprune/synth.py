@@ -70,15 +70,17 @@ class GenParams:
             checked(name, getattr(self, name), *rule)
         sites = self.call_sites_per_method
         try:
-            low, high = checked_list("call_sites_per_method", sites, int)
+            low, high = pair = checked_list("call_sites_per_method", sites, int)
         except (TypeError, ValueError):  # not a list of integers, or not two
             raise TypeError(
                 f"call_sites_per_method must be two integers, got {sites!r}"
             ) from None
         if not 0 <= low <= high:
             raise ValueError(
-                f"call_sites_per_method must satisfy 0 <= low <= high, got {sites}"
+                f"call_sites_per_method must satisfy 0 <= low <= high, got {pair}"
             )
+        # a list (a JSON array, a flag's values) is kept as the checked tuple
+        object.__setattr__(self, "call_sites_per_method", pair)
 
 
 def signature_pool(size: int) -> list[MethodSignature]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import pytest
@@ -93,6 +94,19 @@ def f1_nodes() -> list[MethodNode]:
 
 def make_f1_callgraph() -> CallGraph:
     return build_call_graph(f1_nodes(), f1_edges().values())
+
+
+class WriteCountingDict(dict):
+    """A dict that counts each key's writes: put on a fresh hierarchy as a
+    memo, it counts the walks that fill the memo."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.writes: Counter = Counter()
+
+    def __setitem__(self, key, value) -> None:
+        self.writes[key] += 1
+        super().__setitem__(key, value)
 
 
 @dataclass(frozen=True)

@@ -323,6 +323,33 @@ class TestPipeline:
                      "--out-dir", str(tmp_path / "r")]) == 4
         assert "failed at load" in capsys.readouterr().err
 
+    def test_graph_without_the_application_project_exits_4(self, f1_paths, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "inputs": [{"id": "f1", "hierarchy": f1_paths[0], "callgraph": f1_paths[1]}],
+            "application_project": "nosuch", "sweep": [1, 2],
+        }))
+        assert main(["pipeline", "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "r")]) == 4
+        assert "error: f1 failed at inject: project 'nosuch' has no application type\n" \
+            in capsys.readouterr().err
+
+    def test_out_dir_that_is_a_file_fails_before_the_run(
+        self, f1_paths, tmp_path, capsys, monkeypatch
+    ):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "inputs": [{"id": "f1", "hierarchy": f1_paths[0], "callgraph": f1_paths[1]}],
+            "application_project": "app",
+        }))
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        ran = []
+        monkeypatch.setattr(cli, "run_pipeline", lambda config: ran.append(config))
+        assert main(["pipeline", "--config", str(cfg), "--out-dir", str(afile)]) == 4
+        assert f"[Errno 17] File exists: '{afile}'" in capsys.readouterr().err
+        assert ran == []
+
     def test_bad_config_exits_3(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
         cfg.write_text("{\"sweeep\": []}")

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import m, sig
-from reference import reference_label
+from reference import _in_one_hierarchy, reference_label
 
 from cgprune import (
     CallEdge,
@@ -128,8 +128,8 @@ class TestLabelAll:
             forcing = [
                 e for e in f1.cg.outgoing_edges(node)
                 if not f1.h.node(e.target.defining_type).is_core_lib
-                and not same_hierarchy(
-                    f1.h, node.defining_type, e.target.defining_type
+                and not _in_one_hierarchy(
+                    f1.h, node.defining_type, e.target.defining_type, extended=True
                 )
                 and f1.h.node(e.target.defining_type).project_id
                 != f1.h.node(node.defining_type).project_id

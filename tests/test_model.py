@@ -1,7 +1,6 @@
 """Domain model: hierarchy validation, ancestor walks, graph construction."""
 
 import itertools
-from collections import Counter
 import os
 import pickle
 import subprocess
@@ -11,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import f1_edges, m, make_f1_hierarchy, sig
-from reference import is_reflexive_descendant
+from conftest import WriteCountingDict, f1_edges, m, make_f1_hierarchy, sig
+from reference import _reflexive_ancestor_depths, is_reflexive_descendant
 
 from cgprune import (
     CallEdge,
@@ -31,7 +30,6 @@ from cgprune import (
     generate_hierarchy,
     origin_edge_frequencies,
     prune_exhaustive,
-    reflexive_descendants,
     reverse_adjacency,
     run_pipeline,
     save_call_graph,
@@ -39,8 +37,7 @@ from cgprune import (
     validate_call_graph,
     validate_hierarchy,
 )
-from cgprune import cli, model, pruning
-from cgprune.model import ancestor_depths
+from cgprune import cli, model
 
 
 def _type(tid, parents=(), declared=(), project="p", core=False, core_project="core"):
@@ -207,31 +204,26 @@ class TestDescendants:
 
     def test_reflexive_descendants(self):
         h = make_f1_hierarchy()
-        assert reflexive_descendants(h, "T1") == {"T1", "T2", "T3"}
-        assert reflexive_descendants(h, "T5") == {"T5"}
-
-    def test_several_roots_union_their_cones(self):
-        h = make_f1_hierarchy()
-        assert reflexive_descendants(h, "T1", "T5") == {"T1", "T2", "T3", "T5"}
-        assert reflexive_descendants(h) == set()
+        assert h.descendant_cone("T1") == {"T1", "T2", "T3"}
+        assert h.descendant_cone("T5") == {"T5"}
 
     def test_diamond(self):
         h = TypeHierarchy({
             "A": _type("A"), "B": _type("B", ["A"]), "C": _type("C", ["A"]),
             "D": _type("D", ["B", "C"]),
         })
-        assert reflexive_descendants(h, "A") == {"A", "B", "C", "D"}
-        assert reflexive_descendants(h, "B", "C") == {"B", "C", "D"}
+        assert h.descendant_cone("A") == {"A", "B", "C", "D"}
+        assert h.descendant_cone("B") == {"B", "D"}
+        assert h.descendant_cone("C") == {"C", "D"}
         assert h.reflexive_ancestors("D") == {"A", "B", "C", "D"}
 
     def test_unknown_root_raises(self):
         h = make_f1_hierarchy()
         with pytest.raises(UnknownTypeError, match="T9"):
-            reflexive_descendants(h, "T1", "T9")
-        with pytest.raises(UnknownTypeError, match="T9"):
             h.reflexive_ancestors("T9")
         with pytest.raises(UnknownTypeError, match="T9"):
             h.descendant_cone("T9")
+        assert "T9" not in h._ancestors
         assert "T9" not in h._cones
 
     def test_reflexive_ancestors_memoised(self):
@@ -245,11 +237,9 @@ class TestDescendants:
     @given(hierarchies_with_roots())
     def test_cone_matches_pairwise_reference(self, case):
         h, roots = case
-        expected = {
-            u for u in h.types
-            if any(is_reflexive_descendant(h, r, u) for r in roots)
-        }
-        assert reflexive_descendants(h, *roots) == expected
+        for r in roots:
+            expected = {u for u in h.types if is_reflexive_descendant(h, r, u)}
+            assert h.descendant_cone(r) == expected
 
     @settings(max_examples=300, deadline=None)
     @given(hierarchies_with_roots())
@@ -257,36 +247,29 @@ class TestDescendants:
         h, _ = case
         for t in h.sorted_ids():
             cone = h.descendant_cone(t)
-            assert cone == reflexive_descendants(h, t)
+            assert cone == {u for u in h.types if is_reflexive_descendant(h, t, u)}
             assert h.descendant_cone(t) is cone
+        assert set(h._cones) == set(h.types)
 
     def test_prune_sweep_walks_each_origin_cone_once(self, monkeypatch):
         params = GenParams(type_count=120, seed=4)
         h = generate_hierarchy(params)
         cg = generate_call_graph_cha(h, params)
         table = origin_edge_frequencies(cg, find_origins(cg, h))
-        walked = Counter()
-        real = model.reflexive_descendants
-
-        def counting(h, *type_ids):
-            walked.update(type_ids)
-            return real(h, *type_ids)
 
         def forbidden(self, type_id):
             raise AssertionError(f"ancestor walk of {type_id}")
 
-        monkeypatch.setattr(model, "reflexive_descendants", counting)
-        # a walk imported into `pruning` past the memo would be counted too
-        monkeypatch.setattr(pruning, "reflexive_descendants", counting, raising=False)
         monkeypatch.setattr(TypeHierarchy, "reflexive_ancestors", forbidden)
-        fresh = generate_hierarchy(params)  # new, empty memos
+        fresh = generate_hierarchy(params)
+        vars(fresh)["_cones"] = cones = WriteCountingDict()  # a new, empty memo
         for n in range(100):
             prune_exhaustive(cg, build_exclusion_list(table, n), fresh)
         origin_types = {ref.origin_type for ref, _count in table.top(99)}
         # rows share origin types, and every N lists the rows before it again
         assert len(table.top(99)) > len(origin_types)
-        assert walked.keys() == origin_types
-        assert set(walked.values()) == {1}
+        assert cones.writes.keys() == origin_types
+        assert set(cones.writes.values()) == {1}
 
     def test_ancestor_depths_share_the_memo(self):
         diamond = TypeHierarchy({
@@ -300,27 +283,27 @@ class TestDescendants:
             (diamond, "Bot", {"Bot": 0, "L": 1, "R": 1, "Top": 2}),
         ]:
             # deduplicated, in discovery order (breadth first, parents as listed)
-            assert list(ancestor_depths(h, tid).items()) == list(depths.items())
-            assert h.reflexive_ancestor_depths(tid) == depths
+            found = h.reflexive_ancestors(tid).mapping
+            assert list(found.items()) == list(depths.items())
+            assert list(_reflexive_ancestor_depths(h, tid).items()) == list(depths.items())
             assert set(h._ancestors) == {tid}
             assert h.reflexive_ancestors(tid) == set(depths)
             with pytest.raises(TypeError):
-                h.reflexive_ancestor_depths(tid)[tid] = 5  # the memo is read-only
-            with pytest.raises(UnknownTypeError, match="T9"):
-                h.reflexive_ancestor_depths("T9")
+                found[tid] = 5  # the memo is read-only
+            assert h.reflexive_ancestors(tid).mapping == depths
 
     @settings(max_examples=300, deadline=None)
     @given(hierarchies_with_roots())
     def test_ancestors_match_reference(self, case):
         h, _ = case
         for t in h.sorted_ids():
-            depths = ancestor_depths(h, t)
-            expected = set(depths)
-            assert h.reflexive_ancestors(t) == expected
-            assert expected == {a for a in h.types if is_reflexive_descendant(h, a, t)}
-            # a second request answers from the memo with the same set
-            assert h.reflexive_ancestors(t) == expected
-            assert h.reflexive_ancestor_depths(t) == depths
+            depths = _reflexive_ancestor_depths(h, t)
+            found = h.reflexive_ancestors(t)
+            # the same depths, in the same discovery order
+            assert list(found.mapping.items()) == list(depths.items())
+            assert found == {a for a in h.types if is_reflexive_descendant(h, a, t)}
+            # a second request answers from the memo
+            assert h.reflexive_ancestors(t) is found
 
 
 class TestCycleRule:
@@ -332,7 +315,7 @@ class TestCycleRule:
         h, _ = case
         expected = [
             t for t in h.sorted_ids()
-            if any(t in ancestor_depths(h, p) for p in h.types[t].parents)
+            if any(t in _reflexive_ancestor_depths(h, p) for p in h.types[t].parents)
         ]
         found = [v.type_id for v in validate_hierarchy(h) if v.rule == "cycle"]
         assert found == expected

@@ -7,8 +7,8 @@ from itertools import chain
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from conftest import SIGS, hierarchies_with_graphs, m, sig
-from reference import brute_force_origins
+from conftest import SIGS, WriteCountingDict, hierarchies_with_graphs, m, sig
+from reference import _reflexive_ancestor_depths, brute_force_origins
 
 from cgprune import (
     CallEdge,
@@ -25,9 +25,7 @@ from cgprune import (
     origin_edge_frequencies,
     unique_derivative_counts,
 )
-import cgprune.origins as origins_module
 from cgprune import model
-from cgprune.model import ancestor_depths
 
 
 def _type(tid, parents=(), declares=()):
@@ -61,7 +59,7 @@ class TestFindOrigins:
         origins = find_origins(f1.cg, f1.h)
         for ref in origins.entries.values():
             assert f1.h.types[ref.origin_type].declares(ref.signature)
-            for anc in f1.h.reflexive_ancestors(ref.origin_type) - {ref.origin_type}:
+            for anc in _reflexive_ancestor_depths(f1.h, ref.origin_type).keys() - {ref.origin_type}:
                 assert not f1.h.types[anc].declares(ref.signature)
 
     def test_skips_intermediate_non_declarer(self):
@@ -140,28 +138,19 @@ class TestFindOrigins:
             t: origins.entries[t] for t in targets
         }
 
-    def test_one_ancestor_walk_per_type(self, monkeypatch):
+    def test_one_ancestor_walk_per_type(self):
         params = GenParams(type_count=120, seed=4)
         h = generate_hierarchy(params)
         cg = generate_call_graph_cha(h, params)
         expected = find_origins(cg, h)
-        walked = Counter()
-        real = model.ancestor_depths
-
-        def counting(h, type_id):
-            walked[type_id] += 1
-            return real(h, type_id)
-
-        monkeypatch.setattr(model, "ancestor_depths", counting)
-        # a walk imported into `origins` past the memo would be counted too
-        monkeypatch.setattr(origins_module, "ancestor_depths", counting, raising=False)
-        fresh = generate_hierarchy(params)  # a new, empty ancestor memo
+        fresh = generate_hierarchy(params)
+        vars(fresh)["_ancestors"] = ancestors = WriteCountingDict()  # a new, empty memo
         assert find_origins(cg, fresh) == expected
         targets = {e.target for e in cg.edges}
         # several signatures share most target types, yet each is walked once
         assert len(targets) > len({t.defining_type for t in targets})
-        assert set(walked.values()) == {1}
-        assert {t.defining_type for t in targets} <= walked.keys()
+        assert set(ancestors.writes.values()) == {1}
+        assert {t.defining_type for t in targets} <= ancestors.writes.keys()
 
     def test_one_root_declarer_call_per_signature(self, monkeypatch):
         # the per-call table is the one root-declarer cache: the hierarchy
@@ -214,7 +203,7 @@ class TestSharedOriginRefs:
 def _shapes(h, cg, ambiguous):
     """The hierarchy shapes of one example that the differential must meet."""
     shapes = set()
-    above = {t: set(ancestor_depths(h, t)) for t in h.types}
+    above = {t: set(_reflexive_ancestor_depths(h, t)) for t in h.types}
     parents = {t: [p for p in h.types[t].parents if p in h.types] for t in h.types}
     if any(above[p] & above[q] for t in h.types
            for p in parents[t] for q in parents[t] if p < q):
@@ -250,7 +239,7 @@ class TestMatchesBruteForce:
                 declarers = {t for t in h.types if h.types[t].declares(sig(s))}
                 assert h.root_declarers(sig(s)) == {
                     d for d in declarers
-                    if declarers.isdisjoint(ancestor_depths(h, d).keys() - {d})
+                    if declarers.isdisjoint(_reflexive_ancestor_depths(h, d).keys() - {d})
                 }
             seen.update(_shapes(h, cg, origins.ambiguous))
 

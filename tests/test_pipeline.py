@@ -18,6 +18,7 @@ from cgprune import (
     AnalysisReport,
     ConfigError,
     PipelineConfig,
+    TypeHierarchy,
     run_pipeline,
     save_call_graph,
     save_hierarchy,
@@ -162,7 +163,7 @@ class TestConfig:
         ({"synthetic": {"params": {"type_count": 2.5}}},
          "synthetic.params: type_count must be an integer, got 2.5"),
         ({"synthetic": {"params": {"call_sites_per_method": [0, 2.5]}}},
-         "synthetic.params: call_sites_per_method must be two integers, got (0, 2.5)"),
+         "synthetic.params: call_sites_per_method must be two integers, got [0, 2.5]"),
         ({"synthetic": {"params": {"max_parents_per_type": True}}},
          "synthetic.params: max_parents_per_type must be an integer, got True"),
         ({"sweep": [1, 1, 0]}, "sweep values must be distinct, got 1 more than once"),
@@ -297,6 +298,27 @@ class TestErrorContinuation:
         assert [e.stage for e in report.errors] == ["inject"]
         assert "no dependency nodes" in report.errors[0].message
         assert report.errors[0].error_type == "NoEligibleNodesError"
+
+    def test_graph_without_the_application_project_fails_at_inject(self, f1, tmp_path):
+        # a graph that lacks the project would measure nothing: its zeros
+        # must not reach the records and the aggregates
+        other = TypeHierarchy({
+            tid: t._replace(project_id="lib") if t.project_id == "app" else t
+            for tid, t in f1.h.types.items()
+        }, f1.h.core_project_id)
+        save_hierarchy(other, str(tmp_path / "noapp.hierarchy.jsonl"))
+        save_call_graph(f1.cg, str(tmp_path / "noapp.callgraph.jsonl"))
+        config = f1_config(f1, tmp_path, inputs=[
+            {"id": "f1", "hierarchy": "f1.hierarchy.jsonl", "callgraph": "f1.callgraph.jsonl"},
+            {"id": "noapp", "hierarchy": "noapp.hierarchy.jsonl",
+             "callgraph": "noapp.callgraph.jsonl"},
+        ])
+        report = run_pipeline(config)
+        assert [g.graph_id for g in report.graphs] == ["f1"]
+        assert {r.graph_id for r in report.records} == {"f1"}
+        assert report.errors == (PipelineError(
+            "noapp", "inject", "project 'app' has no application type", "GraphError"
+        ),)
 
     def test_partial_sweep_never_reported(self, f1, tmp_path, monkeypatch):
         # fail the comparison on the second sweep entry: records from the

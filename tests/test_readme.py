@@ -1,5 +1,6 @@
 """README's Layout block names real code: every `Class.attribute` it cites
-exists in the package; and its Quick start block runs."""
+exists in the package, and so does every underscored name it cites; and its
+Quick start block runs."""
 
 import re
 from importlib import import_module
@@ -43,6 +44,44 @@ def test_every_cited_attribute_exists():
         if found is None or not hasattr(found, attr):
             missing.append(f"{cls}.{attr}")
     assert missing == []
+
+
+def cited_names(text: str) -> list[str]:
+    """The names of `text` that hold an underscore and are neither the
+    attribute of a `Class.attribute` citation nor a file name."""
+    return [
+        name for name in re.findall(r"(?<![\w.])([A-Za-z_]\w*)(?!\w|\.py\b)", text)
+        if "_" in name
+    ]
+
+
+def unbound_names(names: list[str]) -> list[str]:
+    """The `names` that no module of the package binds at module level or
+    in the body of one of its classes."""
+    bound = set()
+    for p in sorted(PACKAGE.glob("*.py")):
+        module = vars(import_module(f"cgprune.{p.stem}"))
+        bound.update(module)
+        for value in module.values():
+            if isinstance(value, type):
+                bound.update(vars(value))
+    return [name for name in names if name not in bound]
+
+
+def test_the_check_finds_underscored_names():
+    text = (
+        "model.py  the cone walk (reflexive_descendants, descendant_cone) of\n"
+        "          TypeHierarchy.descendant_cone and test_imports.py; _SCALARS\n"
+    )
+    names = cited_names(text)
+    assert names == ["reflexive_descendants", "descendant_cone", "_SCALARS"]
+    assert unbound_names(names) == ["reflexive_descendants"]
+
+
+def test_every_cited_name_exists():
+    cited = cited_names(layout_block())
+    assert "component_masks" in cited
+    assert unbound_names(cited) == []
 
 
 def test_quick_start_runs(capsys):

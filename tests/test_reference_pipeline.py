@@ -31,8 +31,8 @@ from cgprune.pipeline import (
 )
 from cgprune.pruning import ORACLES
 from cgprune.synth import generate_call_graph_cha, generate_hierarchy
+from cgprune.model import GraphError
 from cgprune.vulnsim import (
-    NoEligibleNodesError,
     ProjectRoleMap,
     _reach_one,
     inject_artificial_cves,
@@ -71,6 +71,11 @@ def _graph(config: PipelineConfig, index: int, graph_id: str, roles, options):
     shown = rows[: config.localness_top]
     top = [origin for origin, _ in shown]
     dist = localness_distribution(origins, labels, top)
+    if not any(
+        t.project_id == roles.application_project_id and not t.is_core_lib
+        for t in h.types.values()
+    ):
+        raise GraphError(f"project {roles.application_project_id!r} has no application type")
     assignment = inject_artificial_cves(
         cg, h, roles, config.cve_count, config.cve_seed + index,
         include_core=config.include_core_cves,
@@ -131,9 +136,10 @@ def reference_report(config: PipelineConfig) -> str:
     for index, graph_id in enumerate(config.graph_ids):
         try:
             summary, graph_records = _graph(config, index, graph_id, roles, options)
-        except NoEligibleNodesError as exc:
-            # synthetic graphs are valid, so the one failure is a CVE draw
-            # that finds no eligible method
+        except GraphError as exc:
+            # synthetic graphs are valid, so the one failure is at inject: a
+            # graph with no application type, or a CVE draw that finds no
+            # eligible method
             errors.append({
                 "graph_id": graph_id, "stage": "inject",
                 "message": str(exc), "error_type": type(exc).__name__,

@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import m, sig
-from reference import brute_force_origins
+from reference import _reflexive_ancestor_depths, brute_force_origins
 
 from cgprune import (
     CallEdge,
@@ -43,6 +43,12 @@ class TestGenParams:
             GenParams(call_sites_per_method=(3, 1))
         GenParams(call_sites_per_method=(0, 0))
 
+    def test_a_list_of_call_sites_is_kept_as_a_tuple(self):
+        params = GenParams(call_sites_per_method=[0, 3])
+        assert params.call_sites_per_method == (0, 3)
+        assert params == GenParams()
+        assert hash(params) == hash(GenParams())
+
 
 class TestGenerateHierarchy:
     def test_single_type_is_a_root(self):
@@ -70,7 +76,7 @@ class TestGenerateHierarchy:
         h = generate_hierarchy(GenParams(override_probability=0.0, seed=4))
         for tid, node in h.types.items():
             inherited = set()
-            for anc in h.reflexive_ancestors(tid) - {tid}:
+            for anc in _reflexive_ancestor_depths(h, tid).keys() - {tid}:
                 inherited |= h.types[anc].declared
             assert not (node.declared & inherited)
 
