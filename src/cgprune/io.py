@@ -457,7 +457,7 @@ def write_text_records(path: str, headers: Mapping[str, int], lines: Iterable[st
         fh.writelines(line + "\n" for line in lines)
 
 
-def apply_core_prefixes(h: TypeHierarchy, prefixes: list[str]) -> TypeHierarchy:
+def apply_core_prefixes(h: TypeHierarchy, prefixes: Sequence[str]) -> TypeHierarchy:
     """Re-flag types under any of the given dotted name prefixes as core library.
 
     A type matches when its fully-qualified name or package is a prefix or

@@ -19,14 +19,14 @@ adjacency and target indexes, the node-type set and the predecessor index
 of a CallGraph, plus the candidate bitset and groups `pruning` memoises on
 a graph per listed origin), whose entries are fixed by the values
 themselves.  The predecessor index holds the graph's dense node ids and,
-per node, the ids of its callers in edge order (`PredecessorIndex`, which
-reads as a node-keyed mapping).  `CallGraph.pruned` takes the edges to
-drop as an int bitset, one bit per edge, and keeps the others with one
-`compress` in C.  The graph it builds shares its parent's node-type set
-and, when the parent's predecessor index exists, gets its own at once,
-derived from it, node ids included, by copying the list and replacing the
-entries of the pruned targets; otherwise it builds its own from its edges
-when first asked.  A pruned graph holds no reference to its parent.
+per node, the ids of its callers in edge order (`PredecessorIndex`).
+`CallGraph.pruned` takes the edges to drop as an int bitset, one bit per
+edge, and keeps the others with one `compress` in C.  The graph it builds
+shares its parent's node-type set and, when the parent's predecessor index
+exists, gets its own at once, derived from it, node ids included, by
+copying the list and replacing the entries of the pruned targets;
+otherwise it builds its own from its edges when first asked.  A pruned
+graph holds no reference to its parent.
 Analyses elsewhere in the package are pure functions over these values.
 Construction is permissive; `validate_hierarchy` reports rule violations
 instead of raising, so callers (e.g. file loaders) decide how strict to be.
@@ -405,7 +405,7 @@ class CallGraph:
 
     @cached_property
     def predecessors(self) -> PredecessorIndex:
-        """Target -> its sources, one per edge and in edge order, read-only:
+        """Per node id, its callers' ids, one per edge and in edge order:
         built from the edges on first use, unless `pruned` derived it when
         it built this graph."""
         return _predecessors_from_edges(self)
@@ -445,40 +445,18 @@ class CallGraph:
         return graph
 
 
-class PredecessorIndex(Mapping[MethodNode, tuple[MethodNode, ...]]):
-    """A graph's predecessor index on dense node ids, read as a mapping.
+class PredecessorIndex(NamedTuple):
+    """A graph's predecessor index on dense node ids.
 
     `sources[i]` holds the ids of node i's callers, one per edge into it and
     in edge order (empty when no edge enters it); `nodes[i]` is node i and
-    `ids` maps each node to its id.  The mapping view keys every target that
-    has a caller to a tuple of its sources as nodes; it holds no node-keyed
-    copy, so a lookup builds the tuple.  Int walks read `sources` directly.
+    `ids` maps each node to its id.  Walks read `sources` and map ids back
+    to nodes only for what they report.
     """
 
-    __slots__ = ("nodes", "ids", "sources")
-
-    def __init__(
-        self,
-        nodes: Sequence[MethodNode],
-        ids: Mapping[MethodNode, int],
-        sources: list[tuple[int, ...]],
-    ) -> None:
-        self.nodes = nodes
-        self.ids = ids
-        self.sources = sources
-
-    def __getitem__(self, node: MethodNode) -> tuple[MethodNode, ...]:
-        i = self.ids.get(node)
-        found = () if i is None else self.sources[i]
-        if not found:
-            raise KeyError(node)
-        return tuple(map(self.nodes.__getitem__, found))
-
-    def __iter__(self):
-        return compress(self.nodes, self.sources)
-
-    def __len__(self) -> int:
-        return len(self.sources) - self.sources.count(())
+    nodes: Sequence[MethodNode]
+    ids: Mapping[MethodNode, int]
+    sources: list[tuple[int, ...]]
 
 
 def _predecessors_from_edges(cg: CallGraph) -> PredecessorIndex:
@@ -625,9 +603,9 @@ def component_masks(
 
 
 def reverse_adjacency(cg: CallGraph) -> PredecessorIndex:
-    """Predecessor view: target -> sources, one entry per edge and in edge
-    order, so edge multiplicity is preserved exactly.  This is the graph's
-    cached, read-only `predecessors` index: built from the edges once per
+    """The graph's cached `predecessors` index: per node id, the ids of its
+    callers, one per edge and in edge order, so edge multiplicity is kept
+    exactly (`PredecessorIndex`).  It is built from the edges once per
     graph, or, for a graph made by `CallGraph.pruned` from a parent whose
     index exists, derived from that index when the pruned graph is built."""
     return cg.predecessors

@@ -111,6 +111,13 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         # The stages reject bad values too, but only per graph: checked
         # here, they fail the config once instead of every graph.
+        if type(self.inputs) not in (list, tuple) or not all(
+            isinstance(g, GraphInput) for g in self.inputs
+        ):
+            raise ConfigError(f"inputs must be a list of GraphInputs, got {self.inputs!r}")
+        object.__setattr__(self, "inputs", tuple(self.inputs))
+        if self.synthetic is not None and not isinstance(self.synthetic, SyntheticSpec):
+            raise ConfigError(f"synthetic must be a SyntheticSpec or None, got {self.synthetic!r}")
         try:
             for name, rule in _SCALARS.items():
                 checked(name, getattr(self, name), *rule)
@@ -194,7 +201,7 @@ class PipelineConfig:
                 synthetic = SyntheticSpec(count=count, params=params)
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from None
-        return cls(**{**data, "inputs": tuple(inputs), "synthetic": synthetic})
+        return cls(**{**data, "inputs": inputs, "synthetic": synthetic})
 
     @classmethod
     def from_file(cls, path: str) -> "PipelineConfig":
@@ -325,7 +332,6 @@ def _sources(
     for gin in config.inputs:
         def load(gin: GraphInput = gin) -> tuple[TypeHierarchy, CallGraph]:
             h = load_hierarchy(gin.hierarchy_path)
-            h = apply_core_prefixes(h, list(config.core_prefixes))
             return h, load_call_graph(gin.callgraph_path, h)
         loaders.append(load)
     if config.synthetic is not None:
@@ -360,6 +366,7 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
         stage = "load"
         try:
             h, cg = load()
+            h = apply_core_prefixes(h, config.core_prefixes)
             stage = "origins"
             origins = find_origins(cg, h)
             stage = "frequencies"

@@ -6,9 +6,9 @@ which vulnerable methods each application method reaches.  The headline
 numbers are the count of (application method, vulnerable method) pairs and
 the fraction of vulnerable methods reached by at least one application
 method; comparing the numbers before and after pruning shows how much
-reachability the pruning destroyed.  A breadth-first search from one
-vulnerable method at a time rebuilds witness call paths when they are asked
-for, and serves the tests as the reference for the pass.
+reachability the pruning destroyed.  A breadth-first search over node ids
+from one vulnerable method at a time rebuilds witness call paths when they
+are asked for.
 
 Sampling uses Python's Mersenne Twister (`random.Random`), so assignments are
 reproducible for a given seed on any platform.  The assignment file, not the
@@ -119,30 +119,19 @@ class ReachabilityResult:
     witnesses: Mapping[tuple[MethodNode, MethodNode], tuple[MethodNode, ...]] | None = None
 
 
-def _reach_one(
-    preds: Mapping[MethodNode, Sequence[MethodNode]],
-    vuln: MethodNode,
-) -> tuple[set[MethodNode], dict[MethodNode, MethodNode]]:
-    """Reverse BFS from one vulnerable node.
-
-    Returns every node that reaches it, plus per-node successor links
-    pointing one hop towards the vulnerable node (for path reconstruction).
-    It builds witness paths, and the tests use it as the reference for the
-    component walk.
-    """
-    next_hop: dict[MethodNode, MethodNode] = {}
-    visited = {vuln}
-    frontier = [vuln]
-    while frontier:
-        new_frontier = []
-        for node in frontier:
-            for caller in preds.get(node, ()):
-                if caller not in visited:
-                    visited.add(caller)
-                    next_hop[caller] = node
-                    new_frontier.append(caller)
-        frontier = new_frontier
-    return visited, next_hop
+def _next_hops(sources: Sequence[tuple[int, ...]], v: int) -> dict[int, int]:
+    """One breadth-first walk over a predecessor index's `sources` from node
+    id `v`: each node id that reaches `v`, other than `v` itself, mapped to
+    the callee one hop nearer to `v` from which the walk first met it."""
+    hops = {v: v}
+    queue = [v]
+    for node in queue:  # the queue grows while the loop reads it
+        for caller in sources[node]:
+            if caller not in hops:
+                hops[caller] = node
+                queue.append(caller)
+    del hops[v]
+    return hops
 
 
 def propagate(
@@ -177,8 +166,9 @@ def propagate(
     mean time of one measured pass: building the masks, the whole walk and
     the pair counting with its self-pair rule.  Counts are identical across
     runs (the pass is deterministic), so only time is averaged.  Witness
-    paths, when asked for, come from one breadth-first search per reached
-    vulnerable node.
+    paths, when asked for, come from one breadth-first walk of the int
+    index per reached vulnerable node (`_next_hops`, callers in edge
+    order); ids become nodes only in the paths it emits.
     """
     if repetitions <= 0:
         raise ValueError(f"repetitions must be positive, got {repetitions}")
@@ -243,14 +233,15 @@ def propagate(
     witnesses = None
     if collect_witnesses:
         witnesses = {}
-        app_nodes = {graph_nodes[order[a]] for a in apps}
+        app_ids = {order[a] for a in apps}
         for vuln in sorted(reached):
-            _, next_hop = _reach_one(preds, vuln)
-            for app in sorted(app_nodes & next_hop.keys()):
-                path = [app]
-                while path[-1] != vuln:
-                    path.append(next_hop[path[-1]])
-                witnesses[(app, vuln)] = tuple(path)
+            v = preds.ids[vuln]
+            hops = _next_hops(sources, v)
+            for g in sorted(app_ids & hops.keys(), key=graph_nodes.__getitem__):
+                path = [g]
+                while path[-1] != v:
+                    path.append(hops[path[-1]])
+                witnesses[(graph_nodes[g], vuln)] = tuple(map(graph_nodes.__getitem__, path))
     fraction = len(reached) / k if k else 0.0
     return ReachabilityResult(
         reachable_pairs=pairs,

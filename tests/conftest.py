@@ -96,6 +96,16 @@ def make_f1_callgraph() -> CallGraph:
     return build_call_graph(f1_nodes(), f1_edges().values())
 
 
+def predecessor_map(preds) -> dict[MethodNode, tuple[MethodNode, ...]]:
+    """A predecessor index (`reverse_adjacency`) read by node: each target
+    with a caller -> its sources as nodes, in edge order.  The tests compare
+    this with `reference.predecessor_lists`."""
+    return {
+        preds.nodes[t]: tuple(preds.nodes[s] for s in sources)
+        for t, sources in enumerate(preds.sources) if sources
+    }
+
+
 class WriteCountingDict(dict):
     """A dict that counts each key's writes: put on a fresh hierarchy as a
     memo, it counts the walks that fill the memo."""

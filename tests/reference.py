@@ -169,3 +169,26 @@ def predecessor_lists(cg: CallGraph) -> dict[MethodNode, list[MethodNode]]:
     for e in cg.edges:
         preds.setdefault(e.target, []).append(e.source)
     return preds
+
+
+def reverse_bfs(
+    preds: Mapping[MethodNode, list[MethodNode]], vuln: MethodNode
+) -> tuple[set[MethodNode], dict[MethodNode, MethodNode]]:
+    """Reference reverse search from one vulnerable node over node-keyed
+    predecessor lists (`predecessor_lists`), one frontier at a time: every
+    node that reaches `vuln`, `vuln` included, and per other such node the
+    callee one hop nearer to `vuln` through which the search first met it.
+    The tests rebuild witness paths from these links."""
+    next_hop: dict[MethodNode, MethodNode] = {}
+    visited = {vuln}
+    frontier = [vuln]
+    while frontier:
+        new_frontier = []
+        for node in frontier:
+            for caller in preds.get(node, ()):
+                if caller not in visited:
+                    visited.add(caller)
+                    next_hop[caller] = node
+                    new_frontier.append(caller)
+        frontier = new_frontier
+    return visited, next_hop

@@ -1,5 +1,6 @@
 """Import hygiene: what the package's modules import, and what that costs,
-and what the tests' reference implementations may import from the package."""
+what the tests' reference implementations may import from the package, and
+that no test imports a private name of the package."""
 
 import ast
 import subprocess
@@ -203,6 +204,37 @@ def test_no_reference_is_defined_in_the_package():
     package = sorted(Path(cgprune.__file__).parent.glob("*.py"))
     reference = REFERENCE.read_text(encoding="utf-8")
     assert names_defined_twice(reference, {p.name: p.read_text(encoding="utf-8") for p in package}) == []
+
+
+def private_package_imports(source: str) -> list[str]:
+    """The underscore names `source` imports from the package or one of
+    its modules with ``from cgprune... import``."""
+    return [
+        f"{alias.name} (line {node.lineno})"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "cgprune"
+        for alias in node.names if alias.name.startswith("_")
+    ]
+
+
+def test_the_check_sees_a_test_import_of_a_private_name():
+    source = (
+        "from cgprune.vulnsim import _walk, propagate\n"
+        "from cgprune import model, _helper as h\n"
+        "from reference import _own_walk\n"
+        "def f():\n    from cgprune.model import _index\n"
+    )
+    assert private_package_imports(source) == [
+        "_walk (line 1)", "_helper (line 2)", "_index (line 5)",
+    ]
+
+
+def test_no_test_borrows_a_private_package_name():
+    # a private function of the package is a fast path: a test that took
+    # its expected values from one would compare that code with itself
+    tests = sorted(Path(__file__).parent.glob("*.py"))
+    found = {p.name: private_package_imports(p.read_text(encoding="utf-8")) for p in tests}
+    assert {name: names for name, names in found.items() if names} == {}
 
 
 def test_cli_import_loads_no_numeric_tower():

@@ -7,7 +7,7 @@ import logging
 import math
 import re
 import statistics
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import pytest
@@ -17,8 +17,12 @@ from hypothesis import strategies as st
 from cgprune import (
     AnalysisReport,
     ConfigError,
+    GenParams,
+    GraphInput,
     PipelineConfig,
     TypeHierarchy,
+    generate_call_graph_cha,
+    generate_hierarchy,
     run_pipeline,
     save_call_graph,
     save_hierarchy,
@@ -214,6 +218,22 @@ class TestConfig:
         assert message in str(exc.value)
 
 
+    def test_inputs_given_as_a_list_are_stored_as_a_tuple(self):
+        graph = GraphInput("g", "h", "c")
+        config = PipelineConfig(inputs=[graph])
+        assert config.inputs == (graph,)
+        assert config == PipelineConfig(inputs=(graph,))
+        assert hash(config) == hash(PipelineConfig(inputs=(graph,)))
+
+    def test_an_input_that_is_not_a_graph_input_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="inputs must be a list of GraphInputs"):
+            PipelineConfig(inputs=["x"])
+
+    def test_a_synthetic_that_is_not_a_spec_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="synthetic must be a SyntheticSpec"):
+            PipelineConfig(synthetic={"count": 1, "params": {}})
+
+
 class TestRunPipelineOnF1:
     def test_sweep_0_and_1_records(self, f1, tmp_path):
         report = run_pipeline(f1_config(f1, tmp_path))
@@ -298,6 +318,34 @@ class TestErrorContinuation:
         assert [e.stage for e in report.errors] == ["inject"]
         assert "no dependency nodes" in report.errors[0].message
         assert report.errors[0].error_type == "NoEligibleNodesError"
+
+    def test_core_prefixes_apply_to_synthetic_graphs_as_to_loaded_ones(self, tmp_path):
+        params = GenParams(type_count=60, seed=3)
+        h = generate_hierarchy(params)
+        save_hierarchy(h, str(tmp_path / "h.jsonl"))
+        save_call_graph(generate_call_graph_cha(h, params), str(tmp_path / "cg.jsonl"))
+        common = {"application_project": "p2", "sweep": [1, 5], "cve_count": 5,
+                  "warmup": 0, "repetitions": 1}
+        synthetic = {"synthetic": {"count": 1, "params": {"type_count": 60, "seed": 3}}}
+        loaded = {"inputs": [{"id": "syn000", "hierarchy": "h.jsonl", "callgraph": "cg.jsonl"}]}
+
+        def untimed(source, **overrides):
+            config = PipelineConfig.from_mapping(
+                {**common, **source, **overrides}, base_dir=str(tmp_path)
+            )
+            report = run_pipeline(config)
+            assert report.errors == ()
+            # the saved file holds the generator's edges once each, so only
+            # the synthetic graph counts duplicates
+            return [
+                {k: v for k, v in asdict(row).items()
+                 if not k.endswith("_s") and k != "duplicate_edges"}
+                for row in (*report.graphs, *report.records)
+            ]
+
+        with_prefixes = untimed(synthetic, core_prefixes=["p1"])
+        assert with_prefixes == untimed(loaded, core_prefixes=["p1"])
+        assert with_prefixes != untimed(synthetic)
 
     def test_graph_without_the_application_project_fails_at_inject(self, f1, tmp_path):
         # a graph that lacks the project would measure nothing: its zeros

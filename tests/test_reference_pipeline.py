@@ -3,7 +3,7 @@ pipeline built from the reference implementations.
 
 The reference finds origins by `reference.brute_force_origins`, prunes by
 filtering every edge through `reference.not_excluded`, counts reachability
-with one breadth-first search per vulnerable method (`vulnsim._reach_one`),
+with one breadth-first search per vulnerable method (`reference.reverse_bfs`),
 aggregates with `statistics.fmean`/`statistics.pstdev`, and writes its
 payload with `json.dumps`.  Localness labelling and CVE injection have no
 separate reference, so both sides call the same functions.  The two reports
@@ -32,13 +32,9 @@ from cgprune.pipeline import (
 from cgprune.pruning import ORACLES
 from cgprune.synth import generate_call_graph_cha, generate_hierarchy
 from cgprune.model import GraphError
-from cgprune.vulnsim import (
-    ProjectRoleMap,
-    _reach_one,
-    inject_artificial_cves,
-)
+from cgprune.vulnsim import ProjectRoleMap, inject_artificial_cves
 
-from reference import brute_force_origins, is_application, not_excluded
+from reference import brute_force_origins, is_application, not_excluded, reverse_bfs
 
 
 def _reachability(edges, vulnerable, h, roles) -> tuple[int, float]:
@@ -50,7 +46,7 @@ def _reachability(edges, vulnerable, h, roles) -> tuple[int, float]:
         preds.setdefault(e.target, []).append(e.source)
     pairs = reached = 0
     for vuln in vulnerable:
-        visited, _ = _reach_one(preds, vuln)
+        visited, _ = reverse_bfs(preds, vuln)
         apps = sum(1 for n in visited if n != vuln and is_application(roles, h, n))
         pairs += apps
         reached += apps > 0

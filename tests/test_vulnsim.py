@@ -10,7 +10,9 @@ from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 from conftest import m
-from reference import FixedTableOracle, is_application, is_dependency, predecessor_lists
+from reference import (
+    FixedTableOracle, is_application, is_dependency, predecessor_lists, reverse_bfs,
+)
 
 from cgprune import (
     CallEdge,
@@ -40,7 +42,6 @@ from cgprune import (
     prune_selective,
     save_assignment,
 )
-from cgprune.vulnsim import _reach_one
 from test_pruning import excl_of
 
 ROLES = ProjectRoleMap(application_project_id="app")
@@ -182,6 +183,23 @@ class TestPropagate:
             assert len(path) >= 2
             for a, b in zip(path, path[1:]):
                 assert (a, b) in edge_pairs
+
+    def test_witness_takes_the_first_caller_in_edge_order(self, f1):
+        # use reaches next through run and through fmt, two shortest paths;
+        # the edge from run into next comes first in edge order, so the
+        # search from next meets run first and the witness goes through it
+        use, run, fmt, vuln = m("T4", "use"), m("T4", "run"), m("T5", "fmt"), m("T3", "next")
+        cg = build_call_graph([], [
+            CallEdge(fmt, vuln, "T3"), CallEdge(use, fmt, "T5"),
+            CallEdge(run, vuln, "T3"), CallEdge(use, run, "T4"),
+        ])
+        assert [e.source for e in cg.edges if e.target == vuln] == [run, fmt]
+        result = propagate(cg, f1_assignment(), ROLES, f1.h, collect_witnesses=True)
+        assert list(result.witnesses.items()) == [
+            ((run, vuln), (run, vuln)),
+            ((use, vuln), (use, run, vuln)),
+            ((fmt, vuln), (fmt, vuln)),
+        ]
 
     def test_witnesses_none_unless_requested(self, f1):
         assert propagate(f1.cg, f1_assignment(), ROLES, f1.h).witnesses is None
@@ -408,13 +426,13 @@ def pruned_graphs_with_vulnerable_sets(draw, cases=graphs_with_vulnerable_sets()
 
 
 def per_vulnerable_bfs(cg, vulnerable):
-    """Reference: one reverse BFS per vulnerable node, as `_reach_one` runs it,
+    """Reference: one reverse BFS per vulnerable node (`reference.reverse_bfs`),
     over predecessor lists the tests build from the edges, not the model's."""
     preds = predecessor_lists(cg)
     apps = {n for n in cg.nodes if is_application(ROLES, DIFF_H, n)}
     witnesses = {}
     for vuln in sorted(vulnerable):
-        visited, next_hop = _reach_one(preds, vuln)
+        visited, next_hop = reverse_bfs(preds, vuln)
         for app in (apps & visited) - {vuln}:
             path = [app]
             while path[-1] != vuln:
